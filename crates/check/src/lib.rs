@@ -1,7 +1,7 @@
 //! Deterministic concurrency model checking for the lock-free serving cores.
 //!
 //! The workspace's hottest paths are hand-rolled lock-free code: the serve
-//! cache's seqlock front layer, the observability histogram's striped
+//! cache's seqlock table, the observability histogram's striped
 //! counters, and the generation-swap epoch mirror that makes live weight
 //! updates invisible to in-flight queries. Stress tests on a 1-core host are
 //! the worst possible environment to shake interleaving bugs out of that

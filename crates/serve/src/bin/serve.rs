@@ -339,10 +339,10 @@ fn main() {
             });
     }
     eprintln!(
-        "serving on {addr} with the {} model, {} threads (cache: {} entries, kernel: {})",
+        "serving on {addr} with the {} model, {} threads (cache: {} slots, kernel: {})",
         args.model.effective(),
         threads,
-        args.cache,
+        state.cache().stats().capacity,
         hc2l_graph::active_kernel()
     );
     if args.metrics_every_secs > 0 {

@@ -1,23 +1,14 @@
-//! A sharded LRU cache for point-to-point query results.
+//! A lock-free result cache for point-to-point query results.
 //!
 //! Labelling queries are tens of nanoseconds, so a result cache only pays
-//! off when it is (a) lock-cheap — the key is sharded so concurrent workers
-//! rarely contend on the same mutex — and (b) optional — capacity 0 turns
-//! the cache into a no-op so the serving layer can A/B it. Hit and miss
-//! counters for the server's `Stats` response and the bench's
-//! cache-hit-rate column are per-shard cells written with a plain
-//! load/store *inside* the shard's critical section: the lock already
-//! serialises writers, so the counters cost no `lock`-prefixed RMW on the
-//! probe path — which matters once the probe sits between the serving
-//! layer's two latency-clock reads, where every full barrier stops the
-//! pipeline.
-//!
-//! Large caches additionally get a **lock-free front layer** ([`Front`]):
-//! a direct-mapped array of per-slot seqlocks that serves the steady-state
-//! hit with five plain atomic loads and zero `lock`-prefixed instructions.
-//! The LRU shards stay the source of truth (and the only bounded storage);
-//! the front is a best-effort accelerator filled on the way out of a shard
-//! hit or insert.
+//! off when a hit costs a small fraction of that. The whole cache is one
+//! direct-mapped table of per-slot seqlocks ([`FrontCore`], the protocol
+//! the model-check suite in `tests/model.rs` verifies): a probe is five
+//! plain atomic loads, a fill is one CAS-claimed best-effort write, and a
+//! slot simply holds the last pair filled into it. There is no lock, no
+//! map and no recency list — a colliding pair overwrites the slot, and the
+//! table is sized at twice the requested capacity to keep such collisions
+//! rare. Capacity 0 disables the cache so the serving layer can A/B it.
 //!
 //! Distances in this workspace are symmetric, so keys are canonicalised to
 //! `(min(s,t), max(s,t))`: a `(t, s)` probe hits a cached `(s, t)` result.
@@ -26,13 +17,17 @@
 //! computed against: after a weight-update batch swaps in a new generation,
 //! the serving layer probes with the new epoch and every stale entry reads
 //! as a miss — O(1) whole-cache invalidation with no sweep. Stale slots are
-//! overwritten on re-insert or age out through the LRU. The epoch-less
+//! overwritten as new-generation answers are filled in. The epoch-less
 //! [`QueryCache::get`]/[`QueryCache::insert`] are conveniences for
 //! single-generation users (epoch 0).
+//!
+//! Hits and misses are counted for the server's `Stats` response and the
+//! bench's cache-hit-rate column with one relaxed `fetch_add` on a
+//! thread-striped, cache-line-padded cell, so both counts are exact and
+//! concurrent workers do not share a counter line.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hc2l_graph::{Distance, Vertex};
 
@@ -41,17 +36,13 @@ use crate::lockfree::FrontCore;
 /// Counter snapshot of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (LRU shards and lock-free front
-    /// combined). Front hits are counted on striped plain-store cells, so
-    /// under pathological thread counts (> [`FRONT_STRIPES`] concurrently
-    /// created threads hammering one cache) the count can drop the odd
-    /// increment; misses are always exact.
+    /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that fell through to the oracle.
     pub misses: u64,
-    /// Entries currently resident across all shards.
+    /// Occupied table slots (including slots holding a stale generation).
     pub len: usize,
-    /// Total capacity across all shards (0 = cache disabled).
+    /// Table slots (0 = cache disabled).
     pub capacity: usize,
 }
 
@@ -67,222 +58,21 @@ impl CacheStats {
     }
 }
 
-/// One shard: a bounded LRU map from packed `(s, t)` keys to distances.
-///
-/// Recency is an intrusive doubly-linked list threaded through a slot
-/// arena, so `get`/`insert` are O(1) with no per-operation allocation once
-/// the shard is full (slots are recycled in place).
-struct Shard {
-    map: HashMap<u64, u32>,
-    slots: Vec<Slot>,
-    /// Most recently used slot, `NIL` when empty.
-    head: u32,
-    /// Least recently used slot, `NIL` when empty.
-    tail: u32,
-    capacity: usize,
-}
+/// Number of hit/miss counter stripes. Stripes are handed to threads
+/// round-robin, so up to this many concurrent workers each count on a
+/// cache line of their own.
+const STRIPES: usize = 64;
 
-struct Slot {
-    key: u64,
-    value: Distance,
-    /// Index generation the value was computed against; a probe from a
-    /// different generation reads as a miss.
-    epoch: u64,
-    prev: u32,
-    next: u32,
-}
-
-const NIL: u32 = u32::MAX;
-
-impl Shard {
-    fn new(capacity: usize) -> Self {
-        Shard {
-            map: HashMap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
-    /// Unlinks a slot from the recency list.
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = &self.slots[i as usize];
-            (s.prev, s.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n as usize].prev = prev,
-        }
-    }
-
-    /// Links a slot at the most-recently-used end.
-    fn push_front(&mut self, i: u32) {
-        self.slots[i as usize].prev = NIL;
-        self.slots[i as usize].next = self.head;
-        match self.head {
-            NIL => self.tail = i,
-            h => self.slots[h as usize].prev = i,
-        }
-        self.head = i;
-    }
-
-    fn get(&mut self, key: u64, epoch: u64) -> Option<Distance> {
-        let i = *self.map.get(&key)?;
-        if self.slots[i as usize].epoch != epoch {
-            return None; // stale generation: a miss, overwritten on insert
-        }
-        if self.head != i {
-            self.unlink(i);
-            self.push_front(i);
-        }
-        Some(self.slots[i as usize].value)
-    }
-
-    fn insert(&mut self, key: u64, value: Distance, epoch: u64) {
-        if let Some(&i) = self.map.get(&key) {
-            self.slots[i as usize].value = value;
-            self.slots[i as usize].epoch = epoch;
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
-            }
-            return;
-        }
-        let i = if self.slots.len() < self.capacity {
-            self.slots.push(Slot {
-                key,
-                value,
-                epoch,
-                prev: NIL,
-                next: NIL,
-            });
-            (self.slots.len() - 1) as u32
-        } else {
-            // Evict the least recently used entry and recycle its slot.
-            let i = self.tail;
-            self.unlink(i);
-            let evicted = self.slots[i as usize].key;
-            self.map.remove(&evicted);
-            self.slots[i as usize].key = key;
-            self.slots[i as usize].value = value;
-            self.slots[i as usize].epoch = epoch;
-            i
-        };
-        self.map.insert(key, i);
-        self.push_front(i);
-    }
-}
-
-/// Per-shard hit/miss cells. Only the shard's lock holder writes them (a
-/// plain load/store pair — no RMW needed under the lock) and they live
-/// *outside* the `Mutex`, so a poisoned-shard reset cannot zero them.
-/// Padded so two shards' counters never share a cache line.
 #[repr(align(64))]
 #[derive(Default)]
-struct ShardCounters {
+struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl ShardCounters {
-    /// Lock-holder-only increment: load + store, no locked RMW.
-    #[inline]
-    fn bump(cell: &AtomicU64) {
-        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-}
-
-/// Number of hit-counter stripes on the lock-free front cache. Stripes are
-/// handed to threads round-robin, so as long as no more than this many
-/// concurrently-created threads hammer one cache, every writer owns its
-/// cell exclusively and the count is exact (see [`CacheStats::hits`]).
-const FRONT_STRIPES: usize = 64;
-
-#[repr(align(64))]
-#[derive(Default)]
-struct HitCell(AtomicU64);
-
-/// A direct-mapped, lock-free read layer in front of the LRU shards.
-///
-/// The seqlock protocol itself lives in [`crate::lockfree::FrontCore`],
-/// written generically over the [`hc2l_check::facade`] atomics traits so
-/// the model-check suite (`tests/model.rs`) explores the SAME source under
-/// exhaustive interleaving; here it is instantiated with the zero-cost
-/// `StdAtomics` default. Readers take no lock (a torn or mid-write slot
-/// just reads as a miss and falls through to the LRU), and writers claim a
-/// slot with one CAS, free to lose races — the front is an accelerator,
-/// never the source of truth. This is what makes a cache *hit* cheap
-/// enough to sit between the serving layer's two latency-clock reads: the
-/// steady-state hit path is five plain atomic loads plus one striped
-/// plain-store counter bump, with not a single `lock`-prefixed instruction
-/// to stall the pipeline (a locked RMW between two `rdtsc` reads
-/// serialises the pipeline and bills its full latency to the measured
-/// span).
-///
-/// Two deliberate semantic trades, both safe because a cached distance is
-/// an immutable function of `(pair, epoch)`:
-///
-/// * an entry can linger here after the LRU evicts it, so a lookup may
-///   still hit after eviction — eviction is capacity management, not
-///   invalidation (invalidation is the epoch tag, honoured here exactly as
-///   in the shards);
-/// * hit counts are striped plain load/store cells ([`FRONT_STRIPES`]).
-struct Front {
-    core: FrontCore,
-    hits: Box<[HitCell]>,
-}
-
-impl Front {
-    /// Caches below this capacity skip the front entirely: the LRU's exact
-    /// eviction order stays observable (deterministic small-cache tests
-    /// rely on it), and a tiny cache gains nothing from the accelerator.
-    const MIN_CAPACITY: usize = 4096;
-
-    fn new(capacity: usize) -> Front {
-        // Empty FrontCore slots carry key u64::MAX, which never matches a
-        // probe: real keys pack two in-range vertex ids, validated by the
-        // serving layer.
-        let n = (capacity / 8).next_power_of_two().clamp(1024, 8192);
-        Front {
-            core: FrontCore::new(n),
-            hits: (0..FRONT_STRIPES).map(|_| HitCell::default()).collect(),
-        }
-    }
-
-    /// Lock-free probe; a mid-write, torn, or mismatched slot is a miss.
-    #[inline]
-    fn probe(&self, key: u64, epoch: u64) -> Option<Distance> {
-        self.core.probe(key, epoch)
-    }
-
-    /// Best-effort publish; losing the claim race just skips the fill.
-    #[inline]
-    fn fill(&self, key: u64, value: Distance, epoch: u64) {
-        self.core.fill(key, value, epoch);
-    }
-
-    /// Thread-striped hit count: plain load/store on a thread-sticky cell.
-    #[inline]
-    fn count_hit(&self) {
-        let cell = &self.hits[front_stripe()].0;
-        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-
-    fn hit_total(&self) -> u64 {
-        self.hits.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
 /// Thread-sticky stripe index, assigned round-robin on first use.
 #[inline]
-fn front_stripe() -> usize {
-    use std::cell::Cell;
+fn stripe() -> usize {
     thread_local! {
         static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
     }
@@ -292,63 +82,55 @@ fn front_stripe() -> usize {
             return v;
         }
         static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let v = NEXT.fetch_add(1, Ordering::Relaxed) % FRONT_STRIPES;
+        let v = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
         s.set(v);
         v
     })
 }
 
-/// A sharded LRU result cache keyed on canonicalised `(s, t)` pairs.
+/// A direct-mapped, epoch-tagged result cache keyed on canonicalised
+/// `(s, t)` pairs, shared by reference across worker threads.
 ///
-/// Shared by reference across worker threads; each operation locks exactly
-/// one shard (picked by key hash) and maintains that shard's hit/miss
-/// counters inside the critical section. Large caches route repeat hits
-/// through the lock-free [`Front`] instead.
+/// A cached distance is an immutable function of `(pair, epoch)`, so the
+/// table may drop or overwrite any entry at any time: a lost fill race or
+/// a collision costs a recomputation, never a wrong answer.
 pub struct QueryCache {
-    shards: Vec<Mutex<Shard>>,
-    counters: Vec<ShardCounters>,
-    front: Option<Front>,
-    capacity: usize,
+    /// `None` when the cache is disabled.
+    table: Option<FrontCore>,
+    counters: Box<[Counters; STRIPES]>,
 }
 
 impl std::fmt::Debug for QueryCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryCache")
-            .field("shards", &self.shards.len())
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl QueryCache {
-    /// Default shard count: enough that 8–16 workers rarely collide.
-    pub const DEFAULT_SHARDS: usize = 16;
-
-    /// A cache holding at most `capacity` entries spread over `shards`
-    /// mutex-protected shards. `capacity == 0` disables the cache entirely
-    /// (every lookup is a recorded miss, inserts are dropped).
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards);
-        let capacity = per_shard * shards;
+    /// A cache sized for `capacity` entries: a table of
+    /// `(2 × capacity).next_power_of_two()` slots. `capacity == 0`
+    /// disables the cache entirely (every lookup is a recorded miss,
+    /// inserts are dropped).
+    pub fn new(capacity: usize) -> Self {
+        // Empty slots carry key u64::MAX, which never matches a probe: real
+        // keys pack two in-range vertex ids, validated by the serving layer.
         QueryCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
-                .collect(),
-            counters: (0..shards).map(|_| ShardCounters::default()).collect(),
-            front: (capacity >= Front::MIN_CAPACITY).then(|| Front::new(capacity)),
-            capacity,
+            table: (capacity > 0)
+                .then(|| FrontCore::new(capacity.saturating_mul(2).next_power_of_two())),
+            counters: Box::new(std::array::from_fn(|_| Counters::default())),
         }
     }
 
     /// A disabled cache: no storage, all lookups miss.
     pub fn disabled() -> Self {
-        QueryCache::new(0, 1)
+        QueryCache::new(0)
     }
 
     /// Whether the cache can hold anything at all.
     pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
+        self.table.is_some()
     }
 
     #[inline]
@@ -356,30 +138,6 @@ impl QueryCache {
         // Distances are symmetric: canonicalise so (t, s) hits (s, t).
         let (lo, hi) = if s <= t { (s, t) } else { (t, s) };
         (lo as u64) << 32 | hi as u64
-    }
-
-    #[inline]
-    fn shard_of(&self, key: u64) -> usize {
-        // Fibonacci hash of the packed pair; the packed key's low bits are
-        // the raw vertex id, which would shard-skew grid workloads.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % self.shards.len()
-    }
-
-    /// Locks a shard, surviving poison: a worker that panicked mid-mutation
-    /// (panics are caught and answered as errors, the daemon keeps serving)
-    /// may have left the map and recency list out of sync, so the shard is
-    /// reset — the cache is only an accelerator, dropping its contents is
-    /// always correct — and the poison cleared so later locks keep it.
-    fn lock_shard(&self, i: usize) -> std::sync::MutexGuard<'_, Shard> {
-        match self.shards[i].lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                let mut g = poisoned.into_inner();
-                *g = Shard::new(g.capacity);
-                self.shards[i].clear_poison();
-                g
-            }
-        }
     }
 
     /// Looks up a pair at generation 0 (single-generation users).
@@ -392,78 +150,50 @@ impl QueryCache {
         self.insert_at(s, t, d, 0)
     }
 
-    /// Looks up a pair computed against index generation `epoch`, updating
-    /// recency and the hit/miss counters. An entry stored under any other
-    /// generation reads as a miss.
+    /// Looks up a pair computed against index generation `epoch`, counting
+    /// the hit or miss. An entry stored under any other generation, a
+    /// colliding pair's entry and a slot caught mid-fill all read as a miss.
+    #[inline]
     pub fn get_at(&self, s: Vertex, t: Vertex, epoch: u64) -> Option<Distance> {
-        if !self.is_enabled() {
-            // Disabled caches still count misses honestly; shard 0's lock
-            // makes the load/store increment race-free.
-            let _guard = self.lock_shard(0);
-            ShardCounters::bump(&self.counters[0].misses);
-            return None;
-        }
-        let key = QueryCache::key(s, t);
-        if let Some(front) = &self.front {
-            if let Some(d) = front.probe(key, epoch) {
-                front.count_hit();
-                return Some(d);
-            }
-        }
-        let i = self.shard_of(key);
-        let got = {
-            let mut guard = self.lock_shard(i);
-            let got = guard.get(key, epoch);
-            let c = &self.counters[i];
-            match got {
-                Some(_) => ShardCounters::bump(&c.hits),
-                None => ShardCounters::bump(&c.misses),
-            }
-            got
+        let got = self
+            .table
+            .as_ref()
+            .and_then(|table| table.probe(QueryCache::key(s, t), epoch));
+        let cell = &self.counters[stripe()];
+        match got {
+            Some(_) => cell.hits.fetch_add(1, Ordering::Relaxed),
+            None => cell.misses.fetch_add(1, Ordering::Relaxed),
         };
-        if let (Some(front), Some(d)) = (&self.front, got) {
-            // Promote the shard hit so the next probe skips the lock.
-            front.fill(key, d, epoch);
-        }
         got
     }
 
     /// Stores a pair's distance computed against index generation `epoch`
-    /// (no-op when disabled). The caller passes the epoch it *queried* at,
-    /// not the current one — if a generation swap raced the query, the
-    /// entry lands tagged with the old epoch and can never serve a stale
-    /// answer to new-generation probes.
+    /// (no-op when disabled; best effort — a fill that loses a race with a
+    /// concurrent fill of the same slot is dropped). The caller passes the
+    /// epoch it *queried* at, not the current one — if a generation swap
+    /// raced the query, the entry lands tagged with the old epoch and can
+    /// never serve a stale answer to new-generation probes.
+    #[inline]
     pub fn insert_at(&self, s: Vertex, t: Vertex, d: Distance, epoch: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let key = QueryCache::key(s, t);
-        self.lock_shard(self.shard_of(key)).insert(key, d, epoch);
-        if let Some(front) = &self.front {
-            front.fill(key, d, epoch);
+        if let Some(table) = &self.table {
+            table.fill(QueryCache::key(s, t), d, epoch);
         }
     }
 
-    /// Counter snapshot. `len` counts entries resident in the LRU shards —
-    /// the bounded storage; the front's duplicates are not storage.
+    /// Counter snapshot. `len` scans the table for occupied slots, so it
+    /// costs a pass over the whole table.
     pub fn stats(&self) -> CacheStats {
-        let front_hits = self.front.as_ref().map_or(0, Front::hit_total);
+        let (hits, misses) = self.counters.iter().fold((0, 0), |(h, m), c| {
+            (
+                h + c.hits.load(Ordering::Relaxed),
+                m + c.misses.load(Ordering::Relaxed),
+            )
+        });
         CacheStats {
-            hits: front_hits
-                + self
-                    .counters
-                    .iter()
-                    .map(|c| c.hits.load(Ordering::Relaxed))
-                    .sum::<u64>(),
-            misses: self
-                .counters
-                .iter()
-                .map(|c| c.misses.load(Ordering::Relaxed))
-                .sum(),
-            len: (0..self.shards.len())
-                .map(|i| self.lock_shard(i).map.len())
-                .sum(),
-            capacity: self.capacity,
+            hits,
+            misses,
+            len: self.table.as_ref().map_or(0, FrontCore::occupied),
+            capacity: self.table.as_ref().map_or(0, FrontCore::num_slots),
         }
     }
 }
@@ -474,7 +204,7 @@ mod tests {
 
     #[test]
     fn hits_after_insert_and_symmetry() {
-        let cache = QueryCache::new(64, 4);
+        let cache = QueryCache::new(64);
         assert_eq!(cache.get(1, 2), None);
         cache.insert(1, 2, 42);
         assert_eq!(cache.get(1, 2), Some(42));
@@ -485,33 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        // One shard so the eviction order is fully deterministic.
-        let cache = QueryCache::new(2, 1);
-        cache.insert(1, 1, 10);
-        cache.insert(2, 2, 20);
-        assert_eq!(cache.get(1, 1), Some(10)); // touch 1 → 2 becomes LRU
-        cache.insert(3, 3, 30); // evicts 2
-        assert_eq!(cache.get(1, 1), Some(10));
-        assert_eq!(cache.get(2, 2), None);
-        assert_eq!(cache.get(3, 3), Some(30));
-        assert_eq!(cache.stats().len, 2);
-    }
-
-    #[test]
-    fn reinsert_updates_value_and_recency() {
-        let cache = QueryCache::new(2, 1);
-        cache.insert(1, 1, 10);
-        cache.insert(2, 2, 20);
-        cache.insert(1, 1, 11); // update, touches 1
-        cache.insert(3, 3, 30); // evicts 2, not 1
-        assert_eq!(cache.get(1, 1), Some(11));
-        assert_eq!(cache.get(2, 2), None);
-    }
-
-    #[test]
     fn epoch_mismatch_reads_as_a_miss() {
-        let cache = QueryCache::new(64, 4);
+        let cache = QueryCache::new(64);
         cache.insert_at(1, 2, 42, 0);
         assert_eq!(cache.get_at(1, 2, 0), Some(42));
         // A new generation sees the old entry as a miss...
@@ -541,7 +246,7 @@ mod tests {
 
     #[test]
     fn concurrent_use_keeps_counts_consistent() {
-        let cache = std::sync::Arc::new(QueryCache::new(1024, 8));
+        let cache = std::sync::Arc::new(QueryCache::new(1024));
         let threads: Vec<_> = (0..8u32)
             .map(|id| {
                 let cache = std::sync::Arc::clone(&cache);
@@ -572,42 +277,54 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_shard_resets_and_keeps_serving() {
-        let cache = std::sync::Arc::new(QueryCache::new(64, 1));
-        cache.insert(1, 2, 42);
-        let c2 = std::sync::Arc::clone(&cache);
-        let _ = std::thread::spawn(move || {
-            let _guard = c2.lock_shard(0);
-            panic!("poison the shard mid-mutation");
-        })
-        .join();
-        // The next lock finds the poison, resets the (possibly inconsistent)
-        // shard, and clears it — a miss, not a panic.
-        assert_eq!(cache.get(1, 2), None);
-        // ...and the cache is fully functional again afterwards.
-        cache.insert(1, 2, 42);
-        assert_eq!(cache.get(1, 2), Some(42));
+    fn reinsert_overwrites_the_value_in_place() {
+        let cache = QueryCache::new(64);
+        cache.insert(1, 2, 10);
+        cache.insert(2, 1, 11);
+        assert_eq!(cache.get(1, 2), Some(11), "the later value wins");
+        assert_eq!(cache.stats().len, 1, "one pair holds one slot");
+    }
+
+    #[test]
+    fn counts_stay_exact_with_more_threads_than_stripes() {
+        // More threads than counter stripes, so some stripes are shared;
+        // relaxed `fetch_add` must still lose no increment.
+        let cache = std::sync::Arc::new(QueryCache::new(64));
+        cache.insert(1, 2, 3);
+        let threads: Vec<_> = (0..STRIPES + 16)
+            .map(|_| {
+                let cache = std::sync::Arc::clone(&cache);
+                std::thread::spawn(move || {
+                    for _ in 0..50 {
+                        assert_eq!(cache.get(1, 2), Some(3));
+                        assert_eq!(cache.get(5, 6), None);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let s = cache.stats();
+        let per_kind = (STRIPES as u64 + 16) * 50;
+        assert_eq!((s.hits, s.misses), (per_kind, per_kind));
     }
 
     #[test]
     fn front_cache_serves_and_counts_hits() {
-        // Capacity ≥ Front::MIN_CAPACITY engages the lock-free front.
-        let cache = QueryCache::new(Front::MIN_CAPACITY, 4);
-        assert!(cache.front.is_some());
+        let cache = QueryCache::new(4096);
+        assert!(cache.is_enabled());
         assert_eq!(cache.get(1, 2), None);
         cache.insert(1, 2, 42);
         assert_eq!(cache.get(1, 2), Some(42));
-        assert_eq!(cache.get(2, 1), Some(42), "symmetric probe hits the front");
+        assert_eq!(cache.get(2, 1), Some(42), "symmetric probe hits");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
-        // Small caches keep exact LRU-only semantics (capacity rounds up
-        // to a shard multiple, so stay well below the threshold).
-        assert!(QueryCache::new(Front::MIN_CAPACITY / 2, 4).front.is_none());
     }
 
     #[test]
     fn front_cache_respects_epochs() {
-        let cache = QueryCache::new(8192, 4);
+        let cache = QueryCache::new(8192);
         cache.insert_at(1, 2, 42, 0);
         assert_eq!(cache.get_at(1, 2, 0), Some(42));
         assert_eq!(cache.get_at(1, 2, 1), None, "stale epoch must not hit");
@@ -617,15 +334,66 @@ mod tests {
     }
 
     #[test]
+    fn colliding_pairs_share_a_slot_and_the_later_fill_wins() {
+        // A 2-slot table: of three distinct pairs, two must share a slot.
+        let pairs = [(1, 2), (3, 4), (5, 6)];
+        let mut collisions = 0;
+        for (i, &a) in pairs.iter().enumerate() {
+            for &b in &pairs[i + 1..] {
+                let cache = QueryCache::new(1);
+                assert_eq!(cache.stats().capacity, 2);
+                cache.insert(a.0, a.1, 10);
+                cache.insert(b.0, b.1, 20);
+                assert_eq!(cache.get(b.0, b.1), Some(20), "the later fill wins");
+                match cache.get(a.0, a.1) {
+                    Some(d) => assert_eq!(d, 10, "a wrong value was served"),
+                    None => {
+                        // Same slot: the refill takes it back, and the
+                        // other pair now reads as a miss.
+                        collisions += 1;
+                        assert_eq!(cache.stats().len, 1);
+                        cache.insert(a.0, a.1, 10);
+                        assert_eq!(cache.get(a.0, a.1), Some(10));
+                        assert_eq!(cache.get(b.0, b.1), None);
+                    }
+                }
+            }
+        }
+        assert!(collisions > 0, "pigeonhole guarantees a shared slot");
+    }
+
+    #[test]
+    fn sizing_doubles_capacity_to_a_power_of_two_and_len_counts_fills() {
+        let off = QueryCache::new(0);
+        assert!(!off.is_enabled());
+        assert_eq!((off.stats().capacity, off.stats().len), (0, 0));
+        assert_eq!(QueryCache::new(3).stats().capacity, 8);
+
+        let cache = QueryCache::new(64);
+        let s = cache.stats();
+        assert_eq!((s.capacity, s.len), (128, 0));
+        cache.insert(1, 2, 3);
+        cache.insert(2, 1, 3); // same pair, same slot
+        assert_eq!(cache.stats().len, 1);
+        // Each occupied slot holds exactly one of the filled pairs, the
+        // last one mapped there, and that pair hits.
+        for v in 10..50 {
+            cache.insert(v, v + 1000, v as u64);
+        }
+        let resident = (10..50).filter(|&v| cache.get(v, v + 1000).is_some());
+        assert_eq!(cache.stats().len, 1 + resident.count());
+    }
+
+    #[test]
     fn front_cache_concurrent_probes_never_tear() {
-        // Hammer one front-enabled cache from many threads with values that
-        // encode (pair, epoch): a seqlock bug serving a torn or mismatched
+        // Hammer one cache from many threads with values that encode
+        // (pair, epoch): a seqlock bug serving a torn or mismatched
         // (key, epoch, value) triple trips the assert.
         let expected = |s: u32, t: u32, epoch: u64| {
             let (lo, hi) = (s.min(t) as u64, s.max(t) as u64);
             (lo << 32 | hi).wrapping_mul(3).wrapping_add(epoch)
         };
-        let cache = std::sync::Arc::new(QueryCache::new(8192, 8));
+        let cache = std::sync::Arc::new(QueryCache::new(8192));
         let threads: Vec<_> = (0..8u32)
             .map(|id| {
                 let cache = std::sync::Arc::clone(&cache);
@@ -645,27 +413,6 @@ mod tests {
             t.join().unwrap();
         }
         let s = cache.stats();
-        let total = 8 * 20_000;
-        assert!(s.hits + s.misses <= total);
-        // Striped counting can in principle drop increments only when two
-        // of our threads share a stripe; with 64 stripes and consecutively
-        // spawned threads that should not happen at all — allow a hair of
-        // slack rather than flake if the suite's global round-robin wraps.
-        assert!(
-            s.hits + s.misses >= total - 64,
-            "lost {} lookups",
-            total - (s.hits + s.misses)
-        );
-    }
-
-    #[test]
-    fn eviction_stress_never_loses_map_list_sync() {
-        let cache = QueryCache::new(8, 1);
-        for i in 0..10_000u32 {
-            cache.insert(i % 23, (i * 13) % 31, i as u64);
-            cache.get((i * 5) % 23, (i * 11) % 31);
-        }
-        let s = cache.stats();
-        assert!(s.len <= 8);
+        assert_eq!(s.hits + s.misses, 8 * 20_000, "every lookup is counted");
     }
 }

@@ -13,9 +13,9 @@
 //!   one physical copy of a multi-GB index serves every process on the
 //!   host.
 //! * **shared read-only oracles** — [`ServeState`] bundles the oracle (a
-//!   `SharedOracle` view or an owned `Oracle`), a sharded LRU result cache
-//!   ([`QueryCache`]) and relaxed-atomic counters; worker threads query it
-//!   behind one `Arc` with no locks on the oracle path.
+//!   `SharedOracle` view or an owned `Oracle`), a lock-free epoch-tagged
+//!   result cache ([`QueryCache`]) and relaxed-atomic counters; worker
+//!   threads query it behind one `Arc` with no locks on the oracle path.
 //! * **live weight updates** — `UpdateWeights` frames carry edge
 //!   re-weighting batches (live traffic) to a daemon started from an owned
 //!   graph ([`ServeState::with_updates`]); the batch is absorbed

@@ -10,9 +10,9 @@
 //!
 //! Two protocols live here:
 //!
-//! * [`FrontCore`] — the direct-mapped seqlock array behind the query
-//!   cache's lock-free front layer (`cache.rs` wraps it with sizing policy
-//!   and striped hit counting). Invariant: a probe never returns a torn
+//! * [`FrontCore`] — the direct-mapped seqlock table that is the whole
+//!   query cache (`cache.rs` adds key packing, sizing and striped hit/miss
+//!   counting). Invariant: a probe never returns a torn
 //!   `(key, epoch, value)` triple.
 //! * [`EpochMirror`] — the atomic mirror of the current index generation
 //!   that the serving layer reads before probing the cache (`server.rs`).
@@ -27,7 +27,9 @@ use hc2l_check::facade::{AtomicU64 as _, Atomics, StdAtomics};
 
 /// One seqlock slot: `seq` is odd while a writer owns the slot and bumps by
 /// 2 per publish, so an unchanged even `seq` around the data loads proves
-/// the triple was not torn.
+/// the triple was not torn. Aligned to its 32-byte size so no slot spans
+/// two cache lines.
+#[repr(align(32))]
 struct Slot<A: Atomics> {
     seq: A::U64,
     key: A::U64,
@@ -36,14 +38,14 @@ struct Slot<A: Atomics> {
 }
 
 /// A direct-mapped array of per-slot seqlocks over `(key, epoch, value)`
-/// triples — the core of the query cache's lock-free front layer.
+/// triples — the storage of the query cache.
 ///
 /// Readers take no lock: a mid-write, overwritten, or mismatched slot reads
-/// as a miss (`None`) and the caller falls through to its source of truth.
-/// Writers claim a slot with one CAS and are free to lose the race — the
-/// front is an accelerator, never authoritative storage. The payoff is a
-/// steady-state hit path of five plain atomic loads with zero
-/// `lock`-prefixed instructions.
+/// as a miss (`None`) and the caller recomputes. Writers claim a slot with
+/// one CAS and are free to lose the race — every entry is a recomputable
+/// answer, so a dropped fill costs time, never correctness. The payoff is a
+/// hit path of five plain atomic loads with zero `lock`-prefixed
+/// instructions.
 pub struct FrontCore<A: Atomics = StdAtomics> {
     slots: Box<[Slot<A>]>,
     /// `64 - log2(slots.len())`, for fibonacci-hash slot selection.
@@ -99,6 +101,20 @@ impl<A: Atomics> FrontCore<A> {
             return None;
         }
         Some(v)
+    }
+
+    /// Number of slots in the table.
+    pub fn num_slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Slots holding an entry (of any epoch): a read-only scan of the whole
+    /// table, approximate while fills run concurrently.
+    pub fn occupied(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|s| s.key.load(Ordering::Relaxed) != u64::MAX)
+            .count()
     }
 
     /// Best-effort publish; losing the claim race just skips the fill.
@@ -188,6 +204,19 @@ mod tests {
         f.fill(1, 11, 1);
         assert_eq!(f.probe(1, 0), None);
         assert_eq!(f.probe(1, 1), Some(11));
+    }
+
+    #[test]
+    fn occupied_counts_filled_slots_of_any_epoch() {
+        let f: FrontCore = FrontCore::new(1024);
+        assert_eq!((f.num_slots(), f.occupied()), (1024, 0));
+        f.fill(1, 10, 0);
+        f.fill(2, 20, 5);
+        assert_eq!(f.occupied(), 2);
+        // Refilling a key under another epoch reuses its slot.
+        f.fill(1, 11, 1);
+        assert_eq!(f.occupied(), 2);
+        assert_eq!(f.num_slots(), 1024);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! execution path both connection models funnel through, so Threads and
 //! Epoll daemons measure identically. Recording costs two TSC reads plus a
 //! wait-free `record` (~45-50ns wall per request on the reference host —
-//! dominated by the TSC reads; the cache's lock-free front layer exists so
-//! no `lock`-prefixed instruction sits between them and stalls the
-//! pipeline) and can be switched off at runtime
+//! dominated by the TSC reads; the cache probe between them is lock-free)
+//! and can be switched off at runtime
 //! ([`OpLatencies::set_recording`]) — the bench uses the toggle to *measure*
 //! the overhead as `obs_overhead_pct` instead of assuming it.
 //!

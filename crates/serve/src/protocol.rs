@@ -189,9 +189,9 @@ pub struct ServerStats {
     pub cache_hits: u64,
     /// Result-cache misses.
     pub cache_misses: u64,
-    /// Result-cache resident entries.
+    /// Result-cache occupied slots.
     pub cache_len: u64,
-    /// Result-cache capacity (0 = disabled).
+    /// Result-cache table slots (0 = disabled).
     pub cache_capacity: u64,
     /// `UpdateWeights` batches absorbed since startup.
     pub update_batches: u64,

@@ -10,7 +10,7 @@
 //! and cached identically. The query path takes **no blocking locks**: the
 //! oracle lives in an epoch-tagged generation behind an `RwLock<Arc<_>>`
 //! whose read side is only ever held for one `Arc` clone, counters are
-//! relaxed atomics, and only a cache probe touches a (sharded) mutex.
+//! relaxed atomics, and the result cache is a lock-free seqlock table.
 //!
 //! **Live weight updates** ([`ServeState::try_apply_updates`]): a state
 //! built with [`ServeState::with_updates`] additionally owns the underlying
@@ -287,7 +287,7 @@ impl UpdateError {
 }
 
 /// Everything a worker needs to answer queries: the current index
-/// generation, the sharded result cache, and the served/shutdown counters.
+/// generation, the result cache, and the served/shutdown counters.
 #[derive(Debug)]
 pub struct ServeState {
     /// Current generation; the write lock is held only for the pointer swap
@@ -338,10 +338,11 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Wraps an oracle with a result cache of `cache_capacity` entries
-    /// (0 disables caching) for a serve loop of `threads` workers. The
-    /// index is served as-is: `UpdateWeights` requests are answered with a
-    /// typed error (use [`ServeState::with_updates`] to enable them).
+    /// Wraps an oracle with a result cache sized for `cache_capacity`
+    /// entries (see [`QueryCache::new`]; 0 disables caching) for a serve
+    /// loop of `threads` workers. The index is served as-is:
+    /// `UpdateWeights` requests are answered with a typed error (use
+    /// [`ServeState::with_updates`] to enable them).
     pub fn new(oracle: impl Into<ServedOracle>, threads: usize, cache_capacity: usize) -> Self {
         ServeState::build(oracle.into(), None, threads, cache_capacity)
     }
@@ -377,7 +378,7 @@ impl ServeState {
         ServeState {
             generation: RwLock::new(Arc::new(Generation { oracle, epoch: 0 })),
             engine,
-            cache: QueryCache::new(cache_capacity, QueryCache::DEFAULT_SHARDS),
+            cache: QueryCache::new(cache_capacity),
             cache_epoch: EpochMirror::new(0),
             latency: OpLatencies::enabled(),
             threads: threads.max(1),
@@ -611,8 +612,8 @@ impl ServeState {
 
     /// Answers a batched one-to-many query into a caller-provided buffer,
     /// counting it. Batches bypass the point cache: the batched kernels
-    /// amortise the per-source work already, and polluting the LRU with
-    /// whole rows would evict the point working set.
+    /// amortise the per-source work already, and filling the table with
+    /// whole rows would overwrite the point working set.
     pub fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>) {
         let t0 = self.latency.start();
         self.one_to_many_targets

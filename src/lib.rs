@@ -109,8 +109,8 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 //!
-//! The [`hc2l_serve`] crate turns this into a deployable daemon: a sharded
-//! LRU result cache, a length-prefixed TCP wire protocol
+//! The [`hc2l_serve`] crate turns this into a deployable daemon: a
+//! lock-free result cache, a length-prefixed TCP wire protocol
 //! (`Distance` / batched `OneToMany` / `Stats` / `Shutdown`) with both a
 //! blocking and an incremental frame decoder, two connection models behind
 //! one execution path — an event-driven epoll reactor (the Linux default:

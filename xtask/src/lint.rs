@@ -60,7 +60,7 @@ const DECODE_FN_MARKERS: &[&str] = &["read", "decode", "open", "from_bytes", "pa
 ///
 /// | field         | protocol                                              |
 /// |---------------|-------------------------------------------------------|
-/// | `seq`         | seqlock word (serve cache front): the even re-publish |
+/// | `seq`         | seqlock word (serve cache table): the even re-publish |
 /// |               | must be `Release` or readers can see torn data        |
 /// | `published`   | generation-swap epoch mirror (`EpochMirror`): must be |
 /// |               | `Release`-published before the new generation swaps in|
