@@ -5,7 +5,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use hc2l::{Hc2lConfig, Hc2lIndex};
 use hc2l_bench::oracle::{build_oracle, DistanceOracle, Method};
 use hc2l_roadnet::{standard_suite, SuiteScale, WeightMode};
 
@@ -22,14 +21,7 @@ fn bench_construction(c: &mut Criterion) {
             });
         }
         group.bench_with_input(BenchmarkId::new("HC2Lp", &spec.name), &g, |b, g| {
-            b.iter(|| {
-                let cfg = Hc2lConfig {
-                    threads: 4,
-                    parallel_grain: 256,
-                    ..Default::default()
-                };
-                black_box(Hc2lIndex::build(g, cfg).stats().label_bytes)
-            })
+            b.iter(|| black_box(build_oracle(Method::Hc2l, g, 4).label_bytes()))
         });
     }
     group.finish();

@@ -13,8 +13,12 @@
 //!   --scale tiny|small|medium                      dataset scale (default: small)
 //!   --datasets N                                   how many suite datasets (default: 4)
 //!   --queries N                                    queries per dataset (default: 2000)
-//!   --threads N                                    threads for HC2Lp (default: all cores)
+//!   --threads N                                    HC2L build threads of the HC2Lp
+//!                                                  construction column (default: all cores)
 //! ```
+//!
+//! `--datasets`, `--queries` and `--threads` take positive integers; any
+//! other value exits with status 2 and a message, like an unknown flag.
 //!
 //! `--json-out` runs the seeded reference workloads (64x64 grid + synthetic
 //! city), verifies every backend against Dijkstra, and writes per-method
@@ -100,6 +104,16 @@ fn parse_args() -> Args {
             std::process::exit(2);
         })
     };
+    let read_count = |i: &mut usize| -> usize {
+        let v = read_value(i);
+        match v.parse() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("{} expects a positive integer, got '{v}'", argv[*i - 1]);
+                std::process::exit(2);
+            }
+        }
+    };
     while i < argv.len() {
         match argv[i].as_str() {
             "--table1" => {
@@ -164,15 +178,9 @@ fn parse_args() -> Args {
                     }
                 };
             }
-            "--datasets" => {
-                args.opts.num_datasets = read_value(&mut i).parse().unwrap_or(4);
-            }
-            "--queries" => {
-                args.opts.queries = read_value(&mut i).parse().unwrap_or(2000);
-            }
-            "--threads" => {
-                args.opts.threads = read_value(&mut i).parse().unwrap_or(2);
-            }
+            "--datasets" => args.opts.num_datasets = read_count(&mut i),
+            "--queries" => args.opts.queries = read_count(&mut i),
+            "--threads" => args.opts.threads = read_count(&mut i),
             "--help" | "-h" => {
                 println!("see the module documentation at the top of repro.rs for usage");
                 std::process::exit(0);
@@ -242,7 +250,7 @@ fn main() {
             std::path::Path::new("."),
             std::path::Path::new(path).file_name(),
         );
-        match run_json_bench(&workloads, opts.threads, &persist) {
+        match run_json_bench(&workloads, &persist) {
             Ok(rows) => {
                 let json = render_json(&rows);
                 std::fs::write(path, &json).unwrap_or_else(|e| {

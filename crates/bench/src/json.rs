@@ -280,7 +280,6 @@ pub const SCALING_REPS: usize = 2;
 /// divergence (or persistence failure) found.
 pub fn run_json_bench(
     workloads: &[JsonWorkload],
-    threads: usize,
     persist: &IndexPersistence,
 ) -> Result<Vec<JsonRow>, String> {
     // The tail-percentile pass records into a histogram via the TSC clock;
@@ -292,7 +291,7 @@ pub fn run_json_bench(
     };
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let mut written: Vec<PathBuf> = Vec::new();
-    let result = run_persisted(workloads, threads, persist, dir, &mut written);
+    let result = run_persisted(workloads, persist, dir, &mut written);
     // Scratch files are removed whether the run succeeded or aborted on a
     // divergence — a failing gate must not leak container files.
     if let IndexPersistence::RoundTrip { keep: false, .. } = persist {
@@ -306,7 +305,6 @@ pub fn run_json_bench(
 
 fn run_persisted(
     workloads: &[JsonWorkload],
-    threads: usize,
     persist: &IndexPersistence,
     dir: &Path,
     written: &mut Vec<PathBuf>,
@@ -322,14 +320,6 @@ fn run_persisted(
         }
 
         for method in Method::ALL {
-            // HC2Lp must appear in every baseline (and be exactness-gated)
-            // even on single-core hosts: a 2-thread build is correct
-            // anywhere and produces an identical index.
-            let threads = if method == Method::Hc2lParallel {
-                threads.max(2)
-            } else {
-                threads
-            };
             let path = IndexPersistence::index_path(dir, &w.name, method);
 
             // Obtain the oracle: build + save + reload, or load only. The
@@ -342,7 +332,7 @@ fn run_persisted(
             let (oracle, built, build_seconds, load_seconds, build_phases) = match persist {
                 IndexPersistence::RoundTrip { .. } => {
                     hc2l_obs::phase::drain();
-                    let build = measure_build(method, &w.graph, threads);
+                    let build = measure_build(method, &w.graph, 1);
                     let build_phases = hc2l_obs::phase::drain();
                     build
                         .oracle
@@ -624,7 +614,7 @@ fn run_persisted(
             let rebuild_ms = {
                 let mut g = w.graph.clone();
                 hc2l_oracle::apply_batch(&mut g, &updates[..100.min(updates.len())]);
-                measure_build(method, &g, threads).build_seconds * 1000.0
+                measure_build(method, &g, 1).build_seconds * 1000.0
             };
 
             rows.push(JsonRow {
@@ -829,7 +819,7 @@ mod tests {
             dir: scratch_dir("roundtrip"),
             keep: false,
         };
-        let rows = run_json_bench(&workloads, 1, &persist).expect("smoke bench must be exact");
+        let rows = run_json_bench(&workloads, &persist).expect("smoke bench must be exact");
         assert!(!rows.is_empty());
         for r in &rows {
             assert!(r.load_seconds > 0.0, "{} missing load time", r.method);
@@ -914,8 +904,9 @@ mod tests {
         assert!(json.contains("\"update_strategy\": \"ch-customize\""));
         assert!(json.contains("\"rebuild_ms\""));
         assert!(json.ends_with("}\n"));
-        // Every method appears, including HC2Lp on single-core hosts.
-        for name in ["HC2L", "HC2Lp", "H2H", "PHL", "HL", "CH"] {
+        // Every method appears exactly once per workload.
+        assert_eq!(rows.len(), workloads.len() * Method::ALL.len());
+        for name in ["HC2L", "H2H", "PHL", "HL", "CH"] {
             assert!(json.contains(&format!("\"{name}\"")), "{name} missing");
         }
     }
@@ -926,7 +917,6 @@ mod tests {
         let dir = scratch_dir("loadonly");
         let saved = run_json_bench(
             &workloads,
-            1,
             &IndexPersistence::RoundTrip {
                 dir: dir.clone(),
                 keep: true,
@@ -934,12 +924,8 @@ mod tests {
         )
         .expect("save run must succeed");
         // Serve-only: no construction, same exactness gate.
-        let loaded = run_json_bench(
-            &workloads,
-            1,
-            &IndexPersistence::LoadOnly { dir: dir.clone() },
-        )
-        .expect("load-only run must succeed");
+        let loaded = run_json_bench(&workloads, &IndexPersistence::LoadOnly { dir: dir.clone() })
+            .expect("load-only run must succeed");
         assert_eq!(saved.len(), loaded.len());
         for (s, l) in saved.iter().zip(loaded.iter()) {
             assert_eq!(s.method, l.method);
@@ -959,7 +945,6 @@ mod tests {
         assert!(!nested.exists());
         let rows = run_json_bench(
             &workloads,
-            1,
             &IndexPersistence::RoundTrip {
                 dir: nested.clone(),
                 keep: true,

@@ -9,7 +9,8 @@
 pub use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder, OracleConfig, QueryStats};
 
 /// Builds the index for `method` over `g`, using `threads` workers where the
-/// method supports parallel construction.
+/// method supports parallel construction (HC2L; more than one thread gives
+/// the paper's HC2Lp).
 pub fn build_oracle(method: Method, g: &hc2l_graph::Graph, threads: usize) -> Oracle {
     OracleBuilder::new(method).threads(threads).build(g)
 }
@@ -41,7 +42,6 @@ mod tests {
     #[test]
     fn method_names_are_stable() {
         assert_eq!(Method::Hc2l.name(), "HC2L");
-        assert_eq!(Method::Hc2lParallel.name(), "HC2Lp");
         assert_eq!(Method::LABELLING.len(), 4);
     }
 }

@@ -19,7 +19,7 @@ pub struct SuiteOptions {
     pub num_datasets: usize,
     /// Number of random queries per dataset.
     pub queries: usize,
-    /// Threads for the HC2Lp build.
+    /// HC2L build threads for the paper's HC2Lp construction column.
     pub threads: usize,
 }
 
@@ -140,7 +140,7 @@ fn run_dataset(name: &str, g: &Graph, opts: &SuiteOptions, _mode: WeightMode) ->
         });
     }
     // Parallel HC2L build (HC2Lp column of Tables 2/4).
-    let hc2lp = measure_build(Method::Hc2lParallel, g, opts.threads);
+    let hc2lp = measure_build(Method::Hc2l, g, opts.threads);
     DatasetResult {
         name: name.to_string(),
         num_vertices: g.num_vertices(),

@@ -111,11 +111,11 @@ pub const TOC_ENTRY_BYTES: usize = 24;
 
 /// Method tags stored in the container header. The `hc2l-oracle` crate maps
 /// its `Method` enum onto these; backends accept the tags that denote their
-/// own index layout (HC2L and HC2Lp share one).
+/// own index layout (HC2L also accepts `HC2L_PARALLEL`).
 pub mod method_tag {
-    /// Hierarchical Cut 2-Hop Labelling, sequential build.
+    /// Hierarchical Cut 2-Hop Labelling, built with any thread count.
     pub const HC2L: u32 = 1;
-    /// HC2L built in parallel (identical index layout to [`HC2L`]).
+    /// Legacy: read as [`HC2L`], never written (the old HC2Lp build tag).
     pub const HC2L_PARALLEL: u32 = 2;
     /// Hierarchical 2-Hop Index.
     pub const H2H: u32 = 3;
@@ -951,7 +951,7 @@ pub trait PersistentIndex: Sized {
     const METHOD_TAG: u32;
 
     /// Whether this backend can load a container carrying `tag` (HC2L also
-    /// accepts the HC2Lp tag: the two share one index layout).
+    /// accepts the legacy parallel-build tag).
     fn accepts_tag(tag: u32) -> bool {
         tag == Self::METHOD_TAG
     }

@@ -35,7 +35,7 @@ impl Default for Hc2lConfig {
             tail_pruning: true,
             contract_degree_one: true,
             threads: 1,
-            parallel_grain: 2048,
+            parallel_grain: 512,
         }
     }
 }
@@ -96,6 +96,7 @@ mod tests {
         assert!(c.tail_pruning);
         assert!(c.contract_degree_one);
         assert_eq!(c.threads, 1);
+        assert_eq!(c.parallel_grain, 512);
         c.validate();
     }
 

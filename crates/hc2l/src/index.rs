@@ -21,8 +21,8 @@ use crate::frozen::{FrozenContraction, FrozenHc2l, NO_VERTEX};
 use crate::label::LabelSet;
 use crate::stats::{ConstructionStats, IndexStats};
 
-/// Container section tags of the HC2L backend (shared by HC2L and HC2Lp —
-/// the two constructions produce one index layout).
+/// Container section tags of the HC2L backend (sequential and parallel
+/// builds produce one index layout).
 mod sec {
     /// Scalar metadata blob (config, hierarchy summary, timings).
     pub const META: u32 = 0;
@@ -239,8 +239,8 @@ impl Hc2lIndex {
 impl PersistentIndex for Hc2lIndex {
     const METHOD_TAG: u32 = method_tag::HC2L;
 
-    /// HC2L and HC2Lp produce one index layout; a file written under either
-    /// tag loads into the same type.
+    /// Files written under the legacy parallel-build tag hold the same
+    /// layout and load into the same type.
     fn accepts_tag(tag: u32) -> bool {
         tag == method_tag::HC2L || tag == method_tag::HC2L_PARALLEL
     }

@@ -39,15 +39,11 @@ fn partition_valid(graph: &Graph, updates: &[WeightUpdate]) -> (Vec<WeightUpdate
 
 impl DistanceOracle for Hc2lIndex {
     fn build(g: &Graph, config: &OracleConfig) -> Self {
-        hc2l_obs::phase::time("build", || Hc2lIndex::build(g, config.effective_hc2l()))
+        hc2l_obs::phase::time("build", || Hc2lIndex::build(g, config.hc2l))
     }
 
     fn name(&self) -> &'static str {
-        if self.config().threads > 1 {
-            "HC2Lp"
-        } else {
-            "HC2L"
-        }
+        "HC2L"
     }
 
     fn distance(&self, s: Vertex, t: Vertex) -> Distance {
@@ -67,11 +63,7 @@ impl DistanceOracle for Hc2lIndex {
     }
 
     fn method(&self) -> Method {
-        if self.config().threads > 1 {
-            Method::Hc2lParallel
-        } else {
-            Method::Hc2l
-        }
+        Method::Hc2l
     }
 
     /// HC2L: relabel over the fixed tree hierarchy; falls back to a rebuild
@@ -368,13 +360,19 @@ mod tests {
     }
 
     #[test]
-    fn hc2l_name_tracks_thread_count() {
+    fn hc2l_name_ignores_thread_count() {
         let g = paper_figure1();
         let seq = <Hc2lIndex as DistanceOracle>::build(&g, &OracleConfig::default());
-        assert_eq!(DistanceOracle::name(&seq), "HC2L");
-        let par_cfg = OracleConfig::new(crate::Method::Hc2lParallel);
-        let par = <Hc2lIndex as DistanceOracle>::build(&g, &par_cfg);
-        assert_eq!(DistanceOracle::name(&par), "HC2Lp");
+        let par_cfg = crate::OracleBuilder::new(Method::Hc2l).threads(4);
+        let par = <Hc2lIndex as DistanceOracle>::build(&g, par_cfg.config());
+        assert_eq!(par.config().threads, 4);
+        assert_eq!(DistanceOracle::name(&par), "HC2L");
+        assert_eq!(DistanceOracle::method(&par), Method::Hc2l);
+        assert_exact(&g, &par);
+        assert_eq!(
+            PersistentIndex::serialized_bytes(&seq),
+            PersistentIndex::serialized_bytes(&par)
+        );
     }
 
     #[test]

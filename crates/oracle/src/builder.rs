@@ -10,10 +10,9 @@ use crate::traits::DistanceOracle;
 
 /// Configuration shared by every oracle construction.
 ///
-/// Backends read the fields that apply to them: the HC2L variants consume
-/// [`OracleConfig::hc2l`] (with [`OracleConfig::threads`] overriding the
-/// thread count for [`Method::Hc2lParallel`]); the baselines currently have
-/// no tunables and ignore everything except `method` (which only the
+/// Backends read the fields that apply to them: HC2L consumes
+/// [`OracleConfig::hc2l`] (thread count included); the baselines currently
+/// have no tunables and ignore everything except `method` (which only the
 /// [`Oracle`] enum dispatches on).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct OracleConfig {
@@ -21,21 +20,13 @@ pub struct OracleConfig {
     /// building a concrete backend type directly).
     pub method: Method,
     /// Construction parameters of the HC2L index (β, leaf threshold, tail
-    /// pruning, degree-one contraction, sequential thread count).
+    /// pruning, degree-one contraction, build thread count).
     pub hc2l: Hc2lConfig,
-    /// Worker threads for parallel constructions ([`Method::Hc2lParallel`]).
-    pub threads: usize,
 }
 
 impl Default for OracleConfig {
     fn default() -> Self {
-        OracleConfig {
-            method: Method::Hc2l,
-            hc2l: Hc2lConfig::default(),
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(2),
-        }
+        OracleConfig::new(Method::Hc2l)
     }
 }
 
@@ -44,20 +35,7 @@ impl OracleConfig {
     pub fn new(method: Method) -> Self {
         OracleConfig {
             method,
-            ..Default::default()
-        }
-    }
-
-    /// The effective HC2L configuration for this oracle config: the parallel
-    /// variant forces a multi-threaded build with a finer work grain.
-    pub(crate) fn effective_hc2l(&self) -> Hc2lConfig {
-        match self.method {
-            Method::Hc2lParallel => Hc2lConfig {
-                threads: self.threads.max(2),
-                parallel_grain: self.hc2l.parallel_grain.min(512),
-                ..self.hc2l
-            },
-            _ => self.hc2l,
+            hc2l: Hc2lConfig::default(),
         }
     }
 }
@@ -92,13 +70,16 @@ impl OracleBuilder {
         self
     }
 
-    /// Sets the worker-thread count for parallel constructions.
+    /// Sets the HC2L build thread count (`1`, the default, is the paper's
+    /// sequential HC2L; more gives HC2Lp and the identical index). The
+    /// baselines build sequentially and ignore it.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads.max(1);
+        self.config.hc2l.threads = threads.max(1);
         self
     }
 
-    /// Replaces the full HC2L construction configuration.
+    /// Replaces the full HC2L construction configuration — thread count
+    /// included, so call [`OracleBuilder::threads`] after this, not before.
     pub fn hc2l_config(mut self, config: hc2l::Hc2lConfig) -> Self {
         self.config.hc2l = config;
         self
@@ -159,26 +140,28 @@ mod tests {
 
     #[test]
     fn builder_accumulates_settings() {
-        let b = OracleBuilder::new(Method::Hc2lParallel)
-            .beta(0.3)
-            .threads(8);
-        assert_eq!(b.config().method, Method::Hc2lParallel);
+        let b = OracleBuilder::new(Method::Hc2l).beta(0.3).threads(8);
+        assert_eq!(b.config().method, Method::Hc2l);
         assert!((b.config().hc2l.beta - 0.3).abs() < 1e-12);
-        assert_eq!(b.config().threads, 8);
-        let eff = b.config().effective_hc2l();
-        assert_eq!(eff.threads, 8);
-        assert!(eff.parallel_grain <= 512);
+        assert_eq!(b.config().hc2l.threads, 8);
     }
 
     #[test]
-    fn sequential_hc2l_keeps_its_own_thread_count() {
-        let cfg = OracleConfig::new(Method::Hc2l);
-        assert_eq!(cfg.effective_hc2l().threads, 1);
+    fn default_build_is_sequential() {
+        assert_eq!(OracleConfig::new(Method::Hc2l).hc2l.threads, 1);
     }
 
     #[test]
     fn zero_threads_is_clamped() {
         let b = OracleBuilder::new(Method::Hc2l).threads(0);
-        assert_eq!(b.config().threads, 1);
+        assert_eq!(b.config().hc2l.threads, 1);
+    }
+
+    #[test]
+    fn hc2l_config_replaces_the_thread_count() {
+        let b = OracleBuilder::new(Method::Hc2l)
+            .threads(4)
+            .hc2l_config(Hc2lConfig::default());
+        assert_eq!(b.config().hc2l.threads, 1);
     }
 }

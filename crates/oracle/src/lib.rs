@@ -1,8 +1,8 @@
 //! Unified distance-oracle API over every backend in the HC2L workspace.
 //!
-//! The workspace implements six exact distance oracles — HC2L (sequential
-//! and parallel construction), Contraction Hierarchies, H2H, Hub Labelling
-//! and Pruned Highway Labelling — whose native crates historically exposed
+//! The workspace implements five exact distance oracles — HC2L (built with
+//! one thread or several), Contraction Hierarchies, H2H, Hub Labelling and
+//! Pruned Highway Labelling — whose native crates historically exposed
 //! divergent construction and query signatures. This crate is the single
 //! spine the rest of the system (benchmarks, examples, future serving /
 //! persistence / sharding layers) plugs into:
@@ -12,7 +12,7 @@
 //!   (returning the shared [`QueryStats`]), batched [`one_to_many`],
 //!   `index_bytes` and `name`, plus reporting extensions used by the
 //!   paper-table generators.
-//! * [`Method`] — runtime identification of the six backends.
+//! * [`Method`] — runtime identification of the five backends.
 //! * [`Oracle`] — an enum holding any built backend, itself implementing
 //!   [`DistanceOracle`], so heterogeneous collections and runtime method
 //!   selection need no trait objects.

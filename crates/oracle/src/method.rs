@@ -7,11 +7,10 @@ use serde::{Deserialize, Serialize};
 /// (which the paper discusses as the search-based state of the art).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Method {
-    /// Hierarchical Cut 2-Hop Labelling (this paper), sequential build.
+    /// Hierarchical Cut 2-Hop Labelling (this paper). Built with several
+    /// threads (`OracleBuilder::threads`) it is the paper's HC2Lp, which
+    /// produces the identical index.
     Hc2l,
-    /// HC2L built with multiple threads (the paper's HC2Lp). The resulting
-    /// index is identical to [`Method::Hc2l`]'s; only construction differs.
-    Hc2lParallel,
     /// Hierarchical 2-Hop Index (tree-decomposition labelling).
     H2h,
     /// Pruned Highway Labelling.
@@ -24,17 +23,16 @@ pub enum Method {
 
 impl Method {
     /// Every backend, in the order the comparison examples print them.
-    pub const ALL: [Method; 6] = [
+    pub const ALL: [Method; 5] = [
         Method::Hc2l,
-        Method::Hc2lParallel,
         Method::H2h,
         Method::Phl,
         Method::Hl,
         Method::Ch,
     ];
 
-    /// The labelling methods the paper's main tables compare (HC2Lp shares
-    /// its index with HC2L, and CH is only used in auxiliary comparisons).
+    /// The labelling methods the paper's main tables compare (CH is only
+    /// used in auxiliary comparisons).
     pub const LABELLING: [Method; 4] = [Method::Hc2l, Method::H2h, Method::Phl, Method::Hl];
 
     /// The method tag stored in index-container headers
@@ -42,7 +40,6 @@ impl Method {
     pub fn tag(self) -> u32 {
         match self {
             Method::Hc2l => method_tag::HC2L,
-            Method::Hc2lParallel => method_tag::HC2L_PARALLEL,
             Method::H2h => method_tag::H2H,
             Method::Phl => method_tag::PHL,
             Method::Hl => method_tag::HL,
@@ -50,8 +47,12 @@ impl Method {
         }
     }
 
-    /// The method denoted by a container header tag, if any.
+    /// The method denoted by a container header tag, if any. The legacy
+    /// parallel-build tag denotes HC2L: both builds produce one index.
     pub fn from_tag(tag: u32) -> Option<Method> {
+        if tag == method_tag::HC2L_PARALLEL {
+            return Some(Method::Hc2l);
+        }
         Method::ALL.into_iter().find(|m| m.tag() == tag)
     }
 
@@ -59,7 +60,6 @@ impl Method {
     pub fn name(self) -> &'static str {
         match self {
             Method::Hc2l => "HC2L",
-            Method::Hc2lParallel => "HC2Lp",
             Method::H2h => "H2H",
             Method::Phl => "PHL",
             Method::Hl => "HL",
@@ -81,13 +81,12 @@ impl std::str::FromStr for Method {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "hc2l" => Ok(Method::Hc2l),
-            "hc2lp" | "hc2l-parallel" | "hc2l_parallel" => Ok(Method::Hc2lParallel),
             "h2h" => Ok(Method::H2h),
             "phl" => Ok(Method::Phl),
             "hl" => Ok(Method::Hl),
             "ch" => Ok(Method::Ch),
             other => Err(format!(
-                "unknown method '{other}' (expected one of hc2l, hc2lp, h2h, phl, hl, ch)"
+                "unknown method '{other}' (expected one of hc2l, h2h, phl, hl, ch)"
             )),
         }
     }
@@ -100,8 +99,7 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(Method::Hc2l.name(), "HC2L");
-        assert_eq!(Method::Hc2lParallel.name(), "HC2Lp");
-        assert_eq!(Method::ALL.len(), 6);
+        assert_eq!(Method::ALL.len(), 5);
         assert_eq!(Method::LABELLING.len(), 4);
     }
 
@@ -110,6 +108,10 @@ mod tests {
         for m in Method::ALL {
             assert_eq!(Method::from_tag(m.tag()), Some(m));
         }
+        assert_eq!(
+            Method::from_tag(method_tag::HC2L_PARALLEL),
+            Some(Method::Hc2l)
+        );
         assert_eq!(Method::from_tag(0), None);
         assert_eq!(Method::from_tag(999), None);
     }
@@ -120,5 +122,6 @@ mod tests {
             assert_eq!(m.name().parse::<Method>().unwrap(), m);
         }
         assert!("dijkstra".parse::<Method>().is_err());
+        assert!("hc2lp".parse::<Method>().is_err());
     }
 }

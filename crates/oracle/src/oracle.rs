@@ -23,10 +23,8 @@ use crate::traits::DistanceOracle;
 /// flag) without trait objects or per-backend match arms at call sites.
 #[derive(Debug, Clone)]
 pub enum Oracle {
-    /// Sequentially built HC2L.
+    /// Hierarchical Cut 2-Hop Labelling (sequential or parallel build).
     Hc2l(Hc2lIndex),
-    /// HC2L built with multiple threads (identical index, faster build).
-    Hc2lParallel(Hc2lIndex),
     /// Contraction Hierarchies.
     Ch(ContractionHierarchy),
     /// Hierarchical 2-Hop Index.
@@ -41,7 +39,7 @@ pub enum Oracle {
 macro_rules! delegate {
     ($self:ident, $inner:ident => $body:expr) => {
         match $self {
-            Oracle::Hc2l($inner) | Oracle::Hc2lParallel($inner) => $body,
+            Oracle::Hc2l($inner) => $body,
             Oracle::Ch($inner) => $body,
             Oracle::H2h($inner) => $body,
             Oracle::Hl($inner) => $body,
@@ -55,7 +53,6 @@ impl Oracle {
     pub fn method(&self) -> Method {
         match self {
             Oracle::Hc2l(_) => Method::Hc2l,
-            Oracle::Hc2lParallel(_) => Method::Hc2lParallel,
             Oracle::Ch(_) => Method::Ch,
             Oracle::H2h(_) => Method::H2h,
             Oracle::Hl(_) => Method::Hl,
@@ -69,9 +66,7 @@ impl Oracle {
     }
 
     /// Saves the oracle to a sectioned index-container file
-    /// (`hc2l_graph::container`), stamping the *variant's* method tag into
-    /// the header — a parallel-built HC2L index round-trips as
-    /// [`Method::Hc2lParallel`] even though it shares HC2L's layout.
+    /// (`hc2l_graph::container`), stamping the method tag into the header.
     pub fn save(&self, path: &Path) -> Result<(), PersistError> {
         let mut w = ContainerWriter::new(self.method().tag());
         delegate!(self, inner => inner.write_sections(&mut w));
@@ -91,7 +86,6 @@ impl Oracle {
         ))?;
         Ok(match method {
             Method::Hc2l => Oracle::Hc2l(Hc2lIndex::read_sections(&c)?),
-            Method::Hc2lParallel => Oracle::Hc2lParallel(Hc2lIndex::read_sections(&c)?),
             Method::Ch => Oracle::Ch(ContractionHierarchy::read_sections(&c)?),
             Method::H2h => Oracle::H2h(H2hIndex::read_sections(&c)?),
             Method::Hl => Oracle::Hl(HubLabelIndex::read_sections(&c)?),
@@ -105,7 +99,6 @@ impl DistanceOracle for Oracle {
     fn build(g: &Graph, config: &OracleConfig) -> Self {
         match config.method {
             Method::Hc2l => Oracle::Hc2l(DistanceOracle::build(g, config)),
-            Method::Hc2lParallel => Oracle::Hc2lParallel(DistanceOracle::build(g, config)),
             Method::Ch => Oracle::Ch(DistanceOracle::build(g, config)),
             Method::H2h => Oracle::H2h(DistanceOracle::build(g, config)),
             Method::Hl => Oracle::Hl(DistanceOracle::build(g, config)),
@@ -114,8 +107,6 @@ impl DistanceOracle for Oracle {
     }
 
     fn name(&self) -> &'static str {
-        // The variant, not the wrapped index, decides: a parallel-built HC2L
-        // index reports "HC2Lp" in tables even though the index is identical.
         self.method().name()
     }
 
@@ -265,7 +256,7 @@ mod tests {
             assert_eq!(report.rejected, 1, "{method:?}");
             match method {
                 Method::Ch => assert_eq!(report.strategy, UpdateStrategy::ChCustomize),
-                Method::Hc2l | Method::Hc2lParallel => assert!(
+                Method::Hc2l => assert!(
                     matches!(
                         report.strategy,
                         UpdateStrategy::Hc2lRelabel | UpdateStrategy::Rebuild
@@ -339,15 +330,14 @@ mod tests {
     fn parallel_and_sequential_hc2l_produce_identical_indexes() {
         let g = paper_figure1();
         let seq = OracleBuilder::new(Method::Hc2l).build(&g);
-        let par = OracleBuilder::new(Method::Hc2lParallel)
-            .threads(4)
-            .build(&g);
+        let par = OracleBuilder::new(Method::Hc2l).threads(4).build(&g);
+        assert_eq!(par.method(), Method::Hc2l);
+        assert_eq!(par.name(), "HC2L");
         assert_eq!(seq.label_bytes(), par.label_bytes());
         for s in 0..16u32 {
             for t in 0..16u32 {
                 assert_eq!(seq.distance(s, t), par.distance(s, t));
             }
         }
-        assert_eq!(par.name(), "HC2Lp");
     }
 }

@@ -11,7 +11,7 @@ use crate::method::Method;
 
 /// An exact shortest-path distance oracle over a weighted undirected graph.
 ///
-/// All six workspace backends implement this trait, as does the type-erasing
+/// All five workspace backends implement this trait, as does the type-erasing
 /// [`Oracle`](crate::Oracle) enum, so callers can be generic over the method
 /// (`fn f(o: &impl DistanceOracle)`) or select one at runtime via
 /// [`OracleBuilder`](crate::OracleBuilder).

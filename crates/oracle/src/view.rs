@@ -42,10 +42,8 @@ use crate::oracle::Oracle;
 /// costs only the backends' structural validation.
 #[derive(Debug, Clone)]
 pub enum FrozenView<'a> {
-    /// HC2L (sequential build tag).
+    /// Hierarchical Cut 2-Hop Labelling.
     Hc2l(FrozenHc2lRef<'a>),
-    /// HC2L (parallel build tag; identical index layout).
-    Hc2lParallel(FrozenHc2lRef<'a>),
     /// Hierarchical 2-Hop Index.
     H2h(FrozenH2hRef<'a>),
     /// Pruned Highway Labelling.
@@ -66,7 +64,6 @@ impl<'a> FrozenView<'a> {
         })?;
         Ok(match method {
             Method::Hc2l => FrozenView::Hc2l(FrozenHc2lRef::from_container(c)?),
-            Method::Hc2lParallel => FrozenView::Hc2lParallel(FrozenHc2lRef::from_container(c)?),
             Method::H2h => FrozenView::H2h(FrozenH2hRef::from_container(c)?),
             Method::Phl => FrozenView::Phl(FrozenPhlLabelsRef::from_container(c)?),
             Method::Hl => FrozenView::Hl(FrozenHubLabelsRef::from_container(c)?),
@@ -78,7 +75,6 @@ impl<'a> FrozenView<'a> {
     pub fn method(&self) -> Method {
         match self {
             FrozenView::Hc2l(_) => Method::Hc2l,
-            FrozenView::Hc2lParallel(_) => Method::Hc2lParallel,
             FrozenView::H2h(_) => Method::H2h,
             FrozenView::Phl(_) => Method::Phl,
             FrozenView::Hl(_) => Method::Hl,
@@ -89,7 +85,7 @@ impl<'a> FrozenView<'a> {
     /// Number of vertices of the indexed graph.
     pub fn num_vertices(&self) -> usize {
         match self {
-            FrozenView::Hc2l(v) | FrozenView::Hc2lParallel(v) => v.num_vertices(),
+            FrozenView::Hc2l(v) => v.num_vertices(),
             FrozenView::H2h(v) => v.num_vertices(),
             FrozenView::Phl(v) => v.num_vertices(),
             FrozenView::Hl(v) => v.num_vertices(),
@@ -101,7 +97,7 @@ impl<'a> FrozenView<'a> {
     #[inline]
     pub fn distance(&self, s: Vertex, t: Vertex) -> Distance {
         match self {
-            FrozenView::Hc2l(v) | FrozenView::Hc2lParallel(v) => v.query(s, t),
+            FrozenView::Hc2l(v) => v.query(s, t),
             FrozenView::H2h(v) => v.query(s, t),
             FrozenView::Phl(v) => v.query(s, t),
             FrozenView::Hl(v) => v.query(s, t),
@@ -112,7 +108,7 @@ impl<'a> FrozenView<'a> {
     /// Exact distance plus the shared per-query instrumentation record.
     pub fn distance_with_stats(&self, s: Vertex, t: Vertex) -> (Distance, QueryStats) {
         match self {
-            FrozenView::Hc2l(v) | FrozenView::Hc2lParallel(v) => v.query_with_stats(s, t),
+            FrozenView::Hc2l(v) => v.query_with_stats(s, t),
             FrozenView::H2h(v) => v.query_with_stats(s, t),
             FrozenView::Phl(v) => v.query_with_stats(s, t),
             FrozenView::Hl(v) => v.query_with_stats(s, t),
@@ -125,9 +121,7 @@ impl<'a> FrozenView<'a> {
     /// upward searches).
     pub fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>) {
         match self {
-            FrozenView::Hc2l(v) | FrozenView::Hc2lParallel(v) => {
-                v.one_to_many_into(s, targets, out)
-            }
+            FrozenView::Hc2l(v) => v.one_to_many_into(s, targets, out),
             FrozenView::H2h(v) => v.one_to_many_into(s, targets, out),
             FrozenView::Phl(v) => v.one_to_many_into(s, targets, out),
             FrozenView::Hl(v) => v.one_to_many_into(s, targets, out),

@@ -52,7 +52,7 @@ fn main() {
     let mut reference_checksum: Option<u128> = None;
     for method in Method::ALL {
         let t = Instant::now();
-        let oracle = OracleBuilder::new(method).threads(4).build(&graph);
+        let oracle = OracleBuilder::new(method).build(&graph);
         let build_secs = t.elapsed().as_secs_f64();
         // CH queries run a graph search, so time them on a smaller slice.
         let method_pairs = match method {

@@ -2,8 +2,8 @@
 //! through the unified [`OracleBuilder`] API and answer a few queries.
 //!
 //! The same three lines work for every backend — swap [`Method::Hc2l`] for
-//! `Method::H2h`, `Method::Phl`, `Method::Hl`, `Method::Ch` or
-//! `Method::Hc2lParallel` and nothing else changes:
+//! `Method::H2h`, `Method::Phl`, `Method::Hl` or `Method::Ch` and nothing
+//! else changes (add `.threads(4)` to build HC2L with four threads):
 //!
 //! ```ignore
 //! let oracle = OracleBuilder::new(Method::Hc2l).build(&graph);
@@ -30,7 +30,8 @@ fn main() {
 
     // 2. Build the oracle. `Method::Hc2l` with builder defaults uses the
     //    paper's settings (β = 0.2, tail pruning and degree-one contraction
-    //    enabled); `.beta(...)` / `.threads(...)` tune the construction.
+    //    enabled); `.beta(...)` / `.threads(n)` (the HC2L build thread
+    //    count, sequential by default) tune the construction.
     let start = std::time::Instant::now();
     let oracle = OracleBuilder::new(Method::Hc2l).beta(0.2).build(&graph);
     println!("{} built in {:.2?}", oracle.name(), start.elapsed());

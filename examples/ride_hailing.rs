@@ -3,7 +3,7 @@
 //! computing a dense block of car-to-customer shortest-path distances every
 //! few seconds.
 //!
-//! The example builds a parallel-constructed HC2L oracle once through the
+//! The example builds an HC2L oracle with four threads once through the
 //! unified [`OracleBuilder`] API, evaluates a 200 x 1000 car-customer
 //! distance matrix (200k exact queries, one [`DistanceOracle::one_to_many`]
 //! batch per car) and greedily assigns the nearest free car to each
@@ -43,9 +43,7 @@ fn main() {
     );
 
     let build_start = Instant::now();
-    let oracle = OracleBuilder::new(Method::Hc2lParallel)
-        .threads(4)
-        .build(&graph);
+    let oracle = OracleBuilder::new(Method::Hc2l).threads(4).build(&graph);
     println!(
         "{} index built in {:.2?} (parallel build)",
         oracle.name(),

@@ -17,7 +17,7 @@
 //!
 //! let g = paper_figure1();
 //!
-//! // Build any of the six methods the same way ...
+//! // Build any of the five methods the same way ...
 //! let oracle = OracleBuilder::new(Method::Hc2l).beta(0.2).build(&g);
 //!
 //! // ... and query it: point-to-point, with instrumentation, or batched.

@@ -93,7 +93,7 @@ fn reporting_surface_is_populated_per_method() {
         assert!(oracle.index_bytes() >= oracle.label_bytes());
         assert!(oracle.construction_seconds() >= 0.0);
         match method {
-            Method::Hc2l | Method::Hc2lParallel | Method::H2h => {
+            Method::Hc2l | Method::H2h => {
                 assert!(
                     oracle.tree_height().is_some(),
                     "{}: no height",
@@ -143,7 +143,7 @@ fn oracles_collect_into_heterogeneous_vectors() {
         .map(|&m| OracleBuilder::new(m).threads(2).build(&g))
         .collect();
     let names: Vec<&str> = oracles.iter().map(|o| o.name()).collect();
-    assert_eq!(names, vec!["HC2L", "HC2Lp", "H2H", "PHL", "HL", "CH"]);
+    assert_eq!(names, vec!["HC2L", "H2H", "PHL", "HL", "CH"]);
     for oracle in &oracles {
         assert_eq!(oracle.distance(0, 0), 0);
     }

@@ -18,11 +18,11 @@ mod common;
 use std::path::PathBuf;
 
 use common::random_connected_graph;
-use hc2l::Hc2lConfig;
-use hc2l_graph::container::{Container, ContainerWriter, DecodeError};
+use hc2l::{Hc2lConfig, Hc2lIndex};
+use hc2l_graph::container::{method_tag, Container, ContainerWriter, DecodeError};
 use hc2l_graph::toy::grid_graph;
 use hc2l_graph::{dijkstra, Graph, GraphBuilder, PersistError, PersistentIndex, Vertex};
-use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder};
+use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder, SharedOracle};
 
 /// Scratch directory for this test binary's container files.
 fn scratch(name: &str) -> PathBuf {
@@ -98,19 +98,26 @@ fn every_method_round_trips_with_bit_identical_queries() {
 }
 
 #[test]
-fn hc2lp_round_trips_as_the_parallel_variant() {
+fn legacy_parallel_tag_loads_as_hc2l() {
+    // Files written before HC2L's parallel build folded into `Method::Hc2l`
+    // carry the parallel-build tag; both load paths must still read them.
     let g = grid_graph(6, 6);
-    let built = OracleBuilder::new(Method::Hc2lParallel)
-        .threads(3)
-        .build(&g);
-    let path = scratch("hc2lp.hc2l");
-    built.save(&path).expect("save");
+    let built = Hc2lIndex::build(&g, Hc2lConfig::parallel(3));
+    let path = scratch("legacy-hc2lp.hc2l");
+    let mut w = ContainerWriter::new(method_tag::HC2L_PARALLEL);
+    built.write_sections(&mut w);
+    w.write_to(&path).expect("save");
     let loaded = Oracle::load(&path).expect("load");
-    assert_eq!(loaded.method(), Method::Hc2lParallel);
-    assert_eq!(loaded.name(), "HC2Lp");
-    for s in (0..36u32).step_by(3) {
+    let shared = SharedOracle::open(&path).expect("open");
+    assert_eq!(loaded.method(), Method::Hc2l);
+    assert_eq!(loaded.name(), "HC2L");
+    assert_eq!(shared.method(), Method::Hc2l);
+    assert_eq!(shared.name(), "HC2L");
+    for s in 0..36u32 {
         for t in 0..36u32 {
-            assert_eq!(loaded.distance(s, t), built.distance(s, t));
+            let want = built.query(s, t);
+            assert_eq!(loaded.distance(s, t), want, "load ({s},{t})");
+            assert_eq!(shared.distance(s, t), want, "open ({s},{t})");
         }
     }
     std::fs::remove_file(&path).ok();

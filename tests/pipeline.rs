@@ -5,7 +5,7 @@
 
 use hc2l::Hc2lConfig;
 use hc2l_graph::{dijkstra_distance, Vertex};
-use hc2l_oracle::{DistanceOracle, Method, OracleBuilder};
+use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder};
 use hc2l_roadnet::synthetic::{generate_multi_city, MultiCityConfig};
 use hc2l_roadnet::{
     distance_buckets, parse_gr_str, random_pairs, standard_suite, write_gr, RoadNetworkConfig,
@@ -78,13 +78,18 @@ fn multi_city_network_with_parallel_build() {
     let network = generate_multi_city(&cfg);
     let g = network.graph(WeightMode::Distance);
     let seq = OracleBuilder::new(Method::Hc2l).build(&g);
-    let par = OracleBuilder::new(Method::Hc2lParallel)
-        .threads(4)
+    // `hc2l_config` replaces the thread count too, so `threads` comes last.
+    let par = OracleBuilder::new(Method::Hc2l)
         .hc2l_config(Hc2lConfig {
             parallel_grain: 32,
             ..Default::default()
         })
+        .threads(4)
         .build(&g);
+    let Oracle::Hc2l(par_index) = &par else {
+        panic!("Method::Hc2l built {}", par.name());
+    };
+    assert_eq!(par_index.construction_stats().threads, 4);
     let pairs = random_pairs(g.num_vertices(), 400, 77);
     for p in &pairs {
         let expected = dijkstra_distance(&g, p.source, p.target);
