@@ -1,21 +1,20 @@
 //! Criterion micro-benchmark of the min-plus kernels (`hc2l_graph::kernels`)
-//! in isolation: scalar vs the detected SIMD kernel, and each with vs
-//! without cut-bound pruning, at realistic label lengths.
+//! in isolation: scalar vs the detected SIMD kernel, and the merge with vs
+//! without its cut-bound early exit, at realistic label lengths.
 //!
 //! The whole-system effect of the kernels is tracked by `repro --json-out`
 //! (the `kernel` column of `BENCH_PR*.json`); this bench isolates the inner
 //! loops so a kernel regression is attributable without rebuilding indexes.
-//! Pruned variants run with a far query (`best` rarely improves, blocks
-//! skip) and are bit-identical to the unpruned ones by construction.
+//! The pruned merge runs with a far query (`best` rarely improves) and is
+//! bit-identical to the plain merge by construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
 use hc2l_graph::{
-    available_kernels, block_min_bounds, detect_kernel, force_kernel, min_plus_gather,
-    min_plus_merge, min_plus_merge_pruned, min_plus_scan, min_plus_scan_pruned,
-    suffix_block_bounds, Distance, INFINITY,
+    available_kernels, detect_kernel, force_kernel, min_plus_gather, min_plus_merge,
+    min_plus_merge_pruned, min_plus_scan, suffix_block_bounds, Distance, INFINITY,
 };
 
 /// Label lengths the scans run at: a typical HC2L cut-level width, a large
@@ -68,10 +67,6 @@ fn bench_kernels(c: &mut Criterion) {
     for &len in &LENGTHS {
         let a = random_dists(&mut rng, len);
         let b = random_dists(&mut rng, len);
-        let mut ba = Vec::new();
-        let mut bb = Vec::new();
-        block_min_bounds(&a, &mut ba);
-        block_min_bounds(&b, &mut bb);
 
         let ha = random_hubs(&mut rng, len, 3);
         let hb = random_hubs(&mut rng, len, 3);
@@ -87,16 +82,6 @@ fn bench_kernels(c: &mut Criterion) {
             let id = |op: &str| BenchmarkId::new(format!("{op}/{kernel}"), len);
             group.bench_function(id("scan"), |bench| {
                 bench.iter(|| black_box(min_plus_scan(black_box(&a), black_box(&b))))
-            });
-            group.bench_function(id("scan_pruned"), |bench| {
-                bench.iter(|| {
-                    black_box(min_plus_scan_pruned(
-                        black_box(&a),
-                        black_box(&b),
-                        black_box(&ba),
-                        black_box(&bb),
-                    ))
-                })
             });
             group.bench_function(id("merge"), |bench| {
                 bench.iter(|| {

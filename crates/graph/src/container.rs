@@ -85,6 +85,15 @@
 //!   pruning off. Backends validate present bounds against a recomputation,
 //!   so a tampered bounds section fails typed
 //!   ([`DecodeError::Malformed`]), never mis-prunes.
+//!
+//!   HC2L later stopped writing its two bound sections (tags 10 and 11) and
+//!   ignores them on read, with no version bump: its per-level scans almost
+//!   never span enough blocks for a skip to pay, and on long scans the extra
+//!   bound reads made queries slower than the plain scan. HL and PHL still
+//!   write and validate theirs. No bump is needed because the change is
+//!   compatible both ways: newer readers skip the sections in older files,
+//!   and older readers treat bound sections as optional (their owned
+//!   loaders rebuild the bounds, their views run unpruned).
 
 use std::fmt;
 use std::path::Path;
@@ -139,7 +148,8 @@ pub enum DecodeError {
     Truncated,
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The file's format version is not [`FORMAT_VERSION`].
+    /// The file's format version is outside
+    /// [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`].
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
@@ -186,7 +196,8 @@ impl fmt::Display for DecodeError {
             DecodeError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported container version {found} (expected {FORMAT_VERSION})"
+                    "unsupported container version {found} \
+                     (this reader accepts versions {MIN_FORMAT_VERSION} to {FORMAT_VERSION})"
                 )
             }
             DecodeError::ChecksumMismatch { stored, computed } => write!(
@@ -1147,13 +1158,19 @@ mod tests {
             Container::from_bytes(&b).unwrap_err(),
             DecodeError::BadMagic
         );
-        // Wrong version.
+        // Wrong version; the message names the whole accepted range.
         let mut b = bytes.clone();
         b[8] = 0xEE;
-        assert!(matches!(
-            Container::from_bytes(&b).unwrap_err(),
-            DecodeError::UnsupportedVersion { .. }
-        ));
+        let err = Container::from_bytes(&b).unwrap_err();
+        assert_eq!(err, DecodeError::UnsupportedVersion { found: 0xEE });
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "unsupported container version 238 \
+                 (this reader accepts versions {MIN_FORMAT_VERSION} to {FORMAT_VERSION})"
+            )
+        );
+        assert!(err.to_string().contains("versions 1 to 2"));
         // A flipped payload byte fails the checksum.
         let mut b = bytes.clone();
         let last = b.len() - 1;

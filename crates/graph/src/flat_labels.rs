@@ -46,20 +46,22 @@
 //! The query kernels that scan these arenas ([`min_plus_scan`],
 //! [`min_plus_merge`] and friends) live in [`crate::kernels`] — re-exported
 //! here for compatibility — in scalar, AVX2 and NEON flavours behind a
-//! one-time runtime dispatch. The arenas additionally carry *optional*
-//! per-block cut-bound arrays (the reference implementation's `CUT_BOUNDS`):
-//! one lower bound per [`crate::kernels::CUT_BOUND_BLOCK`] label entries,
-//! computed at freeze time, which the `*_pruned` kernels use to skip whole
-//! blocks that cannot improve the running minimum. Bounds are derived data
-//! — they never change answers, equality ignores them, and loaders either
-//! rebuild them (owned arenas) or run with pruning off (borrowed views of
-//! old container files).
+//! one-time runtime dispatch. [`FlatEntryLabels`] additionally carries
+//! *optional* per-block suffix cut bounds (the reference implementation's
+//! `CUT_BOUNDS`): one lower bound per [`crate::kernels::CUT_BOUND_BLOCK`]
+//! label entries, which [`crate::kernels::min_plus_merge_pruned`] uses to
+//! stop a merge-join that can no longer improve the running minimum. Bounds
+//! are derived data — they never change answers, equality ignores them, and
+//! loaders either rebuild them (owned arenas) or run with pruning off
+//! (borrowed views of old container files). HC2L's positional level scans
+//! carry no bounds: they almost never reach the length where a block skip
+//! could pay, and where they do, the extra reads made queries slower.
 
 use std::marker::PhantomData;
 use std::ops::Deref;
 
 use crate::container::DecodeError;
-use crate::kernels::{block_min_bounds, suffix_block_bounds};
+use crate::kernels::suffix_block_bounds;
 pub use crate::kernels::{min_plus_merge, min_plus_scan, MIN_PLUS_LANES};
 use crate::types::{Distance, Vertex};
 
@@ -252,19 +254,10 @@ impl<T: Copy + 'static + Eq, S: Store> Eq for FlatCsr<T, S> {}
 /// level_index[v+1]]`; a vertex with `L` levels owns `L + 1` table entries,
 /// so level `k`'s array is the slice between consecutive table entries —
 /// one bounds-checked lookup and one contiguous slice per query.
-///
-/// The optional cut-bound arenas (`bounds`/`bound_offsets`) mirror this
-/// two-level indexing exactly: `bound_offsets` is parallel to
-/// `level_offsets` entry for entry, and the bounds of `(v, level)` are the
-/// per-block minima ([`block_min_bounds`]) of that level's distance array.
-/// Either both are present (`bound_offsets.len() == level_offsets.len()`)
-/// or both are empty and pruning is off.
 pub struct FlatLevelLabels<S: Store = Owned> {
     dists: S::Slice<Distance>,
     level_offsets: S::Slice<u32>,
     level_index: S::Slice<u32>,
-    bounds: S::Slice<Distance>,
-    bound_offsets: S::Slice<u32>,
 }
 
 /// A [`FlatLevelLabels`] borrowing its arenas from a loaded container.
@@ -319,8 +312,7 @@ impl LevelLabelsBuilder {
         &self.dists[v as usize][start..ends[level] as usize]
     }
 
-    /// Converts the scratch into the frozen arena, computing the per-level
-    /// cut-bound blocks alongside.
+    /// Converts the scratch into the frozen arena.
     pub fn freeze(self) -> FlatLevelLabels {
         let total: usize = self.dists.iter().map(|d| d.len()).sum();
         assert!(
@@ -331,36 +323,18 @@ impl LevelLabelsBuilder {
         let mut dists = Vec::with_capacity(total);
         let mut level_offsets = Vec::with_capacity(2 * n);
         let mut level_index = Vec::with_capacity(n + 1);
-        let mut bounds = Vec::new();
-        let mut bound_offsets = Vec::with_capacity(2 * n);
         level_index.push(0);
-        // The cut-bound blocks are the observable sub-cost of freezing (the
-        // rest is copying); their wall time accumulates into the "bounds"
-        // build phase, one clock pair per vertex.
-        let mut bounds_ns = 0u64;
         for (d, ends) in self.dists.iter().zip(self.ends.iter()) {
             let base = dists.len() as u32;
             level_offsets.push(base);
-            bound_offsets.push(bounds.len() as u32);
-            let mut prev = 0usize;
-            let t0 = hc2l_obs::clock::now();
-            for &end in ends {
-                level_offsets.push(base + end);
-                block_min_bounds(&d[prev..end as usize], &mut bounds);
-                bound_offsets.push(bounds.len() as u32);
-                prev = end as usize;
-            }
-            bounds_ns += hc2l_obs::clock::ns_since(t0);
+            level_offsets.extend(ends.iter().map(|&end| base + end));
             dists.extend_from_slice(d);
             level_index.push(level_offsets.len() as u32);
         }
-        hc2l_obs::phase::add("bounds", bounds_ns);
         FlatLevelLabels {
             dists,
             level_offsets,
             level_index,
-            bounds,
-            bound_offsets,
         }
     }
 }
@@ -371,27 +345,14 @@ impl FlatLevelLabels<Owned> {
         LevelLabelsBuilder::new(n).freeze()
     }
 
-    /// Reads an arena back from [`FlatLevelLabels::to_bytes`] output; the
-    /// byte codec carries only the primary arrays, so the cut bounds are
-    /// rebuilt here.
+    /// Reads an arena back from [`FlatLevelLabels::to_bytes`] output,
+    /// reporting the bytes consumed alongside.
     pub fn from_bytes(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
         let (dists, a) = read_pod_slice::<Distance>(bytes)?;
         let (level_offsets, b) = read_pod_slice::<u32>(&bytes[a..])?;
         let (level_index, c) = read_pod_slice::<u32>(&bytes[a + b..])?;
-        let mut labels = FlatLevelLabels::from_parts(dists, level_offsets, level_index)?;
-        labels.ensure_bounds();
+        let labels = FlatLevelLabels::from_parts(dists, level_offsets, level_index)?;
         Ok((labels, a + b + c))
-    }
-
-    /// Computes and installs the cut-bound arenas if absent (no-op when
-    /// they are already present).
-    pub fn ensure_bounds(&mut self) {
-        if !self.has_bounds() {
-            let (bounds, bound_offsets) =
-                hc2l_obs::phase::time("bounds", || self.computed_bounds());
-            self.bounds = bounds;
-            self.bound_offsets = bound_offsets;
-        }
     }
 }
 
@@ -435,75 +396,7 @@ impl<S: Store> FlatLevelLabels<S> {
             dists,
             level_offsets,
             level_index,
-            bounds: S::empty_slice(),
-            bound_offsets: S::empty_slice(),
         })
-    }
-
-    /// Installs pre-built cut-bound arenas (e.g. read from a container
-    /// section), validating them against a recomputation so corrupt bounds
-    /// can never mis-prune a query.
-    pub fn with_bounds(
-        self,
-        bounds: S::Slice<Distance>,
-        bound_offsets: S::Slice<u32>,
-    ) -> Result<Self, DecodeError> {
-        let (expected_bounds, expected_offsets) = self.computed_bounds();
-        if bounds[..] != expected_bounds[..] || bound_offsets[..] != expected_offsets[..] {
-            return Err(DecodeError::Malformed(
-                "label cut bounds do not match the distance arena",
-            ));
-        }
-        Ok(FlatLevelLabels {
-            bounds,
-            bound_offsets,
-            ..self
-        })
-    }
-
-    /// What the cut-bound arenas must contain for this arena's distances:
-    /// per-block minima of every `(vertex, level)` array, offset table
-    /// parallel to `level_offsets`.
-    pub fn computed_bounds(&self) -> (Vec<Distance>, Vec<u32>) {
-        let mut bounds = Vec::new();
-        let mut bound_offsets = Vec::with_capacity(self.level_offsets.len());
-        for v in 0..self.num_vertices() {
-            let table =
-                &self.level_offsets[self.level_index[v] as usize..self.level_index[v + 1] as usize];
-            bound_offsets.push(bounds.len() as u32);
-            for k in 0..table.len() - 1 {
-                block_min_bounds(
-                    &self.dists[table[k] as usize..table[k + 1] as usize],
-                    &mut bounds,
-                );
-                bound_offsets.push(bounds.len() as u32);
-            }
-        }
-        (bounds, bound_offsets)
-    }
-
-    /// Whether the cut-bound arenas are present (pruned kernels usable).
-    #[inline]
-    pub fn has_bounds(&self) -> bool {
-        self.bound_offsets.len() == self.level_offsets.len()
-    }
-
-    /// The cut bounds of vertex `v` at `level` (empty when the level is out
-    /// of range; only meaningful when [`Self::has_bounds`]).
-    #[inline]
-    pub fn level_bounds(&self, v: Vertex, level: usize) -> &[Distance] {
-        let table = &self.bound_offsets
-            [self.level_index[v as usize] as usize..self.level_index[v as usize + 1] as usize];
-        if level + 1 >= table.len() {
-            return &[];
-        }
-        &self.bounds[table[level] as usize..table[level + 1] as usize]
-    }
-
-    /// The raw cut-bound parts (empty slices when bounds are absent).
-    #[inline]
-    pub fn bounds_parts(&self) -> (&[Distance], &[u32]) {
-        (&self.bounds, &self.bound_offsets)
     }
 
     /// Number of vertices covered.
@@ -554,14 +447,12 @@ impl<S: Store> FlatLevelLabels<S> {
         }
     }
 
-    /// Memory footprint in bytes (O(1)), cut-bound arenas included.
+    /// Memory footprint in bytes (O(1)).
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.dists.len() * std::mem::size_of::<Distance>()
             + self.level_offsets.len() * 4
             + self.level_index.len() * 4
-            + self.bounds.len() * std::mem::size_of::<Distance>()
-            + self.bound_offsets.len() * 4
     }
 
     /// The raw parts: distance arena, level-offset table, per-vertex index.
@@ -600,14 +491,10 @@ where
             dists: self.dists.clone(),
             level_offsets: self.level_offsets.clone(),
             level_index: self.level_index.clone(),
-            bounds: self.bounds.clone(),
-            bound_offsets: self.bound_offsets.clone(),
         }
     }
 }
 
-/// Equality compares the primary arrays only: the cut bounds are derived
-/// data, fully determined by the distances (and possibly absent).
 impl<S: Store, S2: Store> PartialEq<FlatLevelLabels<S2>> for FlatLevelLabels<S> {
     fn eq(&self, other: &FlatLevelLabels<S2>) -> bool {
         self.dists[..] == other.dists[..]
@@ -1143,46 +1030,23 @@ mod tests {
     }
 
     #[test]
-    fn level_label_bounds_are_computed_validated_and_rebuilt() {
+    fn level_labels_hold_only_the_three_label_arrays() {
+        // A level long enough to span several 16-entry blocks: the frozen
+        // arena is its distance arena plus the two offset tables and nothing
+        // derived, and a borrowed view over those parts is the same arena.
         let mut b = LevelLabelsBuilder::new(2);
         let long: Vec<Distance> = (0..40).map(|i| 1_000 - i as u64).collect();
         b.push_level(0, &long);
         b.push_level(0, &[7, INFINITY]);
         b.push_level(1, &[]);
         let frozen = b.freeze();
-        assert!(frozen.has_bounds());
-        // Level 0 of vertex 0 spans three blocks of 16.
-        let lb = frozen.level_bounds(0, 0);
-        assert_eq!(lb.len(), crate::kernels::bounds_len(40));
-        assert_eq!(lb[0], *long[..16].iter().min().unwrap());
-        assert_eq!(lb[2], *long[32..].iter().min().unwrap());
-        assert_eq!(frozen.level_bounds(0, 1), &[7]);
-        assert_eq!(frozen.level_bounds(1, 0), &[] as &[Distance]);
-        assert_eq!(frozen.level_bounds(0, 9), &[] as &[Distance]);
-
-        // from_parts leaves bounds off; ensure_bounds rebuilds the same ones.
         let (d, lo, li) = frozen.parts();
-        let mut rebuilt =
-            FlatLevelLabels::<Owned>::from_parts(d.to_vec(), lo.to_vec(), li.to_vec()).unwrap();
-        assert!(!rebuilt.has_bounds());
-        rebuilt.ensure_bounds();
-        assert_eq!(rebuilt.bounds_parts(), frozen.bounds_parts());
-
-        // with_bounds accepts the genuine arrays and rejects tampered ones.
-        let (bd, bo) = frozen.bounds_parts();
-        let again = FlatLevelLabels::<Owned>::from_parts(d.to_vec(), lo.to_vec(), li.to_vec())
-            .unwrap()
-            .with_bounds(bd.to_vec(), bo.to_vec())
-            .unwrap();
-        assert!(again.has_bounds());
-        let mut bad = bd.to_vec();
-        bad[0] ^= 1;
-        assert!(matches!(
-            FlatLevelLabels::<Owned>::from_parts(d.to_vec(), lo.to_vec(), li.to_vec())
-                .unwrap()
-                .with_bounds(bad, bo.to_vec()),
-            Err(DecodeError::Malformed(_))
-        ));
+        assert_eq!((d.len(), lo.len(), li.len()), (42, 5, 3));
+        assert_eq!(frozen.memory_bytes(), 42 * 8 + 5 * 4 + 3 * 4);
+        let view: FlatLevelLabelsRef<'_> = FlatLevelLabels::from_parts(d, lo, li).unwrap();
+        assert_eq!(view, frozen);
+        assert_eq!(view.level_array(0, 0), &long[..]);
+        assert_eq!(view.level_array(0, 1), &[7, INFINITY]);
     }
 
     #[test]

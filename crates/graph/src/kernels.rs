@@ -21,16 +21,18 @@
 //! **bit-identical** results on every backend, so switching kernels — even
 //! concurrently — can never change an answer, only its speed.
 //!
-//! # Cut-bound block pruning
+//! # Cut-bound early exit
 //!
-//! The `*_pruned` variants implement the reference implementation's
-//! `CUT_BOUNDS` optimisation: the freeze step stores one lower bound per
-//! [`CUT_BOUND_BLOCK`] label entries ([`block_min_bounds`] for the
-//! positional scan, [`suffix_block_bounds`] for the merge-join), and the
-//! query skips (scan) or stops at (merge) any block whose
-//! `bound_a + bound_b` cannot beat the current best. Pruning never changes
-//! the result — a skipped block provably cannot contain the minimum — so
-//! the pruned kernels are bit-identical to their unpruned counterparts too.
+//! [`min_plus_merge_pruned`] implements the reference implementation's
+//! `CUT_BOUNDS` optimisation for the merge-join: the freeze step stores one
+//! suffix lower bound per [`CUT_BOUND_BLOCK`] label entries
+//! ([`suffix_block_bounds`]), and the merge stops at the first block whose
+//! `bound_a + bound_b` cannot beat the current best. Stopping never changes
+//! the result — no remaining pair can contain the minimum — so the pruned
+//! merge is bit-identical to [`min_plus_merge`]. The positional scan has no
+//! pruned form: HC2L's level scans rarely span enough blocks for a skip to
+//! pay, and on long scans the two extra bound reads cost more than the
+//! skipped entries.
 //!
 //! # Overflow discipline
 //!
@@ -54,7 +56,8 @@ pub const MIN_PLUS_LANES: usize = 8;
 
 /// Entries covered by one stored cut bound (the reference implementation's
 /// `cut_bound_mod`). 16 keeps the bound array at 1/16th of the label arena
-/// while still letting the scan skip in cache-line-sized steps.
+/// while still letting the merge stop within a few cache lines of the
+/// point where no remaining pair can win.
 pub const CUT_BOUND_BLOCK: usize = 16;
 
 /// Which vectorised implementation the query kernels run.
@@ -236,70 +239,6 @@ pub fn min_plus_scan(a: &[Distance], b: &[Distance]) -> Distance {
     }
 }
 
-/// [`min_plus_scan`] with cut-bound block pruning: `ba`/`bb` hold one lower
-/// bound per [`CUT_BOUND_BLOCK`] entries of `a`/`b` ([`block_min_bounds`]),
-/// and any block whose `bound_a + bound_b` cannot beat the current best is
-/// skipped without touching its entries. Walking the array front to back
-/// visits the hierarchy's most important cut vertices first, which is what
-/// makes the running best tight early. Falls back to the full scan when the
-/// bound arrays are too short. Bit-identical to [`min_plus_scan`].
-#[inline]
-pub fn min_plus_scan_pruned(
-    a: &[Distance],
-    b: &[Distance],
-    ba: &[Distance],
-    bb: &[Distance],
-) -> Distance {
-    let len = a.len().min(b.len());
-    if len < SCAN_PRUNE_MIN {
-        // Short scans: the bound lookups plus the block walk cost more
-        // than the entries they could skip — run the plain scan.
-        return min_plus_scan(a, b);
-    }
-    if ba.len() * CUT_BOUND_BLOCK < len || bb.len() * CUT_BOUND_BLOCK < len {
-        return min_plus_scan(a, b);
-    }
-    if len < SCAN_SIMD_MIN {
-        // Inline scalar block walk, same rationale as `min_plus_scan`.
-        return pruned_scan_loop(a, b, ba, bb, scalar::min_plus_scan);
-    }
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `min_plus_scan`. The fused variant keeps the block
-        // walk inside one `target_feature` function — per-block outlined
-        // calls would dominate the scan at these block sizes.
-        KernelKind::Avx2 => unsafe { avx2::min_plus_scan_pruned(a, b, ba, bb) },
-        #[cfg(target_arch = "aarch64")]
-        // NEON functions need no `target_feature` gate (baseline on
-        // aarch64), so the generic walk inlines them fully — already fused.
-        KernelKind::Neon => pruned_scan_loop(a, b, ba, bb, neon::min_plus_scan),
-        _ => pruned_scan_loop(a, b, ba, bb, scalar::min_plus_scan),
-    }
-}
-
-/// The block-skipping walk shared by every pruned-scan instantiation.
-#[inline]
-fn pruned_scan_loop(
-    a: &[Distance],
-    b: &[Distance],
-    ba: &[Distance],
-    bb: &[Distance],
-    scan: impl Fn(&[Distance], &[Distance]) -> Distance,
-) -> Distance {
-    let len = a.len().min(b.len());
-    let mut best = INFINITY;
-    for k in 0..len.div_ceil(CUT_BOUND_BLOCK) {
-        // Saturating: both bounds may be INFINITY (all-infinite block).
-        if dist_add(ba[k], bb[k]) >= best {
-            continue;
-        }
-        let lo = k * CUT_BOUND_BLOCK;
-        let hi = (lo + CUT_BOUND_BLOCK).min(len);
-        best = best.min(scan(&a[lo..hi], &b[lo..hi]));
-    }
-    best
-}
-
 /// Branch-free merge-join `min { da[i] + db[j] : ha[i] == hb[j] }` over two
 /// hub lists sorted **strictly** ascending (runs the [`active_kernel`]).
 #[inline]
@@ -380,43 +319,27 @@ pub fn min_plus_gather(pos: &[u32], ds: &[Distance], dt: &[Distance]) -> Distanc
 /// past this length the two are at parity or better.
 const GATHER_SIMD_MIN: usize = 64;
 
-/// Common-prefix length below which [`min_plus_scan`] and
-/// [`min_plus_scan_pruned`] stay on the inline scalar path without even
-/// loading the kernel selector. Sized so the short scans that dominate
+/// Common-prefix length below which [`min_plus_scan`] stays on the inline
+/// scalar path without even loading the kernel selector. Sized so the short scans that dominate
 /// HC2L's query mix (cut labels of a few dozen entries — see
 /// `QueryStats::hubs_scanned`) pay zero dispatch overhead, while long
 /// scans still reach the SIMD kernels.
 const SCAN_SIMD_MIN: usize = 64;
 
-/// Common-prefix length below which [`min_plus_scan_pruned`] ignores the
-/// bounds entirely and runs the plain scan. On the 64x64 reference grid the
-/// per-level scans span 1–3 bound blocks and only ~16% of blocks prune
-/// (measured), so the two bound-table lookups plus the per-block walk cost
-/// more than the skipped entries; with more blocks per scan the skip
-/// probability compounds and pruning pays. Bounds stay worth *storing*
-/// regardless — the threshold is a per-query decision, not a format one.
-pub const SCAN_PRUNE_MIN: usize = 4 * CUT_BOUND_BLOCK;
-
 // ---------------------------------------------------------------------------
 // Bound construction (freeze-time)
 // ---------------------------------------------------------------------------
 
-/// Appends the per-block minima of `dists` (one bound per
-/// [`CUT_BOUND_BLOCK`] entries, [`INFINITY`] for all-infinite blocks) —
-/// the bound shape [`min_plus_scan_pruned`] consumes.
-pub fn block_min_bounds(dists: &[Distance], out: &mut Vec<Distance>) {
-    for chunk in dists.chunks(CUT_BOUND_BLOCK) {
-        out.push(chunk.iter().copied().fold(INFINITY, Distance::min));
-    }
-}
-
-/// Appends the per-block *suffix* minima of `dists`: `out[k]` bounds every
-/// entry from block `k` to the end — the bound shape
+/// Appends the per-block *suffix* minima of `dists` (one bound per
+/// [`CUT_BOUND_BLOCK`] entries, [`INFINITY`] for an all-infinite suffix):
+/// `out[k]` bounds every entry from block `k` to the end — the bound shape
 /// [`min_plus_merge_pruned`] consumes (a merge cursor only moves forward,
 /// so the useful bound is over the remaining suffix).
 pub fn suffix_block_bounds(dists: &[Distance], out: &mut Vec<Distance>) {
     let start = out.len();
-    block_min_bounds(dists, out);
+    for chunk in dists.chunks(CUT_BOUND_BLOCK) {
+        out.push(chunk.iter().copied().fold(INFINITY, Distance::min));
+    }
     let mut running = INFINITY;
     for bound in out[start..].iter_mut().rev() {
         running = running.min(*bound);
@@ -424,7 +347,8 @@ pub fn suffix_block_bounds(dists: &[Distance], out: &mut Vec<Distance>) {
     }
 }
 
-/// Number of bounds either builder appends for an array of `len` entries.
+/// Number of bounds [`suffix_block_bounds`] appends for an array of `len`
+/// entries.
 #[inline]
 pub fn bounds_len(len: usize) -> usize {
     len.div_ceil(CUT_BOUND_BLOCK)
@@ -605,54 +529,6 @@ mod avx2 {
         while i < len {
             best = best.min(a[i] + b[i]);
             i += 1;
-        }
-        best.min(INFINITY)
-    }
-
-    /// Fused AVX2 pruned scan: the cut-bound block walk and the vector
-    /// reduction live in one `target_feature` function, so skipping or
-    /// scanning a block never crosses an outlined call boundary. A full
-    /// block is [`CUT_BOUND_BLOCK`] = 16 entries = two 8-wide steps; the
-    /// final partial block falls through to the scalar tail.
-    ///
-    /// # Safety
-    /// Requires AVX2 (callers dispatch on `is_x86_feature_detected!`).
-    /// Callers must guarantee `ba`/`bb` cover every block of the common
-    /// prefix (the dispatcher's length check).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn min_plus_scan_pruned(
-        a: &[Distance],
-        b: &[Distance],
-        ba: &[Distance],
-        bb: &[Distance],
-    ) -> Distance {
-        let len = a.len().min(b.len());
-        let mut best = INFINITY;
-        for k in 0..len.div_ceil(CUT_BOUND_BLOCK) {
-            // Saturating: both bounds may be INFINITY (all-infinite block).
-            if dist_add(ba[k], bb[k]) >= best {
-                continue;
-            }
-            let lo = k * CUT_BOUND_BLOCK;
-            let hi = (lo + CUT_BOUND_BLOCK).min(len);
-            if hi - lo == CUT_BOUND_BLOCK {
-                // SAFETY: `hi == lo + CUT_BOUND_BLOCK <= len`, so all eight
-                // 4-lane loads (offsets lo .. lo+12) are in bounds.
-                let (s0, s1, s2, s3) = unsafe {
-                    (
-                        _mm256_add_epi64(loadu(a, lo), loadu(b, lo)),
-                        _mm256_add_epi64(loadu(a, lo + 4), loadu(b, lo + 4)),
-                        _mm256_add_epi64(loadu(a, lo + 8), loadu(b, lo + 8)),
-                        _mm256_add_epi64(loadu(a, lo + 12), loadu(b, lo + 12)),
-                    )
-                };
-                let m = min_u64x4(min_u64x4(s0, s1), min_u64x4(s2, s3));
-                best = best.min(hmin_u64x4(m));
-            } else {
-                for i in lo..hi {
-                    best = best.min(a[i] + b[i]);
-                }
-            }
         }
         best.min(INFINITY)
     }
@@ -1103,29 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_scan_is_bit_identical_for_every_kernel() {
-        let mut rng = Rng(0xCAFE);
-        for len in [0usize, 1, 15, 16, 17, 48, 100] {
-            let a = random_dists(&mut rng, len);
-            let b = random_dists(&mut rng, len);
-            let mut ba = Vec::new();
-            let mut bb = Vec::new();
-            block_min_bounds(&a, &mut ba);
-            block_min_bounds(&b, &mut bb);
-            let expected = naive_scan(&a, &b);
-            for k in available_kernels() {
-                force_kernel(k);
-                assert_eq!(
-                    min_plus_scan_pruned(&a, &b, &ba, &bb),
-                    expected,
-                    "kernel {k}"
-                );
-            }
-        }
-        restore_kernel();
-    }
-
-    #[test]
     fn pruned_merge_is_bit_identical_for_every_kernel() {
         let mut rng = Rng(0xF00D);
         for len_a in [0usize, 5, 16, 33, 70] {
@@ -1152,36 +1005,42 @@ mod tests {
 
     #[test]
     fn pruning_handles_all_infinite_and_all_pruned_blocks() {
-        // Every block infinite: bounds are INFINITY, every block is skipped,
-        // and the result is still INFINITY (saturating bound comparison —
-        // INFINITY + INFINITY must not wrap).
-        let a = vec![INFINITY; 40];
-        let b = vec![INFINITY; 40];
-        let mut ba = Vec::new();
-        let mut bb = Vec::new();
-        block_min_bounds(&a, &mut ba);
-        block_min_bounds(&b, &mut bb);
-        assert!(ba.iter().all(|&x| x == INFINITY));
-        assert_eq!(min_plus_scan_pruned(&a, &b, &ba, &bb), INFINITY);
-
-        // One tiny value in the last block: the first block seeds best from
-        // its own scan, later blocks are pruned or scanned as bounds allow.
-        let mut a2 = vec![1_000u64; 64];
-        let mut b2 = vec![1_000u64; 64];
-        a2[63] = 1;
-        b2[63] = 2;
-        let mut ba2 = Vec::new();
-        let mut bb2 = Vec::new();
-        block_min_bounds(&a2, &mut ba2);
-        block_min_bounds(&b2, &mut bb2);
-        assert_eq!(min_plus_scan_pruned(&a2, &b2, &ba2, &bb2), 3);
+        // Every entry infinite: the suffix bounds are INFINITY, the merge
+        // stops at once, and the result is still INFINITY (saturating bound
+        // comparison — INFINITY + INFINITY must not wrap).
+        let ha: Vec<Vertex> = (0..40).collect();
+        let inf = vec![INFINITY; 40];
+        let mut sa = Vec::new();
+        suffix_block_bounds(&inf, &mut sa);
+        assert!(sa.iter().all(|&x| x == INFINITY));
+        // One tiny match in the last block: the suffix bounds of every
+        // earlier block are tight enough that the merge must run to the end.
+        let mut da = vec![1_000u64; 64];
+        let mut db = vec![1_000u64; 64];
+        da[63] = 1;
+        db[63] = 2;
+        let hb: Vec<Vertex> = (0..64).collect();
+        let (mut sda, mut sdb) = (Vec::new(), Vec::new());
+        suffix_block_bounds(&da, &mut sda);
+        suffix_block_bounds(&db, &mut sdb);
+        for k in available_kernels() {
+            force_kernel(k);
+            assert_eq!(
+                min_plus_merge_pruned(&ha, &inf, &ha, &inf, &sa, &sa),
+                INFINITY,
+                "kernel {k}"
+            );
+            assert_eq!(
+                min_plus_merge_pruned(&hb, &da, &hb, &db, &sda, &sdb),
+                3,
+                "kernel {k}"
+            );
+        }
+        restore_kernel();
     }
 
     #[test]
     fn short_bound_arrays_fall_back_to_the_full_kernels() {
-        let a = vec![5u64; 40];
-        let b = vec![6u64; 40];
-        assert_eq!(min_plus_scan_pruned(&a, &b, &[], &[]), 11);
         let ha: Vec<u32> = (0..40).collect();
         let da = vec![7u64; 40];
         assert_eq!(min_plus_merge_pruned(&ha, &da, &ha, &da, &[], &[]), 14);
@@ -1190,25 +1049,17 @@ mod tests {
     #[test]
     fn bound_builders_produce_expected_shapes() {
         let d: Vec<Distance> = (0..35).map(|i| 100 - i as u64).collect();
-        let mut mins = Vec::new();
-        block_min_bounds(&d, &mut mins);
-        assert_eq!(mins.len(), bounds_len(d.len()));
-        assert_eq!(mins[0], *d[..16].iter().min().unwrap());
-        assert_eq!(mins[2], *d[32..].iter().min().unwrap());
         let mut suffix = Vec::new();
         suffix_block_bounds(&d, &mut suffix);
-        assert_eq!(suffix.len(), mins.len());
+        assert_eq!(suffix.len(), bounds_len(d.len()));
         // Suffix bounds are non-decreasing from the back and each bounds
         // everything after its block start.
         assert!(suffix.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(suffix[0], *d.iter().min().unwrap());
-        assert!(block_min_bounds_is_empty_for_empty_input());
-    }
-
-    fn block_min_bounds_is_empty_for_empty_input() -> bool {
-        let mut out = Vec::new();
-        block_min_bounds(&[], &mut out);
-        suffix_block_bounds(&[], &mut out);
-        out.is_empty()
+        assert_eq!(suffix[1], *d[16..].iter().min().unwrap());
+        assert_eq!(suffix[2], *d[32..].iter().min().unwrap());
+        let mut empty = Vec::new();
+        suffix_block_bounds(&[], &mut empty);
+        assert!(empty.is_empty());
     }
 }

@@ -23,11 +23,12 @@
 //! * [`flat_labels`] — the frozen flat label arenas every labelling backend
 //!   queries from (global distance/hub arenas with CSR offsets, built by a
 //!   one-shot `freeze()` after construction), together with the optional
-//!   per-block cut-bound arenas the pruned kernels consume. The arenas are
+//!   per-block suffix cut bounds the pruned merge consumes. The arenas are
 //!   generic over a [`Store`] parameter, so the same query kernels run on
 //!   owned `Vec` arenas or on borrowed slices of a loaded index file.
 //! * [`kernels`] — the min-reduction query kernels ([`min_plus_scan`],
-//!   [`min_plus_merge`], [`min_plus_gather`] and their `_pruned` variants)
+//!   [`min_plus_merge`] with its bounded [`min_plus_merge_pruned`] variant,
+//!   [`min_plus_gather`])
 //!   in scalar, AVX2 and NEON flavours behind a one-time runtime dispatch
 //!   ([`KernelKind`], `HC2L_KERNEL` override); every flavour is
 //!   bit-identical, only speed differs.
@@ -78,9 +79,9 @@ pub use flat_labels::{
 };
 pub use graph::{Edge, Graph};
 pub use kernels::{
-    active_kernel, available_kernels, block_min_bounds, bounds_len, detect_kernel, force_kernel,
-    min_plus_gather, min_plus_merge, min_plus_merge_pruned, min_plus_scan, min_plus_scan_pruned,
-    suffix_block_bounds, KernelKind, CUT_BOUND_BLOCK,
+    active_kernel, available_kernels, bounds_len, detect_kernel, force_kernel, min_plus_gather,
+    min_plus_merge, min_plus_merge_pruned, min_plus_scan, suffix_block_bounds, KernelKind,
+    CUT_BOUND_BLOCK,
 };
 pub use pathutil::{eccentricity_from, extract_path, farthest_vertex, path_weight};
 pub use querystats::QueryStats;

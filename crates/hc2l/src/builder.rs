@@ -56,9 +56,7 @@ pub fn build_hierarchy_and_labels(
 
     let mut hierarchy = BalancedTreeHierarchy::new(n);
     let mut labels = LevelLabelsBuilder::new(n);
-    // The merge + arena freeze is the serial tail of construction; the
-    // cut-bound computation inside `freeze` additionally reports itself as
-    // the (overlapping) "bounds" phase.
+    // The merge + arena freeze is the serial tail of construction.
     let frozen = hc2l_obs::phase::time("freeze", || {
         merge_subtree(&root_build, hierarchy.root(), &mut hierarchy, &mut labels);
         labels.freeze()

@@ -22,10 +22,8 @@
 use hc2l_cut::NodeId;
 use hc2l_graph::container::DecodeError;
 use hc2l_graph::flat_labels::{Borrowed, Owned, Store};
-use hc2l_graph::kernels::SCAN_PRUNE_MIN;
 use hc2l_graph::{
-    min_plus_scan, min_plus_scan_pruned, DegreeOneContraction, Distance, FlatLevelLabels,
-    QueryStats, Vertex, INFINITY,
+    min_plus_scan, DegreeOneContraction, Distance, FlatLevelLabels, QueryStats, Vertex, INFINITY,
 };
 
 /// Sentinel in the `core_id` and contraction-root columns: "not a core
@@ -475,11 +473,9 @@ impl<S: Store> FrozenHc2l<S> {
     /// Query between two core vertices given by their *compact core* ids.
     ///
     /// One LCA bit-operation, two contiguous arena slices, one vectorised
-    /// min-reduction (`hc2l_graph::kernels`) — the hot path carries no
-    /// per-entry branch and no pointer chase. When the label arena carries
-    /// cut bounds, whole blocks whose `bound_a + bound_b` cannot beat the
-    /// running best are skipped without touching their entries
-    /// (bit-identical to the full scan).
+    /// min-reduction over the whole common prefix (`hc2l_graph::kernels`) —
+    /// the hot path carries no per-entry branch, no pointer chase and no
+    /// side table: the paper's query, exactly.
     pub fn query_core(&self, cs: Vertex, ct: Vertex) -> (Distance, QueryStats) {
         if cs == ct {
             return (0, QueryStats::default());
@@ -488,19 +484,10 @@ impl<S: Store> FrozenHc2l<S> {
         let a = self.labels.level_array(cs, level);
         let b = self.labels.level_array(ct, level);
         let common = a.len().min(b.len());
-        // The bound-table lookups are only worth doing when the scan is
-        // long enough for block pruning to pay (see `SCAN_PRUNE_MIN`).
-        let d = if common >= SCAN_PRUNE_MIN && self.labels.has_bounds() {
-            min_plus_scan_pruned(
-                a,
-                b,
-                self.labels.level_bounds(cs, level),
-                self.labels.level_bounds(ct, level),
-            )
-        } else {
-            min_plus_scan(a, b)
-        };
-        (d, QueryStats::at_level(level as u32, common))
+        (
+            min_plus_scan(a, b),
+            QueryStats::at_level(level as u32, common),
+        )
     }
 }
 

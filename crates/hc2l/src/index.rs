@@ -44,13 +44,9 @@ mod sec {
     pub const CONT_DEPTH: u32 = 8;
     /// Contraction distance-to-root column (`u64`).
     pub const CONT_DIST: u32 = 9;
-    /// Optional label cut-bound arena (`u64`, format v2+): per-block minima
-    /// of every `(vertex, level)` distance array (see
-    /// `hc2l_graph::kernels::block_min_bounds`).
-    pub const LABEL_BOUNDS: u32 = 10;
-    /// Optional cut-bound offset table (`u32`, format v2+), parallel to
-    /// `LABEL_OFFSETS`.
-    pub const LABEL_BOUND_OFFSETS: u32 = 11;
+    // Tags 10 (`LABEL_BOUNDS`, per-block minima of every level array) and
+    // 11 (`LABEL_BOUND_OFFSETS`) are legacy: present in files written before
+    // HC2L dropped its cut bounds, ignored on read. Never reuse them.
 }
 
 /// Hierarchical Cut 2-Hop Labelling index over a road network.
@@ -268,11 +264,6 @@ impl PersistentIndex for Hc2lIndex {
         w.push_pods(sec::LABEL_DISTS, dists);
         w.push_pods(sec::LABEL_OFFSETS, level_offsets);
         w.push_pods(sec::LABEL_INDEX, level_index);
-        if self.frozen.labels().has_bounds() {
-            let (bounds, bound_offsets) = self.frozen.labels().bounds_parts();
-            w.push_pods(sec::LABEL_BOUNDS, bounds);
-            w.push_pods(sec::LABEL_BOUND_OFFSETS, bound_offsets);
-        }
         let (bits, core_id) = self.frozen.id_parts();
         w.push_pods(sec::BITS, bits);
         w.push_pods(sec::CORE_ID, core_id);
@@ -309,21 +300,11 @@ impl PersistentIndex for Hc2lIndex {
         };
         meta.finish()?;
 
-        let mut labels = LabelSet::from_parts(
+        let labels = LabelSet::from_parts(
             c.read_pod_vec::<u64>(sec::LABEL_DISTS)?,
             c.read_pod_vec::<u32>(sec::LABEL_OFFSETS)?,
             c.read_pod_vec::<u32>(sec::LABEL_INDEX)?,
         )?;
-        // Bounds sections exist from format v2 on; validate them when
-        // present, rebuild them for older files (the owned loader can).
-        if c.has_section(sec::LABEL_BOUNDS) && c.has_section(sec::LABEL_BOUND_OFFSETS) {
-            labels = labels.with_bounds(
-                c.read_pod_vec::<u64>(sec::LABEL_BOUNDS)?,
-                c.read_pod_vec::<u32>(sec::LABEL_BOUND_OFFSETS)?,
-            )?;
-        } else {
-            labels.ensure_bounds();
-        }
         let core_id = c.read_pod_vec::<u32>(sec::CORE_ID)?;
         let contraction = FrozenContraction::from_parts(
             c.read_pod_vec::<u32>(sec::CONT_ROOT)?,
@@ -352,19 +333,11 @@ impl<'a> FrozenHc2l<hc2l_graph::flat_labels::Borrowed<'a>> {
     /// Zero-copy view of an HC2L index stored in a loaded container
     /// (little-endian hosts; see `Container::section_pods`).
     pub fn from_container(c: &'a Container) -> Result<Self, DecodeError> {
-        let mut labels = hc2l_graph::FlatLevelLabels::from_parts(
+        let labels = hc2l_graph::FlatLevelLabels::from_parts(
             c.section_pods::<u64>(sec::LABEL_DISTS)?,
             c.section_pods::<u32>(sec::LABEL_OFFSETS)?,
             c.section_pods::<u32>(sec::LABEL_INDEX)?,
         )?;
-        // A borrowed view cannot materialise bounds of its own, so old
-        // (pre-v2) files simply run with pruning off.
-        if c.has_section(sec::LABEL_BOUNDS) && c.has_section(sec::LABEL_BOUND_OFFSETS) {
-            labels = labels.with_bounds(
-                c.section_pods::<u64>(sec::LABEL_BOUNDS)?,
-                c.section_pods::<u32>(sec::LABEL_BOUND_OFFSETS)?,
-            )?;
-        }
         let core_id = c.section_pods::<u32>(sec::CORE_ID)?;
         let contraction = FrozenContraction::from_parts(
             c.section_pods::<u32>(sec::CONT_ROOT)?,

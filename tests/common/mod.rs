@@ -70,3 +70,29 @@ pub fn sparse_graph_cases(cases: usize, max_n: usize, seed: u64) -> Vec<Graph> {
         })
         .collect()
 }
+
+/// A `side`³ 3D grid with seeded random weights in `1..=20`. Its balanced
+/// cuts are planes of about `side²` vertices, so HC2L's per-level labels
+/// grow far longer than on any planar graph of the same size.
+pub fn grid_3d_graph(side: usize, seed: u64) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let id = |x: usize, y: usize, z: usize| ((x * side + y) * side + z) as Vertex;
+    let mut b = GraphBuilder::new(side * side * side);
+    for x in 0..side {
+        for y in 0..side {
+            for z in 0..side {
+                let v = id(x, y, z);
+                if x + 1 < side {
+                    b.add_edge(v, id(x + 1, y, z), rng.random_range(1..=20u32));
+                }
+                if y + 1 < side {
+                    b.add_edge(v, id(x, y + 1, z), rng.random_range(1..=20u32));
+                }
+                if z + 1 < side {
+                    b.add_edge(v, id(x, y, z + 1), rng.random_range(1..=20u32));
+                }
+            }
+        }
+    }
+    b.build()
+}

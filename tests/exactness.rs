@@ -7,9 +7,11 @@
 
 mod common;
 
+use std::path::PathBuf;
+
 use hc2l::Hc2lConfig;
 use hc2l_graph::{dijkstra, Graph, Vertex};
-use hc2l_oracle::{DistanceOracle, Method, OracleBuilder};
+use hc2l_oracle::{DistanceOracle, Method, OracleBuilder, SharedOracle};
 
 fn assert_oracle_exact(g: &Graph, oracle: &impl DistanceOracle) {
     let n = g.num_vertices();
@@ -116,6 +118,45 @@ fn every_method_matches_dijkstra_under_every_kernel() {
         }
     }
     hc2l_graph::force_kernel(hc2l_graph::detect_kernel());
+}
+
+#[test]
+fn long_hc2l_scans_match_dijkstra_under_every_kernel() {
+    // The other test graphs keep HC2L's level scans below the 64 entries
+    // at which `min_plus_scan` leaves its inline scalar path for the
+    // dispatched SIMD kernel. A 12x12x12 grid has cuts of up to ~106
+    // entries, so here the long-scan path runs on real labels — for the
+    // built index and for the memory-mapped view of its saved file.
+    let g = common::grid_3d_graph(12, 0x3D6);
+    let n = g.num_vertices() as Vertex;
+    let built = OracleBuilder::new(Method::Hc2l).build(&g);
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("exactness-grid-3d.hc2l");
+    built.save(&path).expect("save");
+    let mapped = SharedOracle::open(&path).expect("open");
+    let sources: Vec<Vertex> = (0..16).map(|i| (i * 397 + 11) % n).collect();
+    let truth: Vec<_> = sources.iter().map(|&s| dijkstra(&g, s)).collect();
+    let (mut checked, mut long) = (0usize, 0usize);
+    for kernel in hc2l_graph::available_kernels() {
+        hc2l_graph::force_kernel(kernel);
+        for (&s, dist) in sources.iter().zip(&truth) {
+            for t in 0..n {
+                let (d, stats) = built.distance_with_stats(s, t);
+                assert_eq!(d, dist[t as usize], "{kernel} built ({s},{t})");
+                let (m, mapped_stats) = mapped.distance_with_stats(s, t);
+                assert_eq!(m, dist[t as usize], "{kernel} mapped ({s},{t})");
+                assert_eq!(mapped_stats, stats, "{kernel} mapped stats ({s},{t})");
+                checked += 1;
+                long += (stats.hubs_scanned >= 64) as usize;
+            }
+        }
+    }
+    hc2l_graph::force_kernel(hc2l_graph::detect_kernel());
+    std::fs::remove_file(&path).ok();
+    assert!(
+        4 * long >= checked,
+        "only {long} of {checked} pairs scanned >= 64 entries; the test no longer \
+         reaches the long-scan path"
+    );
 }
 
 #[test]

@@ -21,7 +21,9 @@ use common::random_connected_graph;
 use hc2l::{Hc2lConfig, Hc2lIndex};
 use hc2l_graph::container::{method_tag, Container, ContainerWriter, DecodeError};
 use hc2l_graph::toy::grid_graph;
-use hc2l_graph::{dijkstra, Graph, GraphBuilder, PersistError, PersistentIndex, Vertex};
+use hc2l_graph::{
+    bounds_len, dijkstra, Graph, GraphBuilder, PersistError, PersistentIndex, Vertex,
+};
 use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder, SharedOracle};
 
 /// Scratch directory for this test binary's container files.
@@ -277,12 +279,72 @@ fn zero_copy_views_answer_from_the_loaded_buffer() {
 }
 
 #[test]
+fn legacy_hc2l_bound_sections_are_ignored() {
+    // HC2L files written before it dropped its cut bounds carry two more
+    // sections: 10 (per-block minima of every level array) and 11 (their
+    // offset table). Readers ignore both. Fill them with bounds that would
+    // mis-prune every scan (all zeros): every load path must still accept
+    // the file and answer exactly like the built index.
+    let g = gnarly_graph();
+    let n = g.num_vertices() as Vertex;
+    let built = Hc2lIndex::build(&g, Hc2lConfig::default());
+    let labels = built.labels();
+    let bound_count: usize = (0..labels.num_vertices() as Vertex)
+        .flat_map(|v| (0..labels.num_levels(v)).map(move |l| (v, l)))
+        .map(|(v, l)| bounds_len(labels.level_array(v, l).len()))
+        .sum();
+    let (_, level_offsets, _) = labels.parts();
+    let mut current = ContainerWriter::new(Hc2lIndex::METHOD_TAG);
+    built.write_sections(&mut current);
+    let current = Container::from_bytes(&current.finish()).unwrap();
+    let mut w = ContainerWriter::new(Hc2lIndex::METHOD_TAG);
+    for spec in current
+        .specs()
+        .iter()
+        .filter(|spec| spec.tag != 10 && spec.tag != 11)
+    {
+        w.push_section(spec.tag, current.section(spec.tag).unwrap().to_vec());
+    }
+    w.push_pods(10, &vec![0u64; bound_count]);
+    w.push_pods(11, &vec![0u32; level_offsets.len()]);
+    let path = scratch("legacy-hc2l-bounds.hc2l");
+    w.write_to(&path).expect("save");
+
+    let c = Container::open(&path).expect("open container");
+    assert!(c.has_section(10) && c.has_section(11));
+    let owned = Hc2lIndex::read_sections(&c).expect("legacy HC2L container reads");
+    let view = hc2l::FrozenHc2lRef::from_container(&c).expect("legacy HC2L view opens");
+    let loaded = Oracle::load(&path).expect("legacy HC2L file loads");
+    let shared = SharedOracle::open(&path).expect("legacy HC2L file opens shared");
+    for s in 0..n {
+        for t in 0..n {
+            let want = built.query(s, t);
+            assert_eq!(owned.query(s, t), want, "read_sections ({s},{t})");
+            assert_eq!(view.query(s, t), want, "from_container ({s},{t})");
+            assert_eq!(loaded.distance(s, t), want, "Oracle::load ({s},{t})");
+            assert_eq!(shared.distance(s, t), want, "SharedOracle::open ({s},{t})");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+
+    // A fresh save writes neither section.
+    let fresh = scratch("fresh-hc2l.hc2l");
+    OracleBuilder::new(Method::Hc2l)
+        .build(&g)
+        .save(&fresh)
+        .expect("save");
+    let c = Container::open(&fresh).expect("open container");
+    assert!(!c.has_section(10) && !c.has_section(11));
+    std::fs::remove_file(&fresh).ok();
+}
+
+#[test]
 fn pre_bounds_containers_load_with_identical_answers() {
     // Format-v1 files predate the cut-bound sections (SIMD/pruning PR).
-    // Simulate one per labelling backend by stripping the bounds sections
-    // from a fresh container: the owned load path rebuilds the bounds, the
-    // zero-copy view serves with pruning off — answers must be identical
-    // either way, and the stripped container must report the sections gone.
+    // Simulate one per bound-carrying backend by stripping the bounds
+    // sections from a fresh container: the owned load path rebuilds the
+    // bounds, the zero-copy view serves with pruning off — answers must be
+    // identical either way.
     let g = gnarly_graph();
     let n = g.num_vertices() as Vertex;
 
@@ -297,22 +359,6 @@ fn pre_bounds_containers_load_with_identical_answers() {
         }
         out.finish()
     };
-
-    // HC2L: level-label bounds live in sections 10/11.
-    let hc2l = hc2l::Hc2lIndex::build(&g, Hc2lConfig::default());
-    let mut w = ContainerWriter::new(hc2l::Hc2lIndex::METHOD_TAG);
-    hc2l.write_sections(&mut w);
-    let stripped = strip(&w, &[10, 11]);
-    let c = Container::from_bytes(&stripped).unwrap();
-    assert!(!c.has_section(10) && !c.has_section(11));
-    let owned = hc2l::Hc2lIndex::read_sections(&c).expect("pre-bounds HC2L container loads");
-    let view = hc2l::FrozenHc2lRef::from_container(&c).unwrap();
-    for s in 0..n {
-        for t in 0..n {
-            assert_eq!(owned.query(s, t), hc2l.query(s, t), "HC2L owned ({s},{t})");
-            assert_eq!(view.query(s, t), hc2l.query(s, t), "HC2L view ({s},{t})");
-        }
-    }
 
     // HL: suffix bounds live in sections 5/6.
     let hl = hc2l_hl::HubLabelIndex::build(&g);
