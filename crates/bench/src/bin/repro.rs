@@ -36,10 +36,8 @@
 //! the CI smoke-bench steps rely on. Each row records the active min-plus
 //! **`kernel`** (`scalar`/`avx2`/`neon`, forceable via `HC2L_KERNEL`), the
 //! observability columns — `query_p50_ns`/`query_p99_ns` tail latency from
-//! an individually-timed pass, a `build_phases` object (per-stage build
-//! nanoseconds from `hc2l_obs::phase`) and `obs_overhead_pct` (the
-//! throughput run is an A/B over the serve layer's latency recording; the
-//! committed `queries_per_second` is the recording-*on* leg) — and
+//! an individually-timed pass and a `build_phases` object (per-stage build
+//! nanoseconds from `hc2l_obs::phase`) — and
 //! a per-method before/after `query_ns_per_op` report against the most
 //! recent committed `BENCH_PR<N>.json` in the working directory goes to
 //! stderr. Every run exercises the

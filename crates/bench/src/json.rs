@@ -64,11 +64,7 @@
 //! the same exactness-gated pairs — see the comment at the measurement for
 //! why these are not comparable to the batch-amortised `query_ns_per_op`),
 //! **`build_phases`** (a `{phase: nanos}` object drained from
-//! `hc2l_obs::phase` around the build; empty in `--load-index` mode) and
-//! **`obs_overhead_pct`** — the committed `queries_per_second` is measured
-//! with the serve layer's latency histograms *recording on every request*,
-//! and this column is the percentage the recording-off throughput beat it
-//! by, so the cost of always-on metrics is measured instead of assumed
+//! `hc2l_obs::phase` around the build; empty in `--load-index` mode)
 //! (`BENCH_PR9.json` is the first committed point with these columns).
 
 use std::collections::HashMap;
@@ -211,12 +207,6 @@ pub struct JsonRow {
     /// Phases are CPU-time-like (summed across build workers) and empty in
     /// `--load-index` mode, where nothing is built.
     pub build_phases: Vec<(&'static str, u64)>,
-    /// How much faster the throughput run was with latency recording
-    /// switched *off* (percent; negative means the off leg measured slower,
-    /// i.e. the difference drowned in scheduler noise). The committed
-    /// `queries_per_second` is the recording-*on* number — this column
-    /// keeps the histogram overhead measured rather than assumed.
-    pub obs_overhead_pct: f64,
     /// Mean amortised one-to-many latency per target in nanoseconds.
     pub one_to_many_ns_per_target: f64,
     /// Aggregate serving throughput: exact point-to-point queries per
@@ -473,29 +463,14 @@ fn run_persisted(
             let state = Arc::new(ServeState::new(shared, SERVE_THREADS, SERVE_CACHE));
             // Two passes, best kept — the same scheduler-noise filter the
             // point timings use (a single pass on a small 1-core host can
-            // lose double-digit percent to an ill-timed preemption). Run as
-            // an A/B on the latency histograms: one best-of-two leg with
-            // recording off, one with recording on. The *on* leg is the
-            // committed `queries_per_second` — a deployment scrapes
-            // metrics, so the honest throughput claim includes them — and
-            // the off/on gap is reported as `obs_overhead_pct` so the
-            // recording cost stays measured, not assumed.
-            let best_of_two = |state: &Arc<ServeState>| {
-                let a = measure_throughput(state, &w.pairs, SERVE_THREADS, SERVE_REPS);
-                let b = measure_throughput(state, &w.pairs, SERVE_THREADS, SERVE_REPS);
-                if a.queries_per_second >= b.queries_per_second {
-                    a
-                } else {
-                    b
-                }
+            // lose double-digit percent to an ill-timed preemption).
+            let a = measure_throughput(&state, &w.pairs, SERVE_THREADS, SERVE_REPS);
+            let b = measure_throughput(&state, &w.pairs, SERVE_THREADS, SERVE_REPS);
+            let report = if a.queries_per_second >= b.queries_per_second {
+                a
+            } else {
+                b
             };
-            state.set_latency_recording(false);
-            let off = best_of_two(&state);
-            state.set_latency_recording(true);
-            let report = best_of_two(&state);
-            let obs_overhead_pct = (off.queries_per_second - report.queries_per_second)
-                / off.queries_per_second
-                * 100.0;
 
             // Connection-scaling gate: an epoll-model server holds
             // `w.connections` concurrent connections — SERVE_THREADS of
@@ -629,7 +604,6 @@ fn run_persisted(
                 query_p50_ns: tail.p50(),
                 query_p99_ns: tail.p99(),
                 build_phases,
-                obs_overhead_pct,
                 one_to_many_ns_per_target: otm_ns,
                 queries_per_second: report.queries_per_second,
                 cache_hit_rate: report.cache_hit_rate,
@@ -674,7 +648,6 @@ pub fn render_json(rows: &[JsonRow]) -> String {
                 "\"query_p50_ns\": {}, \"query_p99_ns\": {}, ",
                 "\"one_to_many_ns_per_target\": {:.1}, ",
                 "\"queries_per_second\": {:.0}, ",
-                "\"obs_overhead_pct\": {:.2}, ",
                 "\"cache_hit_rate\": {:.4}, ",
                 "\"concurrent_connections\": {}, ",
                 "\"index_bytes\": {}, \"num_queries\": {}, ",
@@ -695,7 +668,6 @@ pub fn render_json(rows: &[JsonRow]) -> String {
             r.query_p99_ns,
             r.one_to_many_ns_per_target,
             r.queries_per_second,
-            r.obs_overhead_pct,
             r.cache_hit_rate,
             r.concurrent_connections,
             r.index_bytes,
@@ -862,11 +834,6 @@ mod tests {
                 r.method
             );
             assert!(r.build_phases.iter().all(|(_, ns)| *ns > 0));
-            assert!(
-                r.obs_overhead_pct.is_finite(),
-                "{} overhead not measured",
-                r.method
-            );
             // CH absorbs batches by re-customizing over its fixed order —
             // that must be measurably faster than building from scratch on
             // small batches, which is the whole point of the dynamic layer.
@@ -889,7 +856,6 @@ mod tests {
         assert!(json.contains("\"query_ns_per_op\""));
         assert!(json.contains("\"query_p50_ns\""));
         assert!(json.contains("\"query_p99_ns\""));
-        assert!(json.contains("\"obs_overhead_pct\""));
         assert!(json.contains("\"build_phases\": {\""));
         // HC2L's instrumented stages appear by name inside the object.
         assert!(json.contains("\"cut_partition\":"));
@@ -1000,7 +966,6 @@ mod tests {
             query_p50_ns: 0,
             query_p99_ns: 0,
             build_phases: Vec::new(),
-            obs_overhead_pct: 0.0,
             one_to_many_ns_per_target: 0.0,
             queries_per_second: 0.0,
             cache_hit_rate: 0.0,

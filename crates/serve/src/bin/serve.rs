@@ -360,7 +360,8 @@ fn main() {
                 last = std::time::Instant::now();
                 let lat = state.latency();
                 eprintln!(
-                    "[metrics] distance(hit)  {}\n[metrics] distance(miss) {}\n\
+                    "[metrics] distance(hit, sampled 1/64)  {}\n\
+                     [metrics] distance(miss, sampled 1/64) {}\n\
                      [metrics] one_to_many    {}\n[metrics] update_weights {}",
                     lat.distance_hit.snapshot().summary(),
                     lat.distance_miss.snapshot().summary(),

@@ -28,6 +28,7 @@
 //! mostly-idle connections on a handful of threads, where the blocking model
 //! would need one OS thread per client.
 
+use std::cell::Cell;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hc2l_graph::{failpoints, Distance, Graph, Vertex};
-use hc2l_oracle::{DistanceOracle, Method, Oracle, SharedOracle, WeightUpdate};
+use hc2l_oracle::{DistanceOracle, Method, Oracle, QueryStats, SharedOracle, WeightUpdate};
 
 use hc2l_obs::clock;
 
@@ -201,6 +202,15 @@ impl ServedOracle {
         }
     }
 
+    /// Like [`ServedOracle::distance`], plus the index's per-query
+    /// instrumentation record.
+    pub fn distance_with_stats(&self, s: Vertex, t: Vertex) -> (Distance, QueryStats) {
+        match self {
+            ServedOracle::Shared(o) => o.distance_with_stats(s, t),
+            ServedOracle::Built(o) => o.distance_with_stats(s, t),
+        }
+    }
+
     /// Uncounted batched query straight at the index.
     #[inline]
     pub fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>) {
@@ -307,14 +317,14 @@ pub struct ServeState {
     /// Per-opcode latency histograms, recorded identically by both
     /// connection models (everything funnels through these entry points).
     latency: OpLatencies,
+    /// Vertex count of every generation: updates change weights, never
+    /// topology, so requests validate against this without touching the
+    /// generation lock.
+    num_vertices: usize,
     threads: usize,
     config: ServeConfig,
-    /// Distance/one-to-many request counters only advance when latency
-    /// recording is *off*; with recording on, the histogram counts carry
-    /// the tally and [`ServeState::stats`] folds the two together — the
-    /// recorded hot path pays for its clock reads by dropping this
-    /// `fetch_add`.
-    distance_queries: AtomicU64,
+    /// Distance requests have no counter of their own: the cache counts
+    /// every lookup, and [`ServeState::distance`] makes exactly one.
     one_to_many_queries: AtomicU64,
     one_to_many_targets: AtomicU64,
     update_batches: AtomicU64,
@@ -376,14 +386,14 @@ impl ServeState {
         // recorded request does not absorb the ~4ms calibration spin.
         clock::calibrate();
         ServeState {
+            num_vertices: oracle.num_vertices(),
             generation: RwLock::new(Arc::new(Generation { oracle, epoch: 0 })),
             engine,
             cache: QueryCache::new(cache_capacity),
             cache_epoch: EpochMirror::new(0),
-            latency: OpLatencies::enabled(),
+            latency: OpLatencies::default(),
             threads: threads.max(1),
             config: ServeConfig::default(),
-            distance_queries: AtomicU64::new(0),
             one_to_many_queries: AtomicU64::new(0),
             one_to_many_targets: AtomicU64::new(0),
             update_batches: AtomicU64::new(0),
@@ -455,7 +465,7 @@ impl ServeState {
         &self,
         updates: &[WeightUpdate],
     ) -> Result<UpdateOutcome, UpdateError> {
-        let t0 = self.latency.start();
+        let t0 = clock::now();
         let Some(engine) = &self.engine else {
             return Err(UpdateError::Rejected(
                 "this daemon serves a static index snapshot and cannot apply weight updates \
@@ -519,6 +529,11 @@ impl ServeState {
                 ));
             }
         };
+        debug_assert_eq!(
+            served.num_vertices(),
+            self.num_vertices,
+            "a weight update changed the vertex count"
+        );
         // Publish: one brief write lock for the pointer swap. Readers that
         // cloned the old Arc finish on the old generation; every query
         // *started* after this point sees the new one. Poisoning on this
@@ -539,9 +554,7 @@ impl ServeState {
         };
         drop(guard);
         self.update_batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(t0) = t0 {
-            self.latency.update_weights.record(clock::ns_since(t0));
-        }
+        self.latency.update_weights.record(clock::ns_since(t0));
         hc2l_obs::info!(
             "published epoch {epoch}: {} updates applied, {} rejected, via {} in {}us",
             report.applied,
@@ -575,22 +588,23 @@ impl ServeState {
     /// throughput driver and embedded users own their workloads). Anything
     /// arriving over the wire goes through [`ServeState::try_distance`],
     /// which validates *before* counting or caching.
+    ///
+    /// The cache's hit/miss counter is the request count. Latency is timed
+    /// on a per-thread sample only (see [`sample_this_distance`]); an
+    /// unsampled request reads no clock and writes no histogram.
     #[inline]
     pub fn distance(&self, s: Vertex, t: Vertex) -> Distance {
-        let t0 = self.latency.start();
+        let t0 = sample_this_distance().then(clock::now);
         // Probe with the epoch *mirror* instead of grabbing the generation:
         // a cache hit then skips the generation read lock and the `Arc`
-        // clone/drop pair entirely, which pays for the two clock reads
-        // when recording is on. The mirror advances before the generation
-        // swap, so the race goes the safe way — a fresh epoch that misses
-        // and recomputes, never a stale entry served as current.
+        // clone/drop pair entirely. The mirror advances before the
+        // generation swap, so the race goes the safe way — a fresh epoch
+        // that misses and recomputes, never a stale entry served as
+        // current.
         let epoch = self.cache_epoch.load();
         if let Some(d) = self.cache.get_at(s, t, epoch) {
-            match t0 {
-                Some(t0) => self.latency.distance_hit.record(clock::ns_since(t0)),
-                None => {
-                    self.distance_queries.fetch_add(1, Ordering::Relaxed);
-                }
+            if let Some(t0) = t0 {
+                self.latency.distance_hit.record(clock::ns_since(t0));
             }
             return d;
         }
@@ -599,32 +613,29 @@ impl ServeState {
         // generation swap can at worst waste this insert, never poison the
         // new generation.
         let generation = self.oracle();
-        let d = generation.distance(s, t);
+        let Some(t0) = t0 else {
+            let d = generation.distance(s, t);
+            self.cache.insert_at(s, t, d, generation.epoch);
+            return d;
+        };
+        let (d, query) = generation.distance_with_stats(s, t);
         self.cache.insert_at(s, t, d, generation.epoch);
-        match t0 {
-            Some(t0) => self.latency.distance_miss.record(clock::ns_since(t0)),
-            None => {
-                self.distance_queries.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.latency.distance_miss.record(clock::ns_since(t0));
+        self.latency.hubs_scanned.record(query.hubs_scanned as u64);
         d
     }
 
     /// Answers a batched one-to-many query into a caller-provided buffer,
-    /// counting it. Batches bypass the point cache: the batched kernels
-    /// amortise the per-source work already, and filling the table with
-    /// whole rows would overwrite the point working set.
+    /// counting and timing it. Batches bypass the point cache: the batched
+    /// kernels amortise the per-source work already, and filling the table
+    /// with whole rows would overwrite the point working set.
     pub fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>) {
-        let t0 = self.latency.start();
+        let t0 = clock::now();
+        self.one_to_many_queries.fetch_add(1, Ordering::Relaxed);
         self.one_to_many_targets
             .fetch_add(targets.len() as u64, Ordering::Relaxed);
         self.oracle().one_to_many_into(s, targets, out);
-        match t0 {
-            Some(t0) => self.latency.one_to_many.record(clock::ns_since(t0)),
-            None => {
-                self.one_to_many_queries.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.latency.one_to_many.record(clock::ns_since(t0));
     }
 
     /// Requests the serve loop to stop accepting and drain.
@@ -645,10 +656,9 @@ impl ServeState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Counter snapshot in wire form. The query totals fold the plain
-    /// counters (advanced only while latency recording is off) with the
-    /// histogram counts (advanced while it is on), so toggling recording
-    /// mid-run never loses a request.
+    /// Counter snapshot in wire form. `distance_queries` is the cache's
+    /// hit + miss total, exact; the distance percentiles come from the
+    /// 1-in-64 sample.
     pub fn stats(&self) -> ServerStats {
         let cache = self.cache.stats();
         let generation = self.oracle();
@@ -662,9 +672,8 @@ impl ServeState {
             index_bytes: generation.index_bytes() as u64,
             threads: self.threads as u32,
             mapped: generation.is_mapped(),
-            distance_queries: self.distance_queries.load(Ordering::Relaxed) + distance.count(),
-            one_to_many_queries: self.one_to_many_queries.load(Ordering::Relaxed)
-                + one_to_many.count(),
+            distance_queries: cache.hits + cache.misses,
+            one_to_many_queries: self.one_to_many_queries.load(Ordering::Relaxed),
             one_to_many_targets: self.one_to_many_targets.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -693,13 +702,6 @@ impl ServeState {
     /// record into them internally).
     pub fn latency(&self) -> &OpLatencies {
         &self.latency
-    }
-
-    /// Toggles hot-path latency recording. The bench uses this for its
-    /// overhead A/B; requests served while recording is off still count in
-    /// [`ServeState::stats`] via the plain counters.
-    pub fn set_latency_recording(&self, on: bool) {
-        self.latency.set_recording(on);
     }
 
     /// Renders the Prometheus text-exposition document a `Metrics` frame
@@ -760,9 +762,7 @@ impl ServeState {
     /// `Stats` and `cache_hit_rate` count only queries that were actually
     /// answered.
     fn check_distance(&self, s: Vertex, t: Vertex) -> Result<(), String> {
-        // Updates change weights, never topology, so the vertex count is
-        // generation-invariant — any snapshot validates correctly.
-        let n = self.oracle().num_vertices() as Vertex;
+        let n = self.num_vertices as Vertex;
         if s >= n || t >= n {
             return Err(format!(
                 "vertex out of range: ({s}, {t}) on a {n}-vertex index"
@@ -794,7 +794,7 @@ impl ServeState {
     /// Validates a one-to-many request: batch bounded by the
     /// response-frame cap, every vertex in range.
     fn check_one_to_many(&self, source: Vertex, targets: &[Vertex]) -> Result<(), String> {
-        let n = self.oracle().num_vertices() as Vertex;
+        let n = self.num_vertices as Vertex;
         if targets.len() > crate::protocol::MAX_ONE_TO_MANY_TARGETS {
             return Err(format!(
                 "batch of {} targets exceeds the {}-target response-frame cap; split it",
@@ -841,6 +841,32 @@ impl ServeState {
             }
         }
     }
+}
+
+/// Each thread times its first distance request, then every
+/// `SAMPLE_EVERY`-th after it.
+const SAMPLE_EVERY: u32 = 64;
+
+thread_local! {
+    /// Unsampled distance requests left before this thread times one.
+    static DISTANCE_COUNTDOWN: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Whether the calling thread times its current distance request. Two
+/// TSC reads cost more than a cache hit, so timing every request would
+/// make the observer costlier than the path it observes.
+#[inline]
+fn sample_this_distance() -> bool {
+    DISTANCE_COUNTDOWN.with(|left| match left.get() {
+        0 => {
+            left.set(SAMPLE_EVERY - 1);
+            true
+        }
+        n => {
+            left.set(n - 1);
+            false
+        }
+    })
 }
 
 /// RAII in-flight-query slot from [`ServeState::admit_query`].
@@ -1368,49 +1394,117 @@ mod tests {
         assert_eq!(stats.one_to_many_queries, 1, "{model}");
         assert_eq!(stats.one_to_many_targets, 16, "{model}");
         assert!(stats.cache_hits >= 1, "{model}");
-        // Latency recording is on by default, so the queries above must
-        // have produced non-zero percentiles over the wire.
+        // Every serving thread times its first distance request, so the
+        // queries above must have produced non-zero percentiles.
         assert!(stats.distance_p50_ns > 0, "{model}");
         assert!(stats.distance_max_ns >= stats.distance_p99_ns, "{model}");
         assert!(stats.one_to_many_p50_ns > 0, "{model}");
 
         // The Metrics frame answers a scrapeable Prometheus document with
-        // the same request counts the Stats frame reported.
+        // the same exact request counts the Stats frame reported. Which
+        // distance requests were timed depends on the thread that served
+        // them (one reactor thread may serve both), so only require one.
         let Response::Metrics(doc) = ask(addr, &Request::Metrics) else {
             panic!("expected a Metrics response");
         };
         assert!(
-            doc.contains("hc2l_requests_total{op=\"distance\"} 2"),
+            doc.lines()
+                .any(|l| l == "hc2l_requests_total{op=\"distance\"} 2"),
             "{model}: {doc}"
         );
         assert!(
-            doc.contains("hc2l_latency_count{op=\"distance\",cache=\"hit\"} 1"),
+            doc.lines().any(|l| l == "hc2l_cache_hits_total 1"),
             "{model}: {doc}"
         );
+        assert!(state.latency().distance_merged().count() >= 1, "{model}");
         assert!(doc.contains("# TYPE hc2l_latency_p99_ns gauge"), "{model}");
 
         assert_eq!(ask(addr, &Request::Shutdown), Response::ShuttingDown);
         server.wait().unwrap();
     }
 
+    /// Runs `f` on a fresh thread, whose distance sampling countdown
+    /// starts at 0.
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|scope| scope.spawn(f).join().unwrap())
+    }
+
     #[test]
-    fn latency_recording_toggle_and_counter_folding() {
+    fn distance_sampling_contract() {
         let state = test_state(256);
-        // Recording on (default): histograms carry the tally.
-        state.distance(0, 1);
-        state.distance(0, 1);
+        on_fresh_thread(|| {
+            for i in 0..193u32 {
+                state.distance(i % 16, (i * 7) % 16);
+            }
+            let mut out = Vec::new();
+            for s in 0..3 {
+                state.one_to_many_into(s, &[0, 5, 9], &mut out);
+            }
+        });
         let stats = state.stats();
-        assert_eq!(stats.distance_queries, 2);
-        assert!(state.latency().distance_merged().count() == 2);
+        assert_eq!(stats.distance_queries, 193, "every request is counted");
+        // Timed: calls 1, 65, 129 and 193.
+        assert_eq!(state.latency().distance_merged().count(), 4);
         assert!(stats.distance_p50_ns > 0);
-        // Recording off: the plain counter takes over; totals keep folding.
-        state.set_latency_recording(false);
-        state.distance(0, 1);
-        assert_eq!(state.stats().distance_queries, 3);
-        assert_eq!(state.latency().distance_merged().count(), 2);
-        state.set_latency_recording(true);
-        state.distance(0, 1);
-        assert_eq!(state.stats().distance_queries, 4);
+        assert_eq!(stats.one_to_many_queries, 3);
+        assert_eq!(state.latency().one_to_many.count(), 3, "batches: all timed");
+    }
+
+    #[test]
+    fn distance_counts_stay_exact_under_concurrency() {
+        const THREADS: u32 = 8;
+        const CALLS: u32 = 5_000;
+        for cache in [0, 1024] {
+            let state = test_state(cache);
+            std::thread::scope(|scope| {
+                for k in 0..THREADS {
+                    let state = &state;
+                    scope.spawn(move || {
+                        for i in 0..CALLS {
+                            state.distance((i + k) % 16, (i * 3) % 16);
+                        }
+                    });
+                }
+            });
+            let stats = state.stats();
+            assert_eq!(
+                stats.distance_queries,
+                (THREADS * CALLS) as u64,
+                "cache {cache}"
+            );
+            assert_eq!(
+                stats.cache_hits + stats.cache_misses,
+                stats.distance_queries,
+                "cache {cache}"
+            );
+            // 5,000 calls per thread time calls 1, 65, ..., 4993: 79 each.
+            assert_eq!(
+                state.latency().distance_merged().count(),
+                THREADS as u64 * 79,
+                "cache {cache}"
+            );
+        }
+    }
+
+    #[test]
+    fn sampled_miss_records_the_hubs_its_query_scanned() {
+        let g = hc2l_roadnet::seeded_grid(6, 6, 0xA11CE);
+        let oracle = OracleBuilder::new(Method::Hc2l).build(&g);
+        let (s, t) = (0, 35);
+        let want = oracle.distance_with_stats(s, t).1.hubs_scanned as u64;
+        assert!(want > 0);
+        let state = ServeState::new(oracle, 1, 256);
+        // The first request on a fresh thread is sampled and misses.
+        on_fresh_thread(|| state.distance(s, t));
+        let hubs = state.latency().hubs_scanned.snapshot();
+        assert_eq!((hubs.count(), hubs.max()), (1, want));
+        let doc = state.metrics_text();
+        assert!(doc
+            .lines()
+            .any(|l| l == format!("hc2l_index_hubs_scanned_max {want}")));
+        // A sampled hit scans nothing and records nothing.
+        on_fresh_thread(|| state.distance(s, t));
+        assert_eq!(state.latency().hubs_scanned.count(), 1);
     }
 
     #[test]
