@@ -1,20 +1,19 @@
 //! Criterion micro-benchmark of the min-plus kernels (`hc2l_graph::kernels`)
-//! in isolation: scalar vs the detected SIMD kernel, and the merge with vs
-//! without its cut-bound early exit, at realistic label lengths.
+//! in isolation at realistic label lengths: the scan and the gather under
+//! every available kernel (scalar vs the detected SIMD kernel), and the
+//! merge-join, which is scalar on every kernel.
 //!
 //! The whole-system effect of the kernels is tracked by `repro --json-out`
 //! (the `kernel` column of `BENCH_PR*.json`); this bench isolates the inner
 //! loops so a kernel regression is attributable without rebuilding indexes.
-//! The pruned merge runs with a far query (`best` rarely improves) and is
-//! bit-identical to the plain merge by construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
 use hc2l_graph::{
-    available_kernels, detect_kernel, force_kernel, min_plus_gather, min_plus_merge,
-    min_plus_merge_pruned, min_plus_scan, suffix_block_bounds, Distance, INFINITY,
+    available_kernels, detect_kernel, force_kernel, min_plus_gather, min_plus_merge, min_plus_scan,
+    Distance, INFINITY,
 };
 
 /// Label lengths the scans run at: a typical HC2L cut-level width, a large
@@ -70,40 +69,24 @@ fn bench_kernels(c: &mut Criterion) {
 
         let ha = random_hubs(&mut rng, len, 3);
         let hb = random_hubs(&mut rng, len, 3);
-        let mut sa = Vec::new();
-        let mut sb = Vec::new();
-        suffix_block_bounds(&a, &mut sa);
-        suffix_block_bounds(&b, &mut sb);
 
         let positions: Vec<u32> = (0..len as u32).map(|i| (i * 7) % len as u32).collect();
 
+        group.bench_function(BenchmarkId::new("merge/scalar", len), |bench| {
+            bench.iter(|| {
+                black_box(min_plus_merge(
+                    black_box(&ha),
+                    black_box(&a),
+                    black_box(&hb),
+                    black_box(&b),
+                ))
+            })
+        });
         for kernel in available_kernels() {
             force_kernel(kernel);
             let id = |op: &str| BenchmarkId::new(format!("{op}/{kernel}"), len);
             group.bench_function(id("scan"), |bench| {
                 bench.iter(|| black_box(min_plus_scan(black_box(&a), black_box(&b))))
-            });
-            group.bench_function(id("merge"), |bench| {
-                bench.iter(|| {
-                    black_box(min_plus_merge(
-                        black_box(&ha),
-                        black_box(&a),
-                        black_box(&hb),
-                        black_box(&b),
-                    ))
-                })
-            });
-            group.bench_function(id("merge_pruned"), |bench| {
-                bench.iter(|| {
-                    black_box(min_plus_merge_pruned(
-                        black_box(&ha),
-                        black_box(&a),
-                        black_box(&hb),
-                        black_box(&b),
-                        black_box(&sa),
-                        black_box(&sb),
-                    ))
-                })
             });
             group.bench_function(id("gather"), |bench| {
                 bench.iter(|| {

@@ -78,21 +78,17 @@
 //! Version history:
 //!
 //! * **v1** — initial sectioned format.
-//! * **v2** — adds the optional per-backend label *cut-bound* sections
-//!   (per-block lower bounds consumed by the pruned query kernels, see
-//!   `crate::kernels`). v1 files remain loadable: owned loaders rebuild the
-//!   bounds from the label arrays, zero-copy (borrowed) loaders run with
-//!   pruning off. Backends validate present bounds against a recomputation,
-//!   so a tampered bounds section fails typed
-//!   ([`DecodeError::Malformed`]), never mis-prunes.
+//! * **v2** — added optional per-backend label *cut-bound* sections
+//!   (per-block lower bounds for pruned query kernels): HC2L tags 10/11,
+//!   HL tags 5/6, PHL tags 3/4.
 //!
-//!   HC2L later stopped writing its two bound sections (tags 10 and 11) and
-//!   ignores them on read, with no version bump: its per-level scans almost
-//!   never span enough blocks for a skip to pay, and on long scans the extra
-//!   bound reads made queries slower than the plain scan. HL and PHL still
-//!   write and validate theirs. No bump is needed because the change is
-//!   compatible both ways: newer readers skip the sections in older files,
-//!   and older readers treat bound sections as optional (their owned
+//!   Every backend has since stopped writing them and ignores them on read,
+//!   so they are never validated either; the tags stay reserved. HC2L's
+//!   level scans almost never span enough blocks for a skip to pay, and
+//!   HL's and PHL's merge-joins ran faster without the bounds (see
+//!   `crate::kernels`). The version was not bumped, because the change is
+//!   compatible both ways: current readers skip the sections in older
+//!   files, and older readers treat the sections as optional (their owned
 //!   loaders rebuild the bounds, their views run unpruned).
 
 use std::fmt;
@@ -889,8 +885,7 @@ impl Container {
             .collect()
     }
 
-    /// Whether a section with this tag is present (used for the optional
-    /// sections newer format versions add — e.g. the label cut bounds).
+    /// Whether a section with this tag is present.
     pub fn has_section(&self, tag: u32) -> bool {
         self.toc.iter().any(|e| e.tag == tag)
     }

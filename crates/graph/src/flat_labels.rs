@@ -45,23 +45,18 @@
 //!
 //! The query kernels that scan these arenas ([`min_plus_scan`],
 //! [`min_plus_merge`] and friends) live in [`crate::kernels`] — re-exported
-//! here for compatibility — in scalar, AVX2 and NEON flavours behind a
-//! one-time runtime dispatch. [`FlatEntryLabels`] additionally carries
-//! *optional* per-block suffix cut bounds (the reference implementation's
-//! `CUT_BOUNDS`): one lower bound per [`crate::kernels::CUT_BOUND_BLOCK`]
-//! label entries, which [`crate::kernels::min_plus_merge_pruned`] uses to
-//! stop a merge-join that can no longer improve the running minimum. Bounds
-//! are derived data — they never change answers, equality ignores them, and
-//! loaders either rebuild them (owned arenas) or run with pruning off
-//! (borrowed views of old container files). HC2L's positional level scans
-//! carry no bounds: they almost never reach the length where a block skip
-//! could pay, and where they do, the extra reads made queries slower.
+//! here for compatibility. The scan has scalar, AVX2 and NEON flavours
+//! behind a one-time runtime dispatch; the merge-join is one scalar loop.
+//! No arena carries derived data such as the reference implementation's
+//! `CUT_BOUNDS` suffix minima: HC2L's level scans rarely reach the length
+//! where a block skip could pay, and HL's merge ran faster without them at
+//! every measured size (see [`crate::kernels`]), so each arena is exactly
+//! its label arrays.
 
 use std::marker::PhantomData;
 use std::ops::Deref;
 
 use crate::container::DecodeError;
-use crate::kernels::suffix_block_bounds;
 pub use crate::kernels::{min_plus_merge, min_plus_scan, MIN_PLUS_LANES};
 use crate::types::{Distance, Vertex};
 
@@ -70,10 +65,6 @@ use crate::types::{Distance, Vertex};
 pub trait Store {
     /// The slice container for element type `T`.
     type Slice<T: Copy + 'static>: Deref<Target = [T]>;
-
-    /// An empty slice of this store — the placeholder for optional arenas
-    /// (e.g. cut bounds absent from an old container file).
-    fn empty_slice<T: Copy + 'static>() -> Self::Slice<T>;
 }
 
 /// Owned, `Vec`-backed storage — what `freeze()` and the byte codec produce.
@@ -82,10 +73,6 @@ pub struct Owned;
 
 impl Store for Owned {
     type Slice<T: Copy + 'static> = Vec<T>;
-
-    fn empty_slice<T: Copy + 'static>() -> Vec<T> {
-        Vec::new()
-    }
 }
 
 /// Borrowed storage: the arena's slices point into memory owned elsewhere
@@ -95,10 +82,6 @@ pub struct Borrowed<'a>(PhantomData<&'a ()>);
 
 impl<'a> Store for Borrowed<'a> {
     type Slice<T: Copy + 'static> = &'a [T];
-
-    fn empty_slice<T: Copy + 'static>() -> &'a [T] {
-        &[]
-    }
 }
 
 /// A frozen CSR array-of-arrays: one contiguous value arena plus `n + 1`
@@ -515,30 +498,17 @@ impl<S: Store> Eq for FlatLevelLabels<S> {}
 /// split pays off exactly when the merge-join mostly reads the 4-byte hub
 /// column; backends that touch every field of every scanned entry (PHL)
 /// store packed structs in a [`FlatCsr`] instead.
-///
-/// The optional cut-bound arenas (`suffix_bounds`/`bound_offsets`) hold
-/// per-block *suffix* minima ([`suffix_block_bounds`]) of each vertex's
-/// distance column — the shape the pruned merge-join consumes, since a
-/// merge cursor only moves forward. `bound_offsets` is a CSR table parallel
-/// to `offsets` (same length); either both arenas are present or both are
-/// empty and pruning is off.
 pub struct FlatEntryLabels<S: Store = Owned> {
     hubs: S::Slice<Vertex>,
     dists: S::Slice<Distance>,
     offsets: S::Slice<u32>,
-    suffix_bounds: S::Slice<Distance>,
-    bound_offsets: S::Slice<u32>,
 }
 
 /// A [`FlatEntryLabels`] borrowing its arenas from a loaded container.
 pub type FlatEntryLabelsRef<'a> = FlatEntryLabels<Borrowed<'a>>;
 
 impl FlatEntryLabels<Owned> {
-    /// Freezes nested `(hub, dist)` rows into the arena. The cut bounds are
-    /// *not* computed here: not every user of this arena stores distances in
-    /// the `dists` column (CH packs edge weights into it), so callers whose
-    /// column really is a distance label opt in via
-    /// [`FlatEntryLabels::ensure_bounds`].
+    /// Freezes nested `(hub, dist)` rows into the arena.
     pub fn freeze_pairs(rows: &[Vec<(Vertex, Distance)>]) -> Self {
         let total: usize = rows.iter().map(|r| r.len()).sum();
         assert!(
@@ -560,32 +530,17 @@ impl FlatEntryLabels<Owned> {
             hubs,
             dists,
             offsets,
-            suffix_bounds: Vec::new(),
-            bound_offsets: Vec::new(),
         }
     }
 
-    /// Reads an arena back from [`FlatEntryLabels::to_bytes`] output; the
-    /// byte codec carries only the primary arrays, so the cut bounds are
-    /// rebuilt here.
+    /// Reads an arena back from [`FlatEntryLabels::to_bytes`] output,
+    /// reporting the bytes consumed alongside.
     pub fn from_bytes(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
         let (hubs, a) = read_pod_slice::<Vertex>(bytes)?;
         let (dists, b) = read_pod_slice::<Distance>(&bytes[a..])?;
         let (offsets, c) = read_pod_slice::<u32>(&bytes[a + b..])?;
-        let mut labels = FlatEntryLabels::from_parts(hubs, dists, offsets)?;
-        labels.ensure_bounds();
+        let labels = FlatEntryLabels::from_parts(hubs, dists, offsets)?;
         Ok((labels, a + b + c))
-    }
-
-    /// Computes and installs the cut-bound arenas if absent (no-op when
-    /// they are already present).
-    pub fn ensure_bounds(&mut self) {
-        if !self.has_bounds() {
-            let (suffix_bounds, bound_offsets) =
-                hc2l_obs::phase::time("bounds", || self.computed_bounds());
-            self.suffix_bounds = suffix_bounds;
-            self.bound_offsets = bound_offsets;
-        }
     }
 }
 
@@ -621,64 +576,7 @@ impl<S: Store> FlatEntryLabels<S> {
             hubs,
             dists,
             offsets,
-            suffix_bounds: S::empty_slice(),
-            bound_offsets: S::empty_slice(),
         })
-    }
-
-    /// Installs pre-built suffix cut-bound arenas (e.g. read from a
-    /// container section), validating them against a recomputation so
-    /// corrupt bounds can never mis-prune a query.
-    pub fn with_bounds(
-        self,
-        suffix_bounds: S::Slice<Distance>,
-        bound_offsets: S::Slice<u32>,
-    ) -> Result<Self, DecodeError> {
-        let (expected_bounds, expected_offsets) = self.computed_bounds();
-        if suffix_bounds[..] != expected_bounds[..] || bound_offsets[..] != expected_offsets[..] {
-            return Err(DecodeError::Malformed(
-                "label cut bounds do not match the distance column",
-            ));
-        }
-        Ok(FlatEntryLabels {
-            suffix_bounds,
-            bound_offsets,
-            ..self
-        })
-    }
-
-    /// What the cut-bound arenas must contain for this arena's distances:
-    /// per-block suffix minima of every vertex's distance column, CSR table
-    /// parallel to `offsets`.
-    pub fn computed_bounds(&self) -> (Vec<Distance>, Vec<u32>) {
-        let mut suffix_bounds = Vec::new();
-        let mut bound_offsets = Vec::with_capacity(self.offsets.len());
-        bound_offsets.push(0);
-        for v in 0..self.num_vertices() {
-            suffix_block_bounds(self.dists(v as Vertex), &mut suffix_bounds);
-            bound_offsets.push(suffix_bounds.len() as u32);
-        }
-        (suffix_bounds, bound_offsets)
-    }
-
-    /// Whether the cut-bound arenas are present (pruned merge usable).
-    #[inline]
-    pub fn has_bounds(&self) -> bool {
-        self.bound_offsets.len() == self.offsets.len()
-    }
-
-    /// The suffix cut bounds of vertex `v`'s distance column (only
-    /// meaningful when [`Self::has_bounds`]).
-    #[inline]
-    pub fn bounds_of(&self, v: Vertex) -> &[Distance] {
-        &self.suffix_bounds
-            [self.bound_offsets[v as usize] as usize..self.bound_offsets[v as usize + 1] as usize]
-    }
-
-    /// The raw cut-bound parts (empty slices when bounds are absent).
-    #[inline]
-    pub fn bounds_parts(&self) -> (&[Distance], &[u32]) {
-        (&self.suffix_bounds, &self.bound_offsets)
     }
 
     /// Number of vertices covered.
@@ -727,14 +625,12 @@ impl<S: Store> FlatEntryLabels<S> {
         }
     }
 
-    /// Memory footprint in bytes (O(1)), cut-bound arenas included.
+    /// Memory footprint in bytes (O(1)).
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.hubs.len() * 4
             + self.dists.len() * std::mem::size_of::<Distance>()
             + self.offsets.len() * 4
-            + self.suffix_bounds.len() * std::mem::size_of::<Distance>()
-            + self.bound_offsets.len() * 4
     }
 
     /// The raw parts: hub column, distance column, offset table.
@@ -774,14 +670,10 @@ where
             hubs: self.hubs.clone(),
             dists: self.dists.clone(),
             offsets: self.offsets.clone(),
-            suffix_bounds: self.suffix_bounds.clone(),
-            bound_offsets: self.bound_offsets.clone(),
         }
     }
 }
 
-/// Equality compares the primary arrays only: the cut bounds are derived
-/// data, fully determined by the distances (and possibly absent).
 impl<S: Store, S2: Store> PartialEq<FlatEntryLabels<S2>> for FlatEntryLabels<S> {
     fn eq(&self, other: &FlatEntryLabels<S2>) -> bool {
         self.hubs[..] == other.hubs[..]
@@ -1047,42 +939,6 @@ mod tests {
         assert_eq!(view, frozen);
         assert_eq!(view.level_array(0, 0), &long[..]);
         assert_eq!(view.level_array(0, 1), &[7, INFINITY]);
-    }
-
-    #[test]
-    fn entry_label_bounds_are_suffix_minima() {
-        let rows: Vec<Vec<(Vertex, Distance)>> = vec![
-            (0..40u32).map(|h| (h * 2, 500 - h as u64)).collect(),
-            vec![],
-            vec![(1, INFINITY), (5, 3)],
-        ];
-        let mut flat = FlatEntryLabels::freeze_pairs(&rows);
-        assert!(!flat.has_bounds(), "freeze_pairs must not install bounds");
-        flat.ensure_bounds();
-        assert!(flat.has_bounds());
-        let b0 = flat.bounds_of(0);
-        assert_eq!(b0.len(), crate::kernels::bounds_len(40));
-        // Suffix minima: each bound covers everything from its block on.
-        assert_eq!(b0[0], 500 - 39);
-        assert!(b0.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(flat.bounds_of(1), &[] as &[Distance]);
-        assert_eq!(flat.bounds_of(2), &[3]);
-
-        let (h, d, o) = flat.parts();
-        let mut rebuilt =
-            FlatEntryLabels::<Owned>::from_parts(h.to_vec(), d.to_vec(), o.to_vec()).unwrap();
-        assert!(!rebuilt.has_bounds());
-        rebuilt.ensure_bounds();
-        assert_eq!(rebuilt.bounds_parts(), flat.bounds_parts());
-        let (sb, bo) = flat.bounds_parts();
-        let mut bad = sb.to_vec();
-        bad[0] = 0;
-        assert!(
-            FlatEntryLabels::<Owned>::from_parts(h.to_vec(), d.to_vec(), o.to_vec())
-                .unwrap()
-                .with_bounds(bad, bo.to_vec())
-                .is_err()
-        );
     }
 
     #[test]

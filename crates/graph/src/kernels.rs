@@ -10,55 +10,51 @@
 //! * [`min_plus_gather`] — `min_p (ds[pos[p]] + dt[pos[p]])` over an index
 //!   list (H2H's bag scan).
 //!
-//! This module provides three implementations of each — portable scalar
+//! The scan and the gather come in three implementations — portable scalar
 //! (the branch-free code LLVM auto-vectorises at the baseline target), AVX2
-//! (x86-64) and NEON (aarch64) — behind a process-wide [`KernelKind`]
-//! selected **once**: `is_x86_feature_detected!("avx2")` at first use on
-//! x86-64, compile-time on aarch64 (NEON is baseline there). The
+//! (x86-64) and NEON (aarch64; the gather has no NEON form) — behind a
+//! process-wide [`KernelKind`] selected **once**:
+//! `is_x86_feature_detected!("avx2")` at first use on x86-64, compile-time
+//! on aarch64 (NEON is baseline there). The
 //! environment variable `HC2L_KERNEL=scalar|avx2|neon` overrides detection
 //! (unavailable requests fall back with a warning), and [`force_kernel`]
 //! switches at runtime for tests and benchmarks. Every kernel returns
 //! **bit-identical** results on every backend, so switching kernels — even
 //! concurrently — can never change an answer, only its speed.
 //!
-//! # Cut-bound early exit
+//! # The merge is scalar only
 //!
-//! [`min_plus_merge_pruned`] implements the reference implementation's
-//! `CUT_BOUNDS` optimisation for the merge-join: the freeze step stores one
-//! suffix lower bound per [`CUT_BOUND_BLOCK`] label entries
-//! ([`suffix_block_bounds`]), and the merge stops at the first block whose
-//! `bound_a + bound_b` cannot beat the current best. Stopping never changes
-//! the result — no remaining pair can contain the minimum — so the pruned
-//! merge is bit-identical to [`min_plus_merge`]. The positional scan has no
-//! pruned form: HC2L's level scans rarely span enough blocks for a skip to
-//! pay, and on long scans the two extra bound reads cost more than the
-//! skipped entries.
+//! [`min_plus_merge`] runs one branch-free scalar loop on every kernel. A
+//! blocked 8x8 AVX2 merge-join (and its NEON 4x4 analogue) and per-16-entry
+//! suffix cut bounds used to sit on top of it; on city road networks with
+//! travel-time weights (200k uniform pairs, 2-vCPU x86-64 guest, median of
+//! 12 alternating rounds, ns per HL query) both lost to the plain loop:
+//!
+//! | HL query path | 48×48 | 128×128 | 256×256 |
+//! |---|---|---|---|
+//! | bounds + AVX2 merge | 245.0 | 518.6 | 1130.9 |
+//! | bounds + scalar merge | 217.3 | 489.2 | 1213.2 |
+//! | AVX2 merge | 199.6 | 455.9 | 1079.0 |
+//! | scalar merge | 170.4 | 401.0 | 988.2 |
+//!
+//! PHL's own merge-join (`hc2l-phl`) dropped the same bounds: without them
+//! it ran at parity or faster at 48×48 and 128×128.
 //!
 //! # Overflow discipline
 //!
 //! Stored distances obey the workspace invariant `d <= INFINITY ==
 //! u64::MAX / 4`, so the plain lane adds inside the kernels cannot wrap
 //! (`2 * INFINITY < 2^63`); this is also what makes the *signed* 64-bit
-//! SIMD compares valid on values that are logically unsigned. Bound
-//! comparisons — which combine values that may both be [`INFINITY`] — go
-//! through the shared saturating helper [`dist_add`] instead, keeping
-//! [`INFINITY`] absorbing everywhere a sum is compared rather than
-//! minimised.
+//! SIMD compares valid on values that are logically unsigned.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::types::{dist_add, Distance, Vertex, INFINITY};
+use crate::types::{Distance, Vertex, INFINITY};
 
 /// Chunk width of the branch-free scalar min-reductions. Eight 64-bit lanes
 /// span two AVX2 registers (or four NEON registers); the accumulators live
 /// in registers across the whole scan.
 pub const MIN_PLUS_LANES: usize = 8;
-
-/// Entries covered by one stored cut bound (the reference implementation's
-/// `cut_bound_mod`). 16 keeps the bound array at 1/16th of the label arena
-/// while still letting the merge stop within a few cache lines of the
-/// point where no remaining pair can win.
-pub const CUT_BOUND_BLOCK: usize = 16;
 
 /// Which vectorised implementation the query kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,45 +236,25 @@ pub fn min_plus_scan(a: &[Distance], b: &[Distance]) -> Distance {
 }
 
 /// Branch-free merge-join `min { da[i] + db[j] : ha[i] == hb[j] }` over two
-/// hub lists sorted **strictly** ascending (runs the [`active_kernel`]).
+/// hub lists sorted **strictly** ascending: both cursors step past the
+/// smaller hub (both on a match), and a match's sum is folded in through a
+/// select rather than a branch. Scalar on every kernel (see the module docs
+/// for why).
 #[inline]
 pub fn min_plus_merge(ha: &[Vertex], da: &[Distance], hb: &[Vertex], db: &[Distance]) -> Distance {
     debug_assert_eq!(ha.len(), da.len());
     debug_assert_eq!(hb.len(), db.len());
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `min_plus_scan`.
-        KernelKind::Avx2 => unsafe { avx2::min_plus_merge(ha, da, hb, db) },
-        #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => neon::min_plus_merge(ha, da, hb, db),
-        _ => scalar::merge_core(ha, da, hb, db, 0, 0, INFINITY),
+    let mut best = INFINITY;
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < ha.len() && j < hb.len() {
+        let (x, y) = (ha[i], hb[j]);
+        let d = da[i] + db[j];
+        let cand = if x == y { d } else { INFINITY };
+        best = best.min(cand);
+        i += (x <= y) as usize;
+        j += (y <= x) as usize;
     }
-}
-
-/// [`min_plus_merge`] with cut-bound early exit: `sa`/`sb` hold one
-/// *suffix* lower bound per [`CUT_BOUND_BLOCK`] entries of the distance
-/// columns ([`suffix_block_bounds`]), so the merge stops as soon as no
-/// remaining pair can beat the current best. Falls back to the plain merge
-/// when the bound arrays are too short. Bit-identical to
-/// [`min_plus_merge`].
-#[inline]
-pub fn min_plus_merge_pruned(
-    ha: &[Vertex],
-    da: &[Distance],
-    hb: &[Vertex],
-    db: &[Distance],
-    sa: &[Distance],
-    sb: &[Distance],
-) -> Distance {
-    if sa.len() * CUT_BOUND_BLOCK < ha.len() || sb.len() * CUT_BOUND_BLOCK < hb.len() {
-        return min_plus_merge(ha, da, hb, db);
-    }
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `min_plus_scan`.
-        KernelKind::Avx2 => unsafe { avx2::min_plus_merge_pruned(ha, da, hb, db, sa, sb) },
-        _ => scalar::merge_core_pruned(ha, da, hb, db, sa, sb, 0, 0, INFINITY),
-    }
+    best.min(INFINITY)
 }
 
 /// Branch-free gather reduction `min_p (ds[pos[p]] + dt[pos[p]])` — H2H's
@@ -327,39 +303,11 @@ const GATHER_SIMD_MIN: usize = 64;
 const SCAN_SIMD_MIN: usize = 64;
 
 // ---------------------------------------------------------------------------
-// Bound construction (freeze-time)
-// ---------------------------------------------------------------------------
-
-/// Appends the per-block *suffix* minima of `dists` (one bound per
-/// [`CUT_BOUND_BLOCK`] entries, [`INFINITY`] for an all-infinite suffix):
-/// `out[k]` bounds every entry from block `k` to the end — the bound shape
-/// [`min_plus_merge_pruned`] consumes (a merge cursor only moves forward,
-/// so the useful bound is over the remaining suffix).
-pub fn suffix_block_bounds(dists: &[Distance], out: &mut Vec<Distance>) {
-    let start = out.len();
-    for chunk in dists.chunks(CUT_BOUND_BLOCK) {
-        out.push(chunk.iter().copied().fold(INFINITY, Distance::min));
-    }
-    let mut running = INFINITY;
-    for bound in out[start..].iter_mut().rev() {
-        running = running.min(*bound);
-        *bound = running;
-    }
-}
-
-/// Number of bounds [`suffix_block_bounds`] appends for an array of `len`
-/// entries.
-#[inline]
-pub fn bounds_len(len: usize) -> usize {
-    len.div_ceil(CUT_BOUND_BLOCK)
-}
-
-// ---------------------------------------------------------------------------
 // Scalar kernels (portable fallback — the pre-SIMD branch-free code)
 // ---------------------------------------------------------------------------
 
 pub(crate) mod scalar {
-    use super::{dist_add, Distance, Vertex, CUT_BOUND_BLOCK, INFINITY, MIN_PLUS_LANES};
+    use super::{Distance, INFINITY, MIN_PLUS_LANES};
 
     /// Chunked branch-free scan; LLVM auto-vectorises the lane loop at the
     /// baseline target width.
@@ -385,60 +333,6 @@ pub(crate) mod scalar {
         best.min(INFINITY)
     }
 
-    /// Mask-advance merge loop from cursors `(i, j)` with a running `best`
-    /// — the shared scalar core and the tail of the vector merges.
-    #[inline]
-    pub fn merge_core(
-        ha: &[Vertex],
-        da: &[Distance],
-        hb: &[Vertex],
-        db: &[Distance],
-        mut i: usize,
-        mut j: usize,
-        mut best: Distance,
-    ) -> Distance {
-        while i < ha.len() && j < hb.len() {
-            let (x, y) = (ha[i], hb[j]);
-            let d = da[i] + db[j];
-            let cand = if x == y { d } else { INFINITY };
-            best = best.min(cand);
-            i += (x <= y) as usize;
-            j += (y <= x) as usize;
-        }
-        best.min(INFINITY)
-    }
-
-    /// [`merge_core`] with suffix-bound early exit (see
-    /// [`super::min_plus_merge_pruned`]); the caller guarantees the bound
-    /// arrays cover every block of both labels.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn merge_core_pruned(
-        ha: &[Vertex],
-        da: &[Distance],
-        hb: &[Vertex],
-        db: &[Distance],
-        sa: &[Distance],
-        sb: &[Distance],
-        mut i: usize,
-        mut j: usize,
-        mut best: Distance,
-    ) -> Distance {
-        while i < ha.len() && j < hb.len() {
-            // Saturating: both suffix bounds may be INFINITY.
-            if dist_add(sa[i / CUT_BOUND_BLOCK], sb[j / CUT_BOUND_BLOCK]) >= best {
-                break;
-            }
-            let (x, y) = (ha[i], hb[j]);
-            let d = da[i] + db[j];
-            let cand = if x == y { d } else { INFINITY };
-            best = best.min(cand);
-            i += (x <= y) as usize;
-            j += (y <= x) as usize;
-        }
-        best.min(INFINITY)
-    }
-
     /// Branch-free gather reduction (bounds-checked indexing: an
     /// out-of-range position panics here, never reads out of bounds).
     #[inline]
@@ -458,7 +352,7 @@ pub(crate) mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{dist_add, scalar, Distance, Vertex, CUT_BOUND_BLOCK, INFINITY};
+    use super::{Distance, INFINITY};
     use std::arch::x86_64::*;
 
     /// Unaligned 4-lane load at `s[i..i + 4]`.
@@ -533,129 +427,6 @@ mod avx2 {
         best.min(INFINITY)
     }
 
-    /// The 8 rotate-left lane permutations of [`block_pairs`]. Safe:
-    /// registers only.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn rotations() -> [__m256i; 8] {
-        [
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-            _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0),
-            _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1),
-            _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2),
-            _mm256_setr_epi32(4, 5, 6, 7, 0, 1, 2, 3),
-            _mm256_setr_epi32(5, 6, 7, 0, 1, 2, 3, 4),
-            _mm256_setr_epi32(6, 7, 0, 1, 2, 3, 4, 5),
-            _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6),
-        ]
-    }
-
-    /// All-pairs hub comparison of one 8x8 window: for every rotation `r`,
-    /// lane `l` of the rotated `vb` holds `hb[j + (l + r) % 8]`, so one
-    /// vector equality + movemask finds every matching pair in the window.
-    /// Safe: the distance reads use bounds-checked indexing.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    fn block_pairs(
-        va: __m256i,
-        vb: __m256i,
-        rot: &[__m256i; 8],
-        da: &[Distance],
-        db: &[Distance],
-        i: usize,
-        j: usize,
-        mut best: Distance,
-    ) -> Distance {
-        for (r, idx) in rot.iter().enumerate() {
-            let rb = _mm256_permutevar8x32_epi32(vb, *idx);
-            let eq = _mm256_cmpeq_epi32(va, rb);
-            let mut mask = _mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32 & 0xFF;
-            while mask != 0 {
-                let l = mask.trailing_zeros() as usize;
-                best = best.min(da[i + l] + db[j + ((l + r) & 7)]);
-                mask &= mask - 1;
-            }
-        }
-        best
-    }
-
-    /// Blocked 8x8 merge-join over strictly sorted hub lists: compare whole
-    /// windows with rotations, then advance past the window whose maximum
-    /// is not larger (no match against unseen entries is possible: they are
-    /// all strictly greater than everything in the advanced window).
-    /// Remainders fall through to the scalar merge core.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn min_plus_merge(
-        ha: &[Vertex],
-        da: &[Distance],
-        hb: &[Vertex],
-        db: &[Distance],
-    ) -> Distance {
-        let mut best = INFINITY;
-        let (mut i, mut j) = (0usize, 0usize);
-        if ha.len() >= 8 && hb.len() >= 8 {
-            let rot = rotations();
-            while i + 8 <= ha.len() && j + 8 <= hb.len() {
-                // SAFETY: the loop condition proves both 8-lane u32 loads
-                // (32 bytes at i and j) are in bounds; unaligned form.
-                let (va, vb) = unsafe {
-                    (
-                        _mm256_loadu_si256(ha.as_ptr().add(i) as *const __m256i),
-                        _mm256_loadu_si256(hb.as_ptr().add(j) as *const __m256i),
-                    )
-                };
-                best = block_pairs(va, vb, &rot, da, db, i, j, best);
-                let (amax, bmax) = (ha[i + 7], hb[j + 7]);
-                i += 8 * (amax <= bmax) as usize;
-                j += 8 * (bmax <= amax) as usize;
-            }
-        }
-        scalar::merge_core(ha, da, hb, db, i, j, best)
-    }
-
-    /// [`min_plus_merge`] with suffix-bound early exit, checked once per
-    /// 8x8 window; the scalar tail keeps checking per step.
-    ///
-    /// # Safety
-    /// Requires AVX2; `sa`/`sb` must cover every block of `ha`/`hb`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn min_plus_merge_pruned(
-        ha: &[Vertex],
-        da: &[Distance],
-        hb: &[Vertex],
-        db: &[Distance],
-        sa: &[Distance],
-        sb: &[Distance],
-    ) -> Distance {
-        let mut best = INFINITY;
-        let (mut i, mut j) = (0usize, 0usize);
-        if ha.len() >= 8 && hb.len() >= 8 {
-            let rot = rotations();
-            while i + 8 <= ha.len() && j + 8 <= hb.len() {
-                if dist_add(sa[i / CUT_BOUND_BLOCK], sb[j / CUT_BOUND_BLOCK]) >= best {
-                    return best.min(INFINITY);
-                }
-                // SAFETY: the loop condition proves both 8-lane u32 loads
-                // (32 bytes at i and j) are in bounds; unaligned form.
-                let (va, vb) = unsafe {
-                    (
-                        _mm256_loadu_si256(ha.as_ptr().add(i) as *const __m256i),
-                        _mm256_loadu_si256(hb.as_ptr().add(j) as *const __m256i),
-                    )
-                };
-                best = block_pairs(va, vb, &rot, da, db, i, j, best);
-                let (amax, bmax) = (ha[i + 7], hb[j + 7]);
-                i += 8 * (amax <= bmax) as usize;
-                j += 8 * (bmax <= amax) as usize;
-            }
-        }
-        scalar::merge_core_pruned(ha, da, hb, db, sa, sb, i, j, best)
-    }
-
     /// AVX2 gather reduction: 8 positions per iteration through two
     /// independent hardware-gather chains (the gather instruction is
     /// high-latency, so a single accumulator chain serialises on it),
@@ -719,7 +490,7 @@ mod avx2 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{scalar, Distance, Vertex, INFINITY};
+    use super::{Distance, INFINITY};
     use std::arch::aarch64::*;
 
     /// Lane-wise unsigned 64-bit minimum (NEON has no `vminq_u64`; select
@@ -761,53 +532,6 @@ mod neon {
             i += 1;
         }
         best.min(INFINITY)
-    }
-
-    /// Blocked 4x4 merge-join over strictly sorted hub lists, the NEON
-    /// analogue of the AVX2 windowed compare: each window pair is checked
-    /// with four rotated equality compares (`vextq_u32` rotations).
-    pub fn min_plus_merge(
-        ha: &[Vertex],
-        da: &[Distance],
-        hb: &[Vertex],
-        db: &[Distance],
-    ) -> Distance {
-        let mut best = INFINITY;
-        let (mut i, mut j) = (0usize, 0usize);
-        if ha.len() >= 4 && hb.len() >= 4 {
-            while i + 4 <= ha.len() && j + 4 <= hb.len() {
-                // SAFETY: NEON is baseline on aarch64; loads stay within
-                // the window bounds checked above.
-                unsafe {
-                    let va = vld1q_u32(ha.as_ptr().add(i));
-                    let vb = vld1q_u32(hb.as_ptr().add(j));
-                    let mut lanes = [0u32; 4];
-                    // Rotation r compares ha[i + l] with hb[j + (l + r) % 4].
-                    macro_rules! rotation {
-                        ($r:literal) => {
-                            let rb = vextq_u32::<$r>(vb, vb);
-                            let eq = vceqq_u32(va, rb);
-                            if vmaxvq_u32(eq) != 0 {
-                                vst1q_u32(lanes.as_mut_ptr(), eq);
-                                for (l, &hit) in lanes.iter().enumerate() {
-                                    if hit != 0 {
-                                        best = best.min(da[i + l] + db[j + ((l + $r) & 3)]);
-                                    }
-                                }
-                            }
-                        };
-                    }
-                    rotation!(0);
-                    rotation!(1);
-                    rotation!(2);
-                    rotation!(3);
-                }
-                let (amax, bmax) = (ha[i + 3], hb[j + 3]);
-                i += 4 * (amax <= bmax) as usize;
-                j += 4 * (bmax <= amax) as usize;
-            }
-        }
-        scalar::merge_core(ha, da, hb, db, i, j, best)
     }
 }
 
@@ -922,34 +646,39 @@ mod tests {
     }
 
     #[test]
-    fn all_kernels_agree_on_merge_bitwise() {
+    fn scalar_merge_matches_naive_merge() {
         let mut rng = Rng(0xBEEF);
-        for len_a in [0usize, 1, 3, 7, 8, 9, 16, 33, 70] {
-            for len_b in [0usize, 1, 4, 8, 15, 41] {
+        for len_a in [0usize, 1, 3, 7, 8, 9, 16, 33, 70, 150] {
+            for len_b in [0usize, 1, 4, 8, 15, 41, 64, 97] {
                 let (ha, da) = random_label(&mut rng, len_a);
                 let (hb, db) = random_label(&mut rng, len_b);
-                let expected = naive_merge(&ha, &da, &hb, &db);
-                for k in available_kernels() {
-                    force_kernel(k);
-                    assert_eq!(
-                        min_plus_merge(&ha, &da, &hb, &db),
-                        expected,
-                        "kernel {k} lens {len_a}/{len_b}"
-                    );
-                }
+                assert_eq!(
+                    min_plus_merge(&ha, &da, &hb, &db),
+                    naive_merge(&ha, &da, &hb, &db),
+                    "lens {len_a}/{len_b}"
+                );
             }
         }
-        // Dense overlap: identical hub lists of every length.
-        for len in [1usize, 8, 17, 64] {
+        for len in [1usize, 8, 17, 64, 130] {
+            // Dense overlap: identical hub lists.
             let (ha, da) = random_label(&mut rng, len);
             let db = random_dists(&mut rng, len);
-            let expected = naive_merge(&ha, &da, &ha, &db);
-            for k in available_kernels() {
-                force_kernel(k);
-                assert_eq!(min_plus_merge(&ha, &da, &ha, &db), expected);
-            }
+            assert_eq!(
+                min_plus_merge(&ha, &da, &ha, &db),
+                naive_merge(&ha, &da, &ha, &db)
+            );
+            // Disjoint hub sets (odd vs even ids): no common hub.
+            let odd: Vec<Vertex> = ha.iter().map(|&h| 2 * h + 1).collect();
+            let even: Vec<Vertex> = ha.iter().map(|&h| 2 * h).collect();
+            assert_eq!(min_plus_merge(&odd, &da, &even, &db), INFINITY);
+            // All-INFINITY columns: INFINITY + INFINITY must not leak out.
+            let inf = vec![INFINITY; len];
+            assert_eq!(min_plus_merge(&ha, &inf, &ha, &inf), INFINITY);
+            assert_eq!(
+                min_plus_merge(&ha, &inf, &ha, &db),
+                naive_merge(&ha, &inf, &ha, &db)
+            );
         }
-        restore_kernel();
     }
 
     #[test]
@@ -976,90 +705,5 @@ mod tests {
             }
         }
         restore_kernel();
-    }
-
-    #[test]
-    fn pruned_merge_is_bit_identical_for_every_kernel() {
-        let mut rng = Rng(0xF00D);
-        for len_a in [0usize, 5, 16, 33, 70] {
-            for len_b in [0usize, 8, 21, 64] {
-                let (ha, da) = random_label(&mut rng, len_a);
-                let (hb, db) = random_label(&mut rng, len_b);
-                let mut sa = Vec::new();
-                let mut sb = Vec::new();
-                suffix_block_bounds(&da, &mut sa);
-                suffix_block_bounds(&db, &mut sb);
-                let expected = naive_merge(&ha, &da, &hb, &db);
-                for k in available_kernels() {
-                    force_kernel(k);
-                    assert_eq!(
-                        min_plus_merge_pruned(&ha, &da, &hb, &db, &sa, &sb),
-                        expected,
-                        "kernel {k} lens {len_a}/{len_b}"
-                    );
-                }
-            }
-        }
-        restore_kernel();
-    }
-
-    #[test]
-    fn pruning_handles_all_infinite_and_all_pruned_blocks() {
-        // Every entry infinite: the suffix bounds are INFINITY, the merge
-        // stops at once, and the result is still INFINITY (saturating bound
-        // comparison — INFINITY + INFINITY must not wrap).
-        let ha: Vec<Vertex> = (0..40).collect();
-        let inf = vec![INFINITY; 40];
-        let mut sa = Vec::new();
-        suffix_block_bounds(&inf, &mut sa);
-        assert!(sa.iter().all(|&x| x == INFINITY));
-        // One tiny match in the last block: the suffix bounds of every
-        // earlier block are tight enough that the merge must run to the end.
-        let mut da = vec![1_000u64; 64];
-        let mut db = vec![1_000u64; 64];
-        da[63] = 1;
-        db[63] = 2;
-        let hb: Vec<Vertex> = (0..64).collect();
-        let (mut sda, mut sdb) = (Vec::new(), Vec::new());
-        suffix_block_bounds(&da, &mut sda);
-        suffix_block_bounds(&db, &mut sdb);
-        for k in available_kernels() {
-            force_kernel(k);
-            assert_eq!(
-                min_plus_merge_pruned(&ha, &inf, &ha, &inf, &sa, &sa),
-                INFINITY,
-                "kernel {k}"
-            );
-            assert_eq!(
-                min_plus_merge_pruned(&hb, &da, &hb, &db, &sda, &sdb),
-                3,
-                "kernel {k}"
-            );
-        }
-        restore_kernel();
-    }
-
-    #[test]
-    fn short_bound_arrays_fall_back_to_the_full_kernels() {
-        let ha: Vec<u32> = (0..40).collect();
-        let da = vec![7u64; 40];
-        assert_eq!(min_plus_merge_pruned(&ha, &da, &ha, &da, &[], &[]), 14);
-    }
-
-    #[test]
-    fn bound_builders_produce_expected_shapes() {
-        let d: Vec<Distance> = (0..35).map(|i| 100 - i as u64).collect();
-        let mut suffix = Vec::new();
-        suffix_block_bounds(&d, &mut suffix);
-        assert_eq!(suffix.len(), bounds_len(d.len()));
-        // Suffix bounds are non-decreasing from the back and each bounds
-        // everything after its block start.
-        assert!(suffix.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(suffix[0], *d.iter().min().unwrap());
-        assert_eq!(suffix[1], *d[16..].iter().min().unwrap());
-        assert_eq!(suffix[2], *d[32..].iter().min().unwrap());
-        let mut empty = Vec::new();
-        suffix_block_bounds(&[], &mut empty);
-        assert!(empty.is_empty());
     }
 }

@@ -22,16 +22,16 @@
 //!   distance oracle in the workspace reports from `query_with_stats`.
 //! * [`flat_labels`] — the frozen flat label arenas every labelling backend
 //!   queries from (global distance/hub arenas with CSR offsets, built by a
-//!   one-shot `freeze()` after construction), together with the optional
-//!   per-block suffix cut bounds the pruned merge consumes. The arenas are
-//!   generic over a [`Store`] parameter, so the same query kernels run on
-//!   owned `Vec` arenas or on borrowed slices of a loaded index file.
-//! * [`kernels`] — the min-reduction query kernels ([`min_plus_scan`],
-//!   [`min_plus_merge`] with its bounded [`min_plus_merge_pruned`] variant,
-//!   [`min_plus_gather`])
-//!   in scalar, AVX2 and NEON flavours behind a one-time runtime dispatch
-//!   ([`KernelKind`], `HC2L_KERNEL` override); every flavour is
-//!   bit-identical, only speed differs.
+//!   one-shot `freeze()` after construction). The arenas are generic over a
+//!   [`Store`] parameter, so the same query kernels run on owned `Vec`
+//!   arenas or on borrowed slices of a loaded index file.
+//! * [`kernels`] — the min-reduction query kernels. [`min_plus_scan`] and
+//!   [`min_plus_gather`] come in scalar, AVX2 and NEON flavours behind a
+//!   one-time runtime dispatch ([`KernelKind`], `HC2L_KERNEL` override);
+//!   every flavour is bit-identical, only speed differs. [`min_plus_merge`]
+//!   is one scalar loop: the AVX2/NEON merge-joins and HL's cut bounds were
+//!   slower than it on city maps of 2k–65k vertices (see the table in
+//!   [`kernels`]).
 //! * [`container`] — the sectioned on-disk index format (magic/version
 //!   header, per-section table of contents with 64-byte alignment,
 //!   checksum) and the [`PersistentIndex`] trait every backend implements
@@ -79,9 +79,8 @@ pub use flat_labels::{
 };
 pub use graph::{Edge, Graph};
 pub use kernels::{
-    active_kernel, available_kernels, bounds_len, detect_kernel, force_kernel, min_plus_gather,
-    min_plus_merge, min_plus_merge_pruned, min_plus_scan, suffix_block_bounds, KernelKind,
-    CUT_BOUND_BLOCK,
+    active_kernel, available_kernels, detect_kernel, force_kernel, min_plus_gather, min_plus_merge,
+    min_plus_scan, KernelKind,
 };
 pub use pathutil::{eccentricity_from, extract_path, farthest_vertex, path_weight};
 pub use querystats::QueryStats;

@@ -519,9 +519,7 @@ impl PersistentIndex for H2hIndex {
 
 /// Branch-free bag scan of Equation 3: gathers `ds[p] + dt[p]` for every
 /// position in the LCA's bag and keeps the minimum. Dispatches to the
-/// active gather kernel (`hc2l_graph::kernels`); cut-bound pruning does not
-/// apply here — the bag positions index *into* the dist rows rather than
-/// scanning them in order, so there is no block structure to bound.
+/// active gather kernel (`hc2l_graph::kernels`).
 #[inline]
 fn bag_scan(positions: &[u32], ds: &[Distance], dt: &[Distance]) -> Distance {
     hc2l_graph::min_plus_gather(positions, ds, dt)

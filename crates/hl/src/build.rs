@@ -35,13 +35,8 @@ mod sec {
     pub const OFFSETS: u32 = 3;
     /// Importance position of each vertex (`u32`).
     pub const ORDER: u32 = 4;
-    /// Optional suffix cut-bound arena (`u64`, format v2+): per-block
-    /// suffix minima of each distance column (see
-    /// `hc2l_graph::kernels::suffix_block_bounds`).
-    pub const BOUNDS: u32 = 5;
-    /// Optional cut-bound CSR offsets (`u32`, format v2+), parallel to
-    /// `OFFSETS`.
-    pub const BOUND_OFFSETS: u32 = 6;
+    // Tags 5 and 6 (suffix cut bounds and their offsets) are legacy, ignored
+    // on read. Never reuse them.
 }
 
 /// The frozen, queryable state of a hub labelling: the [`FlatEntryLabels`]
@@ -112,19 +107,6 @@ impl<S: Store> FrozenHubLabels<S> {
         self.labels.len_of(v)
     }
 
-    /// Whether the label arena carries cut bounds (pruned merge usable).
-    #[inline]
-    pub fn has_bounds(&self) -> bool {
-        self.labels.has_bounds()
-    }
-
-    /// Suffix cut bounds of vertex `v`'s distance column (only meaningful
-    /// when [`FrozenHubLabels::has_bounds`]).
-    #[inline]
-    pub fn label_bounds(&self, v: Vertex) -> &[Distance] {
-        self.labels.bounds_of(v)
-    }
-
     /// Importance position of a vertex (0 = most important).
     #[inline]
     pub fn order_of(&self, v: Vertex) -> u32 {
@@ -145,19 +127,11 @@ impl<'a> FrozenHubLabels<Borrowed<'a>> {
     /// Zero-copy view of the labelling stored in a loaded container
     /// (little-endian hosts; see `Container::section_pods`).
     pub fn from_container(c: &'a Container) -> Result<Self, DecodeError> {
-        let mut labels = FlatEntryLabels::from_parts(
+        let labels = FlatEntryLabels::from_parts(
             c.section_pods::<u32>(sec::HUBS)?,
             c.section_pods::<u64>(sec::DISTS)?,
             c.section_pods::<u32>(sec::OFFSETS)?,
         )?;
-        // A borrowed view cannot materialise bounds of its own, so old
-        // (pre-v2) files simply run with pruning off.
-        if c.has_section(sec::BOUNDS) && c.has_section(sec::BOUND_OFFSETS) {
-            labels = labels.with_bounds(
-                c.section_pods::<u64>(sec::BOUNDS)?,
-                c.section_pods::<u32>(sec::BOUND_OFFSETS)?,
-            )?;
-        }
         FrozenHubLabels::from_parts(labels, c.section_pods::<u32>(sec::ORDER)?)
     }
 }
@@ -268,13 +242,12 @@ impl HubLabelIndex {
         }
 
         // Labels were filled in increasing hub index, so they are sorted;
-        // freeze them into the flat query arena. HL's `dists` column is a
-        // genuine distance label, so install the cut bounds the pruned
-        // merge-join consumes (CH, sharing the arena type, does not).
-        let mut labels = FlatEntryLabels::freeze_pairs(&labels);
-        labels.ensure_bounds();
+        // freeze them into the flat query arena.
         HubLabelIndex {
-            frozen: FrozenHubLabels { labels, order_of },
+            frozen: FrozenHubLabels {
+                labels: FlatEntryLabels::freeze_pairs(&labels),
+                order_of,
+            },
             construction_seconds: start.elapsed().as_secs_f64(),
         }
     }
@@ -358,32 +331,17 @@ impl PersistentIndex for HubLabelIndex {
         w.push_pods(sec::DISTS, dists);
         w.push_pods(sec::OFFSETS, offsets);
         w.push_pods(sec::ORDER, &self.frozen.order_of);
-        if self.frozen.labels.has_bounds() {
-            let (bounds, bound_offsets) = self.frozen.labels.bounds_parts();
-            w.push_pods(sec::BOUNDS, bounds);
-            w.push_pods(sec::BOUND_OFFSETS, bound_offsets);
-        }
     }
 
     fn read_sections(c: &Container) -> Result<Self, DecodeError> {
         let mut meta = MetaReader::new(c.section(sec::META)?);
         let construction_seconds = meta.f64()?;
         meta.finish()?;
-        let mut labels = FlatEntryLabels::from_parts(
+        let labels = FlatEntryLabels::from_parts(
             c.read_pod_vec::<u32>(sec::HUBS)?,
             c.read_pod_vec::<u64>(sec::DISTS)?,
             c.read_pod_vec::<u32>(sec::OFFSETS)?,
         )?;
-        // Bounds sections exist from format v2 on; validate them when
-        // present, rebuild them for older files (the owned loader can).
-        if c.has_section(sec::BOUNDS) && c.has_section(sec::BOUND_OFFSETS) {
-            labels = labels.with_bounds(
-                c.read_pod_vec::<u64>(sec::BOUNDS)?,
-                c.read_pod_vec::<u32>(sec::BOUND_OFFSETS)?,
-            )?;
-        } else {
-            labels.ensure_bounds();
-        }
         Ok(HubLabelIndex {
             frozen: FrozenHubLabels::from_parts(labels, c.read_pod_vec::<u32>(sec::ORDER)?)?,
             construction_seconds,

@@ -5,37 +5,24 @@
 //! zero-copy view of a loaded index container.
 
 use hc2l_graph::flat_labels::Store;
-use hc2l_graph::{min_plus_merge, min_plus_merge_pruned, Distance, QueryStats, Vertex};
+use hc2l_graph::{min_plus_merge, Distance, QueryStats, Vertex};
 
 use crate::build::{FrozenHubLabels, HubLabelIndex};
 
 impl<S: Store> FrozenHubLabels<S> {
-    /// Exact distance query: a vectorised merge-join over the two frozen
-    /// hub/distance column pairs. When the arena carries suffix cut bounds,
-    /// the merge stops as soon as no remaining pair can beat the running
-    /// best (bit-identical to the full merge).
+    /// Exact distance query: one branch-free merge-join over the two frozen
+    /// hub/distance column pairs.
     #[inline]
     pub fn query(&self, s: Vertex, t: Vertex) -> Distance {
         if s == t {
             return 0;
         }
-        if self.has_bounds() {
-            min_plus_merge_pruned(
-                self.label_hubs(s),
-                self.label_dists(s),
-                self.label_hubs(t),
-                self.label_dists(t),
-                self.label_bounds(s),
-                self.label_bounds(t),
-            )
-        } else {
-            min_plus_merge(
-                self.label_hubs(s),
-                self.label_dists(s),
-                self.label_hubs(t),
-                self.label_dists(t),
-            )
-        }
+        min_plus_merge(
+            self.label_hubs(s),
+            self.label_dists(s),
+            self.label_hubs(t),
+            self.label_dists(t),
+        )
     }
 
     /// Exact distance query with scan statistics. Hub labellings always scan
@@ -58,31 +45,13 @@ impl<S: Store> FrozenHubLabels<S> {
         let hubs_s = self.label_hubs(s);
         let dists_s = self.label_dists(s);
         out.clear();
-        if self.has_bounds() {
-            let bounds_s = self.label_bounds(s);
-            out.extend(targets.iter().map(|&t| {
-                if s == t {
-                    0
-                } else {
-                    min_plus_merge_pruned(
-                        hubs_s,
-                        dists_s,
-                        self.label_hubs(t),
-                        self.label_dists(t),
-                        bounds_s,
-                        self.label_bounds(t),
-                    )
-                }
-            }));
-        } else {
-            out.extend(targets.iter().map(|&t| {
-                if s == t {
-                    0
-                } else {
-                    min_plus_merge(hubs_s, dists_s, self.label_hubs(t), self.label_dists(t))
-                }
-            }));
-        }
+        out.extend(targets.iter().map(|&t| {
+            if s == t {
+                0
+            } else {
+                min_plus_merge(hubs_s, dists_s, self.label_hubs(t), self.label_dists(t))
+            }
+        }));
     }
 }
 

@@ -10,9 +10,7 @@ use hc2l_graph::container::{
     Pod,
 };
 use hc2l_graph::flat_labels::{read_pod_slice, write_pod_slice, Borrowed, Owned, PodValue, Store};
-use hc2l_graph::{
-    dist_add, suffix_block_bounds, Distance, FlatCsr, Graph, Vertex, CUT_BOUND_BLOCK, INFINITY,
-};
+use hc2l_graph::{Distance, FlatCsr, Graph, Vertex, INFINITY};
 
 use crate::decompose::HighwayDecomposition;
 
@@ -101,13 +99,8 @@ mod sec {
     pub const ENTRIES: u32 = 1;
     /// Per-vertex CSR offsets (`u32`).
     pub const OFFSETS: u32 = 2;
-    /// Optional suffix cut-bound arena (`u64`, format v2+): per-block
-    /// suffix minima of each label's `dist` column (see
-    /// `hc2l_graph::kernels::suffix_block_bounds`).
-    pub const BOUNDS: u32 = 3;
-    /// Per-vertex starts into [`BOUNDS`] (`u32`, `num_vertices + 1`
-    /// entries); present exactly when [`BOUNDS`] is.
-    pub const BOUND_OFFSETS: u32 = 4;
+    // Tags 3 and 4 (suffix cut bounds and their offsets) are legacy, ignored
+    // on read. Never reuse them.
 }
 
 /// The frozen, queryable state of a pruned highway labelling: the packed
@@ -118,14 +111,6 @@ mod sec {
 /// over a loaded container's sections.
 pub struct FrozenPhlLabels<S: Store = Owned> {
     labels: FlatCsr<PhlEntry, S>,
-    /// Optional cut-bound arena (format v2+): per-block suffix minima of
-    /// each label's `dist` column, one bound per [`CUT_BOUND_BLOCK`]
-    /// entries. Derived data — rebuildable from `labels` and excluded from
-    /// equality.
-    suffix_bounds: S::Slice<Distance>,
-    /// Per-vertex starts into `suffix_bounds` (`num_vertices + 1` entries
-    /// when bounds are present, empty otherwise).
-    bound_offsets: S::Slice<u32>,
 }
 
 /// A [`FrozenPhlLabels`] borrowing its arena from a loaded container.
@@ -133,14 +118,9 @@ pub type FrozenPhlLabelsRef<'a> = FrozenPhlLabels<Borrowed<'a>>;
 
 impl<S: Store> FrozenPhlLabels<S> {
     /// Wraps a frozen label arena (trusted: the build path sorts before
-    /// freezing). Carries no cut bounds; call
-    /// [`FrozenPhlLabels::ensure_bounds`] (owned stores) to derive them.
+    /// freezing).
     pub fn new(labels: FlatCsr<PhlEntry, S>) -> Self {
-        FrozenPhlLabels {
-            labels,
-            suffix_bounds: S::empty_slice(),
-            bound_offsets: S::empty_slice(),
-        }
+        FrozenPhlLabels { labels }
     }
 
     /// Wraps a *loaded* arena, validating the per-vertex `(path, offset)`
@@ -156,64 +136,6 @@ impl<S: Store> FrozenPhlLabels<S> {
             }
         }
         Ok(FrozenPhlLabels::new(labels))
-    }
-
-    /// Attaches loaded cut bounds, validating them against a full recompute
-    /// — a tampered bound could silently *mis-prune* (wrong answers), so any
-    /// mismatch is a typed [`DecodeError::Malformed`] instead.
-    pub fn with_bounds(
-        self,
-        suffix_bounds: S::Slice<Distance>,
-        bound_offsets: S::Slice<u32>,
-    ) -> Result<Self, DecodeError> {
-        let (expect_bounds, expect_offsets) = self.computed_bounds();
-        if *suffix_bounds != expect_bounds[..] || *bound_offsets != expect_offsets[..] {
-            return Err(DecodeError::Malformed(
-                "PHL cut bounds do not match the label arena",
-            ));
-        }
-        Ok(FrozenPhlLabels {
-            labels: self.labels,
-            suffix_bounds,
-            bound_offsets,
-        })
-    }
-
-    /// Recomputes the suffix cut bounds from the label arena: per vertex,
-    /// the per-block suffix minima of its `dist` column.
-    pub fn computed_bounds(&self) -> (Vec<Distance>, Vec<u32>) {
-        let n = self.labels.num_rows();
-        let mut bounds = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut dists: Vec<Distance> = Vec::new();
-        offsets.push(0);
-        for v in 0..n {
-            dists.clear();
-            dists.extend(self.labels.row(v).iter().map(|e| e.dist));
-            suffix_block_bounds(&dists, &mut bounds);
-            offsets.push(bounds.len() as u32);
-        }
-        (bounds, offsets)
-    }
-
-    /// Whether the arena carries cut bounds (pruned merge-join usable).
-    #[inline]
-    pub fn has_bounds(&self) -> bool {
-        self.bound_offsets.len() == self.labels.num_rows() + 1
-    }
-
-    /// Suffix cut bounds of vertex `v`'s `dist` column (only meaningful
-    /// when [`FrozenPhlLabels::has_bounds`]).
-    #[inline]
-    pub fn label_bounds(&self, v: Vertex) -> &[Distance] {
-        let lo = self.bound_offsets[v as usize] as usize;
-        let hi = self.bound_offsets[v as usize + 1] as usize;
-        &self.suffix_bounds[lo..hi]
-    }
-
-    /// The bound arenas as plain slices (for serialisation).
-    pub fn bounds_parts(&self) -> (&[Distance], &[u32]) {
-        (&self.suffix_bounds, &self.bound_offsets)
     }
 
     /// Number of vertices.
@@ -240,37 +162,14 @@ impl<S: Store> FrozenPhlLabels<S> {
     }
 }
 
-impl FrozenPhlLabels<Owned> {
-    /// Derives the suffix cut bounds in place if absent — used after a
-    /// build and when loading pre-bounds (format v1) container files.
-    pub fn ensure_bounds(&mut self) {
-        if !self.has_bounds() {
-            let (bounds, offsets) = self.computed_bounds();
-            self.suffix_bounds = bounds;
-            self.bound_offsets = offsets;
-        }
-    }
-}
-
 impl<'a> FrozenPhlLabels<Borrowed<'a>> {
     /// Zero-copy view of the labelling stored in a loaded container
     /// (little-endian hosts; see `Container::section_pods`).
-    ///
-    /// A borrowed view cannot materialise bounds of its own, so pre-bounds
-    /// files load with pruning off (answers are identical either way).
     pub fn from_container(c: &'a Container) -> Result<Self, DecodeError> {
-        let labels = FrozenPhlLabels::from_sorted(FlatCsr::from_parts(
+        FrozenPhlLabels::from_sorted(FlatCsr::from_parts(
             c.section_pods::<PhlEntry>(sec::ENTRIES)?,
             c.section_pods::<u32>(sec::OFFSETS)?,
-        )?)?;
-        if c.has_section(sec::BOUNDS) && c.has_section(sec::BOUND_OFFSETS) {
-            labels.with_bounds(
-                c.section_pods::<u64>(sec::BOUNDS)?,
-                c.section_pods::<u32>(sec::BOUND_OFFSETS)?,
-            )
-        } else {
-            Ok(labels)
-        }
+        )?)
     }
 }
 
@@ -278,7 +177,6 @@ impl<S: Store> std::fmt::Debug for FrozenPhlLabels<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrozenPhlLabels")
             .field("labels", &self.labels)
-            .field("has_bounds", &self.has_bounds())
             .finish()
     }
 }
@@ -286,14 +184,10 @@ impl<S: Store> std::fmt::Debug for FrozenPhlLabels<S> {
 impl<S: Store> Clone for FrozenPhlLabels<S>
 where
     FlatCsr<PhlEntry, S>: Clone,
-    S::Slice<Distance>: Clone,
-    S::Slice<u32>: Clone,
 {
     fn clone(&self) -> Self {
         FrozenPhlLabels {
             labels: self.labels.clone(),
-            suffix_bounds: self.suffix_bounds.clone(),
-            bound_offsets: self.bound_offsets.clone(),
         }
     }
 }
@@ -380,10 +274,8 @@ impl PhlIndex {
             label.sort_unstable();
         }
         let num_paths = decomposition.num_paths();
-        let mut frozen = FrozenPhlLabels::new(FlatCsr::freeze(&labels));
-        frozen.ensure_bounds();
         PhlIndex {
-            frozen,
+            frozen: FrozenPhlLabels::new(FlatCsr::freeze(&labels)),
             decomposition: Some(decomposition),
             num_paths,
             construction_seconds: start.elapsed().as_secs_f64(),
@@ -462,11 +354,6 @@ impl PersistentIndex for PhlIndex {
         let (entries, offsets) = self.frozen.arena().parts();
         w.push_pods(sec::ENTRIES, entries);
         w.push_pods(sec::OFFSETS, offsets);
-        if self.frozen.has_bounds() {
-            let (bounds, bound_offsets) = self.frozen.bounds_parts();
-            w.push_pods(sec::BOUNDS, bounds);
-            w.push_pods(sec::BOUND_OFFSETS, bound_offsets);
-        }
     }
 
     fn read_sections(c: &Container) -> Result<Self, DecodeError> {
@@ -478,19 +365,8 @@ impl PersistentIndex for PhlIndex {
             c.read_pod_vec::<PhlEntry>(sec::ENTRIES)?,
             c.read_pod_vec::<u32>(sec::OFFSETS)?,
         )?;
-        let mut frozen = FrozenPhlLabels::from_sorted(labels)?;
-        if c.has_section(sec::BOUNDS) && c.has_section(sec::BOUND_OFFSETS) {
-            frozen = frozen.with_bounds(
-                c.read_pod_vec::<u64>(sec::BOUNDS)?,
-                c.read_pod_vec::<u32>(sec::BOUND_OFFSETS)?,
-            )?;
-        } else {
-            // Pre-bounds (format v1) file: derive the bounds so queries on
-            // the loaded index prune exactly like on a fresh build.
-            frozen.ensure_bounds();
-        }
         Ok(PhlIndex {
-            frozen,
+            frozen: FrozenPhlLabels::from_sorted(labels)?,
             decomposition: None,
             num_paths,
             construction_seconds,
@@ -559,64 +435,6 @@ pub(crate) fn query_labels(a: &[PhlEntry], b: &[PhlEntry]) -> Distance {
     let mut best = INFINITY;
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        let (x, y) = (a[i].path, b[j].path);
-        if x == y {
-            let a_end = a[i..].iter().take_while(|e| e.path == x).count() + i;
-            let b_end = b[j..].iter().take_while(|e| e.path == x).count() + j;
-            let (ga, gb) = (&a[i..a_end], &b[j..b_end]);
-            if ga.len() == 1 {
-                let ea = ga[0];
-                for eb in gb {
-                    best = best.min(ea.dist + eb.dist + ea.offset.abs_diff(eb.offset));
-                }
-            } else if gb.len() == 1 {
-                let eb = gb[0];
-                for ea in ga {
-                    best = best.min(ea.dist + eb.dist + ea.offset.abs_diff(eb.offset));
-                }
-            } else {
-                best = best.min(group_min(ga, gb));
-            }
-            i = a_end;
-            j = b_end;
-        } else {
-            i += (x < y) as usize;
-            j += (y < x) as usize;
-        }
-    }
-    best.min(INFINITY)
-}
-
-/// [`query_labels`] with cut-bound early exit: `sa`/`sb` are the per-block
-/// suffix minima of the two labels' `dist` columns. Any pair at or beyond
-/// the current merge positions costs at least
-/// `sa[i / B] + sb[j / B]` (the offset-bridging term only adds to it), so
-/// once that sum cannot beat the running best the sweep stops — bit-identical
-/// to the full merge-join, it just skips work that provably cannot win.
-///
-/// The bound comparison uses the saturating [`dist_add`]: both operands can
-/// be [`INFINITY`], whose plain sum would exceed the `< 2^63` invariant the
-/// kernels rely on.
-pub(crate) fn query_labels_pruned(
-    a: &[PhlEntry],
-    b: &[PhlEntry],
-    sa: &[Distance],
-    sb: &[Distance],
-) -> Distance {
-    let mut best = INFINITY;
-    let (mut i, mut j) = (0usize, 0usize);
-    // The suffix bound is re-tested only when a cursor crosses into a new
-    // block: a per-iteration test costs two loads plus an add on every merge
-    // step, which is more than the early exit saves on typical labels.
-    let (mut check_i, mut check_j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if i >= check_i || j >= check_j {
-            if dist_add(sa[i / CUT_BOUND_BLOCK], sb[j / CUT_BOUND_BLOCK]) >= best {
-                break;
-            }
-            check_i = (i / CUT_BOUND_BLOCK + 1) * CUT_BOUND_BLOCK;
-            check_j = (j / CUT_BOUND_BLOCK + 1) * CUT_BOUND_BLOCK;
-        }
         let (x, y) = (a[i].path, b[j].path);
         if x == y {
             let a_end = a[i..].iter().take_while(|e| e.path == x).count() + i;

@@ -7,28 +7,17 @@
 use hc2l_graph::flat_labels::Store;
 use hc2l_graph::{Distance, QueryStats, Vertex};
 
-use crate::build::{query_labels, query_labels_pruned, FrozenPhlLabels, PhlIndex};
+use crate::build::{query_labels, FrozenPhlLabels, PhlIndex};
 
 impl<S: Store> FrozenPhlLabels<S> {
-    /// Exact distance query over the frozen packed-entry arena. When the
-    /// arena carries suffix cut bounds, the merge-join stops as soon as no
-    /// remaining entry pair can beat the running best (bit-identical to the
-    /// full sweep).
+    /// Exact distance query: one merge-join sweep over the two frozen
+    /// packed-entry labels.
     #[inline]
     pub fn query(&self, s: Vertex, t: Vertex) -> Distance {
         if s == t {
             return 0;
         }
-        if self.has_bounds() {
-            query_labels_pruned(
-                self.label(s),
-                self.label(t),
-                self.label_bounds(s),
-                self.label_bounds(t),
-            )
-        } else {
-            query_labels(self.label(s), self.label(t))
-        }
+        query_labels(self.label(s), self.label(t))
     }
 
     /// Exact distance query with scan statistics. PHL, like HL, always scans
@@ -50,24 +39,13 @@ impl<S: Store> FrozenPhlLabels<S> {
     pub fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>) {
         let label_s = self.label(s);
         out.clear();
-        if self.has_bounds() {
-            let bounds_s = self.label_bounds(s);
-            out.extend(targets.iter().map(|&t| {
-                if s == t {
-                    0
-                } else {
-                    query_labels_pruned(label_s, self.label(t), bounds_s, self.label_bounds(t))
-                }
-            }));
-        } else {
-            out.extend(targets.iter().map(|&t| {
-                if s == t {
-                    0
-                } else {
-                    query_labels(label_s, self.label(t))
-                }
-            }));
-        }
+        out.extend(targets.iter().map(|&t| {
+            if s == t {
+                0
+            } else {
+                query_labels(label_s, self.label(t))
+            }
+        }));
     }
 }
 

@@ -21,9 +21,7 @@ use common::random_connected_graph;
 use hc2l::{Hc2lConfig, Hc2lIndex};
 use hc2l_graph::container::{method_tag, Container, ContainerWriter, DecodeError};
 use hc2l_graph::toy::grid_graph;
-use hc2l_graph::{
-    bounds_len, dijkstra, Graph, GraphBuilder, PersistError, PersistentIndex, Vertex,
-};
+use hc2l_graph::{dijkstra, Distance, Graph, GraphBuilder, PersistError, PersistentIndex, Vertex};
 use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder, SharedOracle};
 
 /// Scratch directory for this test binary's container files.
@@ -278,149 +276,137 @@ fn zero_copy_views_answer_from_the_loaded_buffer() {
     }
 }
 
-#[test]
-fn legacy_hc2l_bound_sections_are_ignored() {
-    // HC2L files written before it dropped its cut bounds carry two more
-    // sections: 10 (per-block minima of every level array) and 11 (their
-    // offset table). Readers ignore both. Fill them with bounds that would
-    // mis-prune every scan (all zeros): every load path must still accept
-    // the file and answer exactly like the built index.
-    let g = gnarly_graph();
-    let n = g.num_vertices() as Vertex;
-    let built = Hc2lIndex::build(&g, Hc2lConfig::default());
-    let labels = built.labels();
-    let bound_count: usize = (0..labels.num_vertices() as Vertex)
-        .flat_map(|v| (0..labels.num_levels(v)).map(move |l| (v, l)))
-        .map(|(v, l)| bounds_len(labels.level_array(v, l).len()))
-        .sum();
-    let (_, level_offsets, _) = labels.parts();
-    let mut current = ContainerWriter::new(Hc2lIndex::METHOD_TAG);
-    built.write_sections(&mut current);
+/// `index`'s container with its bound sections, if any, replaced by two
+/// all-zero legacy ones: `bounds` `u64` bounds under `tags[0]`, `offsets`
+/// `u32` offsets under `tags[1]`.
+fn with_legacy_bounds<I: PersistentIndex>(
+    index: &I,
+    tags: [u32; 2],
+    bounds: usize,
+    offsets: usize,
+) -> ContainerWriter {
+    let mut current = ContainerWriter::new(I::METHOD_TAG);
+    index.write_sections(&mut current);
     let current = Container::from_bytes(&current.finish()).unwrap();
-    let mut w = ContainerWriter::new(Hc2lIndex::METHOD_TAG);
+    let mut w = ContainerWriter::new(I::METHOD_TAG);
     for spec in current
         .specs()
         .iter()
-        .filter(|spec| spec.tag != 10 && spec.tag != 11)
+        .filter(|spec| !tags.contains(&spec.tag))
     {
         w.push_section(spec.tag, current.section(spec.tag).unwrap().to_vec());
     }
-    w.push_pods(10, &vec![0u64; bound_count]);
-    w.push_pods(11, &vec![0u32; level_offsets.len()]);
-    let path = scratch("legacy-hc2l-bounds.hc2l");
-    w.write_to(&path).expect("save");
-
-    let c = Container::open(&path).expect("open container");
-    assert!(c.has_section(10) && c.has_section(11));
-    let owned = Hc2lIndex::read_sections(&c).expect("legacy HC2L container reads");
-    let view = hc2l::FrozenHc2lRef::from_container(&c).expect("legacy HC2L view opens");
-    let loaded = Oracle::load(&path).expect("legacy HC2L file loads");
-    let shared = SharedOracle::open(&path).expect("legacy HC2L file opens shared");
-    for s in 0..n {
-        for t in 0..n {
-            let want = built.query(s, t);
-            assert_eq!(owned.query(s, t), want, "read_sections ({s},{t})");
-            assert_eq!(view.query(s, t), want, "from_container ({s},{t})");
-            assert_eq!(loaded.distance(s, t), want, "Oracle::load ({s},{t})");
-            assert_eq!(shared.distance(s, t), want, "SharedOracle::open ({s},{t})");
-        }
-    }
-    std::fs::remove_file(&path).ok();
-
-    // A fresh save writes neither section.
-    let fresh = scratch("fresh-hc2l.hc2l");
-    OracleBuilder::new(Method::Hc2l)
-        .build(&g)
-        .save(&fresh)
-        .expect("save");
-    let c = Container::open(&fresh).expect("open container");
-    assert!(!c.has_section(10) && !c.has_section(11));
-    std::fs::remove_file(&fresh).ok();
+    w.push_pods(tags[0], &vec![0u64; bounds]);
+    w.push_pods(tags[1], &vec![0u32; offsets]);
+    w
 }
 
 #[test]
-fn pre_bounds_containers_load_with_identical_answers() {
-    // Format-v1 files predate the cut-bound sections (SIMD/pruning PR).
-    // Simulate one per bound-carrying backend by stripping the bounds
-    // sections from a fresh container: the owned load path rebuilds the
-    // bounds, the zero-copy view serves with pruning off — answers must be
-    // identical either way.
+fn legacy_bound_sections_are_ignored() {
+    // Files written before HC2L, HL and PHL dropped their cut bounds carry
+    // two more sections per backend: per-block minima of the label
+    // distances (one per 16 entries) and their offset table. Readers
+    // ignore both. Fill them with bounds that would mis-prune every query
+    // (all zeros): every load path must still accept the file and answer
+    // exactly like the built index, and a fresh save writes neither.
     let g = gnarly_graph();
     let n = g.num_vertices() as Vertex;
-
-    let strip = |w: &ContainerWriter, drop: &[u32]| -> Vec<u8> {
-        let bytes = w.finish();
-        let full = Container::from_bytes(&bytes).unwrap();
-        let mut out = ContainerWriter::new(full.method_tag());
-        for spec in full.specs() {
-            if !drop.contains(&spec.tag) {
-                out.push_section(spec.tag, full.section(spec.tag).unwrap().to_vec());
-            }
-        }
-        out.finish()
+    let all_pairs = |query: &dyn Fn(Vertex, Vertex) -> Distance| -> Vec<Distance> {
+        (0..n)
+            .flat_map(|s| (0..n).map(move |t| query(s, t)))
+            .collect()
     };
 
-    // HL: suffix bounds live in sections 5/6.
+    let hc2l = Hc2lIndex::build(&g, Hc2lConfig::default());
+    let labels = hc2l.labels();
+    let hc2l_bounds: usize = (0..labels.num_vertices() as Vertex)
+        .flat_map(|v| (0..labels.num_levels(v)).map(move |l| (v, l)))
+        .map(|(v, l)| labels.level_array(v, l).len().div_ceil(16))
+        .sum();
     let hl = hc2l_hl::HubLabelIndex::build(&g);
-    let mut w = ContainerWriter::new(hc2l_hl::HubLabelIndex::METHOD_TAG);
-    hl.write_sections(&mut w);
-    let stripped = strip(&w, &[5, 6]);
-    let c = Container::from_bytes(&stripped).unwrap();
-    let owned = hc2l_hl::HubLabelIndex::read_sections(&c).expect("pre-bounds HL container loads");
-    let view = hc2l_hl::FrozenHubLabelsRef::from_container(&c).unwrap();
-    for s in 0..n {
-        for t in 0..n {
-            assert_eq!(owned.query(s, t), hl.query(s, t), "HL owned ({s},{t})");
-            assert_eq!(view.query(s, t), hl.query(s, t), "HL view ({s},{t})");
-        }
-    }
-
-    // PHL: suffix bounds live in sections 3/4.
+    let hl_bounds: usize = (0..n).map(|v| hl.label_len(v).div_ceil(16)).sum();
     let phl = hc2l_phl::PhlIndex::build(&g);
-    let mut w = ContainerWriter::new(hc2l_phl::PhlIndex::METHOD_TAG);
-    phl.write_sections(&mut w);
-    let stripped = strip(&w, &[3, 4]);
-    let c = Container::from_bytes(&stripped).unwrap();
-    let owned = hc2l_phl::PhlIndex::read_sections(&c).expect("pre-bounds PHL container loads");
-    let view = hc2l_phl::FrozenPhlLabelsRef::from_container(&c).unwrap();
-    for s in 0..n {
-        for t in 0..n {
-            assert_eq!(owned.query(s, t), phl.query(s, t), "PHL owned ({s},{t})");
-            assert_eq!(view.query(s, t), phl.query(s, t), "PHL view ({s},{t})");
-        }
-    }
-}
+    let phl_bounds: usize = (0..n).map(|v| phl.label_len(v).div_ceil(16)).sum();
+    let rows = n as usize + 1;
+    let cases = [
+        (
+            Method::Hc2l,
+            [10, 11],
+            with_legacy_bounds(&hc2l, [10, 11], hc2l_bounds, labels.parts().1.len()),
+        ),
+        (
+            Method::Hl,
+            [5, 6],
+            with_legacy_bounds(&hl, [5, 6], hl_bounds, rows),
+        ),
+        (
+            Method::Phl,
+            [3, 4],
+            with_legacy_bounds(&phl, [3, 4], phl_bounds, rows),
+        ),
+    ];
 
-#[test]
-fn tampered_bound_sections_are_rejected_typed() {
-    // A bound section whose values disagree with the label arena could
-    // silently mis-prune; the load path must recompute-validate and fail
-    // typed instead.
-    let g = grid_graph(4, 4);
-    let hl = hc2l_hl::HubLabelIndex::build(&g);
-    let mut w = ContainerWriter::new(hc2l_hl::HubLabelIndex::METHOD_TAG);
-    hl.write_sections(&mut w);
-    let bytes = w.finish();
-    let full = Container::from_bytes(&bytes).unwrap();
-    let mut out = ContainerWriter::new(full.method_tag());
-    for spec in full.specs() {
-        let mut payload = full.section(spec.tag).unwrap().to_vec();
-        if spec.tag == 5 {
-            // Lower one bound: every value it admits is still explored, so
-            // only the validator can notice.
-            payload[0] ^= 0x01;
-        }
-        out.push_section(spec.tag, payload);
+    for (method, tags, legacy) in cases {
+        let path = scratch(&format!("legacy-bounds-{}.hc2l", method.name()));
+        legacy.write_to(&path).expect("save");
+        let c = Container::open(&path).expect("open container");
+        assert!(tags.iter().all(|&tag| c.has_section(tag)), "{method}");
+        let (want, owned, view) = match method {
+            Method::Hc2l => {
+                let owned = Hc2lIndex::read_sections(&c).expect("legacy HC2L reads");
+                let view = hc2l::FrozenHc2lRef::from_container(&c).expect("legacy HC2L view");
+                (
+                    all_pairs(&|s, t| hc2l.query(s, t)),
+                    all_pairs(&|s, t| owned.query(s, t)),
+                    all_pairs(&|s, t| view.query(s, t)),
+                )
+            }
+            Method::Hl => {
+                let owned = hc2l_hl::HubLabelIndex::read_sections(&c).expect("legacy HL reads");
+                let view = hc2l_hl::FrozenHubLabelsRef::from_container(&c).expect("legacy HL view");
+                (
+                    all_pairs(&|s, t| hl.query(s, t)),
+                    all_pairs(&|s, t| owned.query(s, t)),
+                    all_pairs(&|s, t| view.query(s, t)),
+                )
+            }
+            Method::Phl => {
+                let owned = hc2l_phl::PhlIndex::read_sections(&c).expect("legacy PHL reads");
+                let view =
+                    hc2l_phl::FrozenPhlLabelsRef::from_container(&c).expect("legacy PHL view");
+                (
+                    all_pairs(&|s, t| phl.query(s, t)),
+                    all_pairs(&|s, t| owned.query(s, t)),
+                    all_pairs(&|s, t| view.query(s, t)),
+                )
+            }
+            _ => unreachable!("no other backend wrote bound sections"),
+        };
+        let loaded = Oracle::load(&path).expect("legacy file loads");
+        let shared = SharedOracle::open(&path).expect("legacy file opens shared");
+        assert_eq!(owned, want, "{method} read_sections");
+        assert_eq!(view, want, "{method} from_container");
+        assert_eq!(
+            all_pairs(&|s, t| loaded.distance(s, t)),
+            want,
+            "{method} Oracle::load"
+        );
+        assert_eq!(
+            all_pairs(&|s, t| shared.distance(s, t)),
+            want,
+            "{method} SharedOracle::open"
+        );
+        std::fs::remove_file(&path).ok();
+
+        let fresh = scratch(&format!("fresh-{}.hc2l", method.name()));
+        OracleBuilder::new(method)
+            .build(&g)
+            .save(&fresh)
+            .expect("save");
+        let c = Container::open(&fresh).expect("open container");
+        assert!(!tags.iter().any(|&tag| c.has_section(tag)), "{method}");
+        std::fs::remove_file(&fresh).ok();
     }
-    let c = Container::from_bytes(&out.finish()).unwrap();
-    assert!(matches!(
-        hc2l_hl::HubLabelIndex::read_sections(&c),
-        Err(DecodeError::Malformed(_))
-    ));
-    assert!(matches!(
-        hc2l_hl::FrozenHubLabelsRef::from_container(&c),
-        Err(DecodeError::Malformed(_))
-    ));
 }
 
 #[test]
