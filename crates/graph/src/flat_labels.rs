@@ -942,6 +942,37 @@ mod tests {
     }
 
     #[test]
+    fn entry_labels_hold_only_the_three_label_arrays() {
+        // A label long enough to span several 16-entry blocks: the frozen
+        // arena is its hub column, distance column and offset table and
+        // nothing derived, on every path that produces one.
+        let rows: Vec<Vec<(Vertex, Distance)>> = vec![
+            (0..40u32).map(|h| (h * 2, 500 - h as u64)).collect(),
+            vec![],
+            vec![(1, INFINITY), (5, 3)],
+        ];
+        let flat = FlatEntryLabels::freeze_pairs(&rows);
+        let bytes_of_arrays = 42 * 4 + 42 * 8 + 4 * 4;
+        assert_eq!(flat.memory_bytes(), bytes_of_arrays);
+        let (h, d, o) = flat.parts();
+        assert_eq!((h.len(), d.len(), o.len()), (42, 42, 4));
+
+        // The byte codec carries exactly those arrays, each with its
+        // 8-byte length prefix.
+        let bytes = flat.to_bytes();
+        assert_eq!(bytes.len(), 3 * 8 + bytes_of_arrays);
+        let (back, _) = FlatEntryLabels::from_bytes(&bytes).unwrap();
+        assert_eq!(back.memory_bytes(), bytes_of_arrays);
+        assert_eq!(back.parts(), flat.parts());
+
+        let view: FlatEntryLabelsRef<'_> = FlatEntryLabels::from_parts(h, d, o).unwrap();
+        assert_eq!(view, flat);
+        assert_eq!(view.memory_bytes(), bytes_of_arrays);
+        assert_eq!(view.dists(0), flat.dists(0));
+        assert_eq!(view.hubs(2), &[1, 5]);
+    }
+
+    #[test]
     fn packed_pair_codec_round_trips() {
         let pairs: Vec<(u32, u64)> = vec![(1, 2), (u32::MAX, u64::MAX), (0, 0)];
         let mut bytes = Vec::new();

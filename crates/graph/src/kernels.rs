@@ -682,6 +682,35 @@ mod tests {
     }
 
     #[test]
+    fn all_kernels_agree_on_merge_bitwise() {
+        // The merge has no per-kernel code: forcing any kernel (what
+        // `HC2L_KERNEL` does at start-up) must leave every answer unchanged.
+        let mut rng = Rng(0xC0FFEE);
+        let cases: Vec<_> = [(0usize, 5usize), (9, 0), (16, 16), (33, 70), (150, 97)]
+            .into_iter()
+            .map(|(len_a, len_b)| {
+                let (ha, da) = random_label(&mut rng, len_a);
+                let (hb, db) = random_label(&mut rng, len_b);
+                let expected = naive_merge(&ha, &da, &hb, &db);
+                (ha, da, hb, db, expected)
+            })
+            .collect();
+        for k in available_kernels() {
+            assert_eq!(force_kernel(k), k);
+            for (ha, da, hb, db, expected) in &cases {
+                assert_eq!(
+                    min_plus_merge(ha, da, hb, db),
+                    *expected,
+                    "kernel {k} lens {}/{}",
+                    ha.len(),
+                    hb.len()
+                );
+            }
+        }
+        restore_kernel();
+    }
+
+    #[test]
     fn all_kernels_agree_on_gather_bitwise() {
         let mut rng = Rng(0xA11CE);
         // Bags both below and above `GATHER_SIMD_MIN`, so the dispatched

@@ -492,4 +492,50 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn container_holds_only_the_label_and_order_sections() {
+        let g = paper_figure1();
+        let index = HubLabelIndex::build(&g);
+        let mut w = ContainerWriter::new(HubLabelIndex::METHOD_TAG);
+        index.write_sections(&mut w);
+        let c = Container::from_bytes(&w.finish()).unwrap();
+        let tags: Vec<u32> = c.specs().iter().map(|spec| spec.tag).collect();
+        assert_eq!(
+            tags,
+            [sec::META, sec::HUBS, sec::DISTS, sec::OFFSETS, sec::ORDER]
+        );
+        let entries = index.stats().total_entries as u64;
+        let len_of = |tag| c.specs().iter().find(|s| s.tag == tag).unwrap().len;
+        assert_eq!(len_of(sec::HUBS), entries * 4);
+        assert_eq!(len_of(sec::DISTS), entries * 8);
+        assert_eq!(len_of(sec::OFFSETS), 17 * 4);
+        assert_eq!(index.stats().memory_bytes as u64, entries * 12 + 17 * 4);
+    }
+
+    #[test]
+    fn legacy_bound_sections_are_ignored_whatever_they_hold() {
+        // Tags 5 and 6 held suffix cut bounds in older files. Readers never
+        // look at them, so neither values nor lengths that fit no bound
+        // table (an odd byte count, an empty payload) can fail a load.
+        let g = paper_figure1();
+        let index = HubLabelIndex::build(&g);
+        for (bounds, offsets) in [(vec![0u8; 3], vec![]), (vec![0xFF; 64], vec![7u8; 5])] {
+            let mut w = ContainerWriter::new(HubLabelIndex::METHOD_TAG);
+            index.write_sections(&mut w);
+            w.push_section(5, bounds);
+            w.push_section(6, offsets);
+            let c = Container::from_bytes(&w.finish()).unwrap();
+            assert!(c.has_section(5) && c.has_section(6));
+            let back = HubLabelIndex::read_sections(&c).expect("legacy tags are ignored");
+            let view = FrozenHubLabels::from_container(&c).expect("legacy tags are ignored");
+            assert_eq!(back.labels(), index.labels());
+            for s in 0..16u32 {
+                for t in 0..16u32 {
+                    assert_eq!(back.query(s, t), index.query(s, t));
+                    assert_eq!(view.query(s, t), index.query(s, t));
+                }
+            }
+        }
+    }
 }

@@ -85,9 +85,10 @@ impl HubLabelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc2l_graph::container::{Container, ContainerWriter};
     use hc2l_graph::dijkstra;
     use hc2l_graph::toy::{grid_graph, paper_figure1};
-    use hc2l_graph::{GraphBuilder, INFINITY};
+    use hc2l_graph::{GraphBuilder, PersistentIndex, INFINITY};
 
     fn assert_all_pairs(g: &hc2l_graph::Graph) {
         let index = HubLabelIndex::build(g);
@@ -151,6 +152,26 @@ mod tests {
             for (t, &d) in targets.iter().zip(batch.iter()) {
                 assert_eq!(d, index.query(s, *t));
             }
+        }
+    }
+
+    #[test]
+    fn borrowed_view_one_to_many_matches_the_built_index() {
+        // The batched merge-join runs on a zero-copy view of a saved index
+        // exactly as on the owned one, repeated and self targets included.
+        let g = grid_graph(4, 5);
+        let index = HubLabelIndex::build(&g);
+        let mut w = ContainerWriter::new(HubLabelIndex::METHOD_TAG);
+        index.write_sections(&mut w);
+        let c = Container::from_bytes(&w.finish()).unwrap();
+        let view = FrozenHubLabels::from_container(&c).unwrap();
+        let targets: Vec<Vertex> = (0..20).chain([7, 7, 0, 19]).collect();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for s in 0..20u32 {
+            index.one_to_many_into(s, &targets, &mut want);
+            view.one_to_many_into(s, &targets, &mut got);
+            assert_eq!(got, want, "source {s}");
+            assert_eq!(got[s as usize], 0);
         }
     }
 }

@@ -639,4 +639,49 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn container_holds_only_the_label_sections() {
+        let g = paper_figure1();
+        let index = PhlIndex::build(&g);
+        let mut w = ContainerWriter::new(PhlIndex::METHOD_TAG);
+        index.write_sections(&mut w);
+        let c = Container::from_bytes(&w.finish()).unwrap();
+        let tags: Vec<u32> = c.specs().iter().map(|spec| spec.tag).collect();
+        assert_eq!(tags, [sec::META, sec::ENTRIES, sec::OFFSETS]);
+        let entries = index.stats().total_entries as u64;
+        let len_of = |tag| c.specs().iter().find(|s| s.tag == tag).unwrap().len;
+        assert_eq!(len_of(sec::ENTRIES), entries * PhlEntry::WIDTH as u64);
+        assert_eq!(len_of(sec::OFFSETS), 17 * 4);
+        assert_eq!(
+            index.stats().memory_bytes as u64,
+            entries * PhlEntry::WIDTH as u64 + 17 * 4
+        );
+    }
+
+    #[test]
+    fn legacy_bound_sections_are_ignored_whatever_they_hold() {
+        // Tags 3 and 4 held suffix cut bounds in older files. Readers never
+        // look at them, so neither values nor lengths that fit no bound
+        // table (an odd byte count, an empty payload) can fail a load.
+        let g = paper_figure1();
+        let index = PhlIndex::build(&g);
+        for (bounds, offsets) in [(vec![0u8; 3], vec![]), (vec![0xFF; 64], vec![7u8; 5])] {
+            let mut w = ContainerWriter::new(PhlIndex::METHOD_TAG);
+            index.write_sections(&mut w);
+            w.push_section(3, bounds);
+            w.push_section(4, offsets);
+            let c = Container::from_bytes(&w.finish()).unwrap();
+            assert!(c.has_section(3) && c.has_section(4));
+            let back = PhlIndex::read_sections(&c).expect("legacy tags are ignored");
+            let view = FrozenPhlLabels::from_container(&c).expect("legacy tags are ignored");
+            assert_eq!(back.labels(), index.labels());
+            for s in 0..16u32 {
+                for t in 0..16u32 {
+                    assert_eq!(back.query(s, t), index.query(s, t));
+                    assert_eq!(view.query(s, t), index.query(s, t));
+                }
+            }
+        }
+    }
 }
