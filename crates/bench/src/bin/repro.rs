@@ -22,15 +22,11 @@
 //!
 //! `--json-out` runs the seeded reference workloads (64x64 grid + synthetic
 //! city), verifies every backend against Dijkstra, and writes per-method
-//! query ns/op, build seconds, load seconds, (exact on-disk) index bytes,
-//! the serving-throughput columns — aggregate `queries_per_second` and
-//! `cache_hit_rate` from 8 workers sharing one mmap-opened index through
-//! the `hc2l-serve` layer — the `concurrent_connections` scaling
-//! column (an epoll-model server holding 512 mostly-idle connections, 64
-//! in `--smoke` mode, with every over-the-wire answer gated against
-//! Dijkstra), and the live-update columns — `update_ms_1/100/10000`
-//! (seeded mostly-increase traffic batches absorbed into each index,
-//! re-gated against Dijkstra on the re-weighted graph), the
+//! query ns/op, build seconds, load seconds, (exact on-disk) index bytes
+//! (each saved container is also mmap-opened and gated to answer exactly
+//! like the loaded index), and the live-update columns —
+//! `update_ms_1/100/10000` (seeded mostly-increase traffic batches absorbed
+//! into each index, re-gated against Dijkstra on the re-weighted graph), the
 //! `update_strategy` that absorbed them and the `rebuild_ms` baseline they
 //! race — as JSON; it exits non-zero on any divergence, which is what
 //! the CI smoke-bench steps rely on. Each row records the active min-plus

@@ -21,22 +21,10 @@
 //! aborts the process with a non-zero exit code — CI runs it on a small grid
 //! for exactly this reason.
 //!
-//! Since the serving PR each row also carries **`queries_per_second`** and
-//! **`cache_hit_rate`**: the saved container is re-opened through the mmap
-//! path (`SharedOracle::open`, verified against the decoded index on the
-//! whole pair set) and driven by [`SERVE_THREADS`] concurrent workers
-//! through the `hc2l-serve` result cache — the aggregate serving-throughput
-//! number a deployment of that method would sustain on a repeating
-//! workload (`BENCH_PR4.json` is the first committed point with these
-//! columns).
-//!
-//! Since the event-driven-serving PR each row additionally carries
-//! **`concurrent_connections`**: an epoll-model server is booted on the
-//! same shared state and holds that many TCP connections (mostly idle,
-//! [`SERVE_THREADS`] actively replaying the pair set) while every
-//! over-the-wire answer is gated against Dijkstra — a mismatch aborts the
-//! bench (`BENCH_PR5.json` is the first committed point with this column;
-//! [`SCALING_CONNECTIONS`] = 512 on the standard workloads).
+//! Serving numbers (throughput, latency, cache hit rate, connections) are
+//! not here: `sysbench` measures the serving system, and this runner only
+//! mmap-opens each saved container (`SharedOracle::open`) to gate that it
+//! answers the whole pair set exactly like the loaded index.
 //!
 //! Since the dynamic-updates PR each row also carries **`update_ms_1`**,
 //! **`update_ms_100`** and **`update_ms_10000`** — wall-clock milliseconds
@@ -74,10 +62,6 @@ use std::time::Instant;
 use hc2l_graph::{dijkstra, Distance, Graph, Vertex};
 use hc2l_roadnet::{random_pairs, QueryPair, RoadNetworkConfig, WeightMode};
 
-use std::sync::Arc;
-
-use hc2l_serve::{measure_throughput, ServeState};
-
 use crate::measure::{measure_build, measure_one_to_many};
 use crate::oracle::{DistanceOracle, Method, Oracle};
 
@@ -91,10 +75,6 @@ pub struct JsonWorkload {
     pub pairs: Vec<QueryPair>,
     /// How many timed repetitions of the pair set to run.
     pub reps: usize,
-    /// Concurrent TCP connections (mostly idle, [`SERVE_THREADS`] active)
-    /// the connection-scaling gate holds against an epoll-model server
-    /// while verifying exactness — the `concurrent_connections` column.
-    pub connections: usize,
 }
 
 /// How the JSON bench exercises index persistence.
@@ -144,21 +124,17 @@ pub fn standard_workloads(queries: usize) -> Vec<JsonWorkload> {
             name: "grid-64x64".to_string(),
             graph: grid,
             reps: 25,
-            connections: SCALING_CONNECTIONS,
         },
         JsonWorkload {
             pairs: random_pairs(city.num_vertices(), queries, 0xBEEF),
             name: "city-48x48".to_string(),
             graph: city,
             reps: 25,
-            connections: SCALING_CONNECTIONS,
         },
     ]
 }
 
-/// A small, fast workload set for CI smoke runs. The connection-scaling
-/// gate runs at 64 connections here: CI runners commonly cap open fds at
-/// 1024, and the client side of the gate lives in the same process.
+/// A small, fast workload set for CI smoke runs.
 pub fn smoke_workloads(queries: usize) -> Vec<JsonWorkload> {
     let grid = seeded_grid(16, 16, 0xA11CE);
     vec![JsonWorkload {
@@ -166,7 +142,6 @@ pub fn smoke_workloads(queries: usize) -> Vec<JsonWorkload> {
         name: "grid-16x16".to_string(),
         graph: grid,
         reps: 10,
-        connections: 64,
     }]
 }
 
@@ -209,19 +184,6 @@ pub struct JsonRow {
     pub build_phases: Vec<(&'static str, u64)>,
     /// Mean amortised one-to-many latency per target in nanoseconds.
     pub one_to_many_ns_per_target: f64,
-    /// Aggregate serving throughput: exact point-to-point queries per
-    /// second sustained by [`SERVE_THREADS`] workers sharing one
-    /// mmap-opened index behind the serve layer's result cache.
-    pub queries_per_second: f64,
-    /// Result-cache hit rate over the throughput run (the workload replays
-    /// the same pair set [`SERVE_REPS`] times, so steady-state serving of a
-    /// repeating workload is what this measures).
-    pub cache_hit_rate: f64,
-    /// Concurrent TCP connections the epoll-model server held — mostly
-    /// idle, [`SERVE_THREADS`] actively replaying — while every answer was
-    /// verified exact over the wire. The connection-*scaling* claim of the
-    /// serving layer, next to the raw-throughput claim above.
-    pub concurrent_connections: usize,
     /// Total index footprint in bytes (the exact container-file size).
     pub index_bytes: usize,
     /// Number of distinct point-to-point queries timed per repetition.
@@ -241,27 +203,6 @@ pub struct JsonRow {
     /// baseline the incremental update paths must beat on small batches.
     pub rebuild_ms: f64,
 }
-
-/// Worker threads of the throughput measurement — fixed (not
-/// host-dependent) so `queries_per_second` is comparable across runs, and
-/// matching the "≥ 8 concurrent clients" bar the serve suite tests.
-pub const SERVE_THREADS: usize = 8;
-
-/// Times each worker replays the pair set during the throughput run (high
-/// enough that the timed section dwarfs thread start-up and scheduling
-/// noise).
-pub const SERVE_REPS: usize = 25;
-
-/// Result-cache capacity used for the throughput run.
-pub const SERVE_CACHE: usize = 1 << 16;
-
-/// Connection count of the scaling gate on the standard workloads — the
-/// "≥ 512 concurrent connections, bit-identical answers" serving bar.
-pub const SCALING_CONNECTIONS: usize = 512;
-
-/// Times each active client replays the pair set during the scaling gate
-/// (over real sockets, so far fewer reps than the in-process run).
-pub const SCALING_REPS: usize = 2;
 
 /// Runs every method on every workload, verifying exactness against Dijkstra
 /// and exercising the save/load round trip per [`IndexPersistence`].
@@ -349,8 +290,8 @@ fn run_persisted(
                         }
                     }
                     let file_len = std::fs::metadata(&path)
-                        .map(|m| m.len() as usize)
-                        .unwrap_or(0);
+                        .map_err(|e| format!("cannot stat {}: {e}", path.display()))?
+                        .len() as usize;
                     if file_len != loaded.index_bytes() {
                         return Err(format!(
                             "{} on {}: index_bytes reports {} but {} is {} bytes",
@@ -442,10 +383,9 @@ fn run_persisted(
             let sources: Vec<Vertex> = w.pairs.iter().take(16).map(|p| p.source).collect();
             let otm_ns = measure_one_to_many(&oracle, &sources, &targets, w.reps);
 
-            // Serving throughput: mmap-open the saved container (zero-copy
-            // views, the daemon's load path), verify it agrees with the
-            // decoded index on the whole pair set, then drive it with
-            // SERVE_THREADS workers through the serve layer's cache.
+            // Mmap-open agreement gate: the daemon's load path (zero-copy
+            // views of the saved container) must answer the whole pair set
+            // exactly like the decoded index.
             let shared = hc2l_oracle::SharedOracle::open(&path)
                 .map_err(|e| format!("mmap-opening {} failed: {e}", path.display()))?;
             for p in &w.pairs {
@@ -459,84 +399,6 @@ fn run_persisted(
                         oracle.name(), w.name, p.source, p.target,
                     ));
                 }
-            }
-            let state = Arc::new(ServeState::new(shared, SERVE_THREADS, SERVE_CACHE));
-            // Two passes, best kept — the same scheduler-noise filter the
-            // point timings use (a single pass on a small 1-core host can
-            // lose double-digit percent to an ill-timed preemption).
-            let a = measure_throughput(&state, &w.pairs, SERVE_THREADS, SERVE_REPS);
-            let b = measure_throughput(&state, &w.pairs, SERVE_THREADS, SERVE_REPS);
-            let report = if a.queries_per_second >= b.queries_per_second {
-                a
-            } else {
-                b
-            };
-
-            // Connection-scaling gate: an epoll-model server holds
-            // `w.connections` concurrent connections — SERVE_THREADS of
-            // them replaying, the rest idle — and every over-the-wire
-            // answer must match the loaded index bit for bit. Off Linux the
-            // model degrades to blocking thread-per-connection, whose
-            // worker cap admits backlogged connections one 5s grace period
-            // at a time — a 512-connection storm would take tens of
-            // minutes there — so the count is clamped to what that model
-            // actually serves well; the recorded column reflects the
-            // clamped value.
-            let connections =
-                if hc2l_serve::ServeModel::platform_default() == hc2l_serve::ServeModel::Epoll {
-                    w.connections
-                } else {
-                    w.connections.min(32)
-                };
-            let expected: Vec<Distance> = w
-                .pairs
-                .iter()
-                .map(|p| reference[&p.source][p.target as usize])
-                .collect();
-            let server = hc2l_serve::serve_with_model(
-                Arc::clone(&state),
-                ("127.0.0.1", 0),
-                hc2l_serve::ServeModel::platform_default(),
-            )
-            .map_err(|e| {
-                format!(
-                    "{} on {}: cannot bind the scaling server: {e}",
-                    oracle.name(),
-                    w.name
-                )
-            })?;
-            let scaling = hc2l_serve::measure_connection_scaling(
-                server.addr(),
-                &w.pairs,
-                &expected,
-                connections,
-                SERVE_THREADS,
-                SCALING_REPS,
-            )
-            .map_err(|e| {
-                format!(
-                    "{} on {}: scaling run at {connections} connections failed: {e}",
-                    oracle.name(),
-                    w.name,
-                )
-            })?;
-            server.shutdown().map_err(|e| {
-                format!(
-                    "{} on {}: scaling server drain failed: {e}",
-                    oracle.name(),
-                    w.name
-                )
-            })?;
-            if scaling.mismatches > 0 {
-                return Err(format!(
-                    "{} on {}: {} of {} answers served over {} concurrent connections \
-                     disagreed with Dijkstra",
-                    oracle.name(),
-                    w.name,
-                    scaling.mismatches,
-                    scaling.queries,
-                    scaling.connections
-                ));
             }
 
             // Live-update timings: seeded traffic batches (mostly weight
@@ -605,9 +467,6 @@ fn run_persisted(
                 query_p99_ns: tail.p99(),
                 build_phases,
                 one_to_many_ns_per_target: otm_ns,
-                queries_per_second: report.queries_per_second,
-                cache_hit_rate: report.cache_hit_rate,
-                concurrent_connections: scaling.connections,
                 index_bytes: oracle.index_bytes(),
                 num_queries: w.pairs.len(),
                 update_ms_1: update_ms[0],
@@ -647,9 +506,6 @@ pub fn render_json(rows: &[JsonRow]) -> String {
                 "\"query_ns_per_op\": {:.1}, ",
                 "\"query_p50_ns\": {}, \"query_p99_ns\": {}, ",
                 "\"one_to_many_ns_per_target\": {:.1}, ",
-                "\"queries_per_second\": {:.0}, ",
-                "\"cache_hit_rate\": {:.4}, ",
-                "\"concurrent_connections\": {}, ",
                 "\"index_bytes\": {}, \"num_queries\": {}, ",
                 "\"update_ms_1\": {:.3}, \"update_ms_100\": {:.3}, ",
                 "\"update_ms_10000\": {:.3}, \"update_strategy\": \"{}\", ",
@@ -667,9 +523,6 @@ pub fn render_json(rows: &[JsonRow]) -> String {
             r.query_p50_ns,
             r.query_p99_ns,
             r.one_to_many_ns_per_target,
-            r.queries_per_second,
-            r.cache_hit_rate,
-            r.concurrent_connections,
             r.index_bytes,
             r.num_queries,
             r.update_ms_1,
@@ -796,24 +649,6 @@ mod tests {
         for r in &rows {
             assert!(r.load_seconds > 0.0, "{} missing load time", r.method);
             assert!(r.index_bytes > 0);
-            assert!(
-                r.queries_per_second > 0.0,
-                "{} missing serving throughput",
-                r.method
-            );
-            assert_eq!(
-                r.concurrent_connections, 64,
-                "{} scaling gate did not run at the smoke count",
-                r.method
-            );
-            // Each serve worker replays the pair set SERVE_REPS times, so
-            // the steady state is dominated by hits.
-            assert!(
-                r.cache_hit_rate > 0.5,
-                "{} cache hit rate {}",
-                r.method,
-                r.cache_hit_rate
-            );
             assert!(r.update_ms_1 > 0.0, "{} missing update timing", r.method);
             assert!(r.rebuild_ms > 0.0, "{} missing rebuild timing", r.method);
             // Tail columns come from a real histogram pass: ordered and
@@ -861,9 +696,11 @@ mod tests {
         assert!(json.contains("\"cut_partition\":"));
         assert!(json.contains("\"labelling\":"));
         assert!(json.contains("\"load_seconds\""));
-        assert!(json.contains("\"queries_per_second\""));
-        assert!(json.contains("\"cache_hit_rate\""));
-        assert!(json.contains("\"concurrent_connections\": 64"));
+        // The serving columns (throughput, cache hit rate and the
+        // connection count) are sysbench's; no key names a connection.
+        for key in ["queries_per_second", "cache_hit_rate", "connections"] {
+            assert!(!json.contains(key), "{key} is a serving column");
+        }
         assert!(json.contains("\"update_ms_1\""));
         assert!(json.contains("\"update_ms_100\""));
         assert!(json.contains("\"update_ms_10000\""));
@@ -967,9 +804,6 @@ mod tests {
             query_p99_ns: 0,
             build_phases: Vec::new(),
             one_to_many_ns_per_target: 0.0,
-            queries_per_second: 0.0,
-            cache_hit_rate: 0.0,
-            concurrent_connections: 0,
             index_bytes: 0,
             num_queries: 0,
             update_ms_1: 0.0,

@@ -6,9 +6,8 @@
 //!            [--idle-timeout SECS] [--stall-timeout SECS]
 //!            [--drain-secs SECS] [--max-inflight N] [--metrics-every SECS]
 //! hc2l-serve --grid ROWSxCOLS [--grid-seed S] [--method hc2l|ch|...] [...]
-//! hc2l-serve --index paris.hc2l --bench [--threads N] [--cache N]
-//!            [--bench-queries N] [--bench-reps N] [--seed S]
-//!            [--bench-scaling 8,64,512]
+//! hc2l-serve --index paris.hc2l --bench-scaling 8,64,512 [--threads N]
+//!            [--cache N] [--model epoll|threads]
 //! ```
 //!
 //! Loads one saved index container (memory-mapped; `--buffered` forces the
@@ -45,14 +44,14 @@
 //! (0, the default, disables the dump). `HC2L_LOG=info|debug` raises the
 //! stderr log level (default `warn`).
 //!
-//! `--bench` skips the socket layer entirely: it self-drives the shared
-//! oracle with `--threads` in-process workers over a seeded random pair
-//! workload and prints aggregate queries/second — the serving-throughput
-//! number for the loaded index. `--bench-scaling COUNTS` additionally
-//! boots a real server on an ephemeral port and sweeps the comma-separated
-//! connection counts (mostly idle connections, 8 active replayers whose
-//! answers are gated against the index), printing one over-the-wire
-//! throughput line per count and exiting non-zero on any mismatch.
+//! `--bench-scaling COUNTS` is the over-the-wire exactness sweep instead
+//! of a daemon: it boots a server on an ephemeral port and, for each
+//! comma-separated connection count (each at least 1), holds that many
+//! connections — 8 active replayers, the rest idle — while the actives
+//! replay 2000 seeded random pairs twice with every answer gated against
+//! the index itself. It prints one `connections ... mismatches N` line per
+//! count and exits 1 on any mismatch. Serving throughput is measured by
+//! `sysbench`, not here.
 
 use std::process::exit;
 use std::sync::Arc;
@@ -60,9 +59,12 @@ use std::sync::Arc;
 use hc2l_oracle::OracleBuilder;
 use hc2l_roadnet::random_pairs;
 use hc2l_serve::{
-    measure_connection_scaling, measure_throughput, serve_with_model, ServeConfig, ServeModel,
-    ServeState,
+    measure_connection_scaling, serve_with_model, ServeConfig, ServeModel, ServeState,
 };
+
+/// Pairs the `--bench-scaling` sweep replays, and the seed that draws them.
+const SCALING_PAIRS: usize = 2000;
+const SCALING_SEED: u64 = 0xBEEF;
 
 struct Args {
     index: String,
@@ -75,11 +77,7 @@ struct Args {
     model: ServeModel,
     addr_file: Option<String>,
     buffered: bool,
-    bench: bool,
-    bench_queries: usize,
-    bench_reps: usize,
     bench_scaling: Option<Vec<usize>>,
-    seed: u64,
     idle_timeout_secs: u64,
     stall_timeout_secs: u64,
     drain_secs: u64,
@@ -120,11 +118,7 @@ fn parse_args() -> Args {
         model: ServeModel::platform_default(),
         addr_file: None,
         buffered: false,
-        bench: false,
-        bench_queries: 2000,
-        bench_reps: 200,
         bench_scaling: None,
-        seed: 0xBEEF,
         idle_timeout_secs: 300,
         stall_timeout_secs: 30,
         drain_secs: 3,
@@ -180,27 +174,22 @@ fn parse_args() -> Args {
             }
             "--addr-file" => args.addr_file = Some(read_value(&mut i)),
             "--buffered" => args.buffered = true,
-            "--bench" => args.bench = true,
-            "--bench-queries" => args.bench_queries = parse!(&mut i, "--bench-queries"),
-            "--bench-reps" => args.bench_reps = parse!(&mut i, "--bench-reps"),
             "--bench-scaling" => {
                 let list = read_value(&mut i);
-                let counts: Vec<usize> = list
+                let counts = list
                     .split(',')
-                    .map(|c| {
-                        c.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("invalid --bench-scaling count {c:?}");
+                    .map(|c| match c.trim().parse::<usize>() {
+                        Ok(n) if n > 0 => n,
+                        _ => {
+                            eprintln!(
+                                "invalid --bench-scaling count {c:?}: expected a positive integer"
+                            );
                             exit(2);
-                        })
+                        }
                     })
                     .collect();
-                if counts.is_empty() {
-                    eprintln!("--bench-scaling needs at least one connection count");
-                    exit(2);
-                }
                 args.bench_scaling = Some(counts);
             }
-            "--seed" => args.seed = parse!(&mut i, "--seed"),
             "--idle-timeout" => args.idle_timeout_secs = parse!(&mut i, "--idle-timeout"),
             "--stall-timeout" => args.stall_timeout_secs = parse!(&mut i, "--stall-timeout"),
             "--drain-secs" => args.drain_secs = parse!(&mut i, "--drain-secs"),
@@ -266,58 +255,47 @@ fn main() {
         (state, n)
     };
 
-    if args.bench {
-        let pairs = random_pairs(num_vertices, args.bench_queries.max(1), args.seed);
-        let report = measure_throughput(&state, &pairs, threads, args.bench_reps.max(1));
-        println!(
-            "threads {} queries {} seconds {:.4} queries_per_second {:.0} cache_hit_rate {:.4}",
-            report.threads,
-            report.queries,
-            report.seconds,
-            report.queries_per_second,
-            report.cache_hit_rate
-        );
-        if let Some(counts) = &args.bench_scaling {
-            // Expected answers from the index itself: the sweep gates that
-            // concurrent serving over the wire is bit-identical to it.
-            let expected: Vec<u64> = pairs
-                .iter()
-                .map(|p| state.oracle().distance(p.source, p.target))
-                .collect();
-            let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), args.model)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot bind the scaling server: {e}");
-                    exit(1);
-                });
-            let mut failed = false;
-            for &count in counts {
-                match measure_connection_scaling(server.addr(), &pairs, &expected, count, 8, 2) {
-                    Ok(r) => {
-                        println!(
-                            "connections {} active {} queries {} seconds {:.4} \
-                             queries_per_second {:.0} mismatches {}",
-                            r.connections,
-                            r.active,
-                            r.queries,
-                            r.seconds,
-                            r.queries_per_second,
-                            r.mismatches
-                        );
-                        failed |= r.mismatches > 0;
-                    }
-                    Err(e) => {
-                        eprintln!("scaling run at {count} connections failed: {e}");
-                        failed = true;
-                    }
-                }
-            }
-            server.shutdown().unwrap_or_else(|e| {
-                eprintln!("scaling server shutdown failed: {e}");
+    if let Some(counts) = &args.bench_scaling {
+        let pairs = random_pairs(num_vertices, SCALING_PAIRS, SCALING_SEED);
+        // Expected answers from the index itself: the sweep gates that
+        // concurrent serving over the wire is bit-identical to it.
+        let expected: Vec<u64> = pairs
+            .iter()
+            .map(|p| state.oracle().distance(p.source, p.target))
+            .collect();
+        let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), args.model)
+            .unwrap_or_else(|e| {
+                eprintln!("cannot bind the scaling server: {e}");
                 exit(1);
             });
-            if failed {
-                exit(1);
+        let mut failed = false;
+        for &count in counts {
+            match measure_connection_scaling(server.addr(), &pairs, &expected, count, 8, 2) {
+                Ok(r) => {
+                    println!(
+                        "connections {} active {} queries {} seconds {:.4} \
+                         queries_per_second {:.0} mismatches {}",
+                        r.connections,
+                        r.active,
+                        r.queries,
+                        r.seconds,
+                        r.queries_per_second,
+                        r.mismatches
+                    );
+                    failed |= r.mismatches > 0;
+                }
+                Err(e) => {
+                    eprintln!("scaling run at {count} connections failed: {e}");
+                    failed = true;
+                }
             }
+        }
+        server.shutdown().unwrap_or_else(|e| {
+            eprintln!("scaling server shutdown failed: {e}");
+            exit(1);
+        });
+        if failed {
+            exit(1);
         }
         return;
     }

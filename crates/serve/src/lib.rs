@@ -40,13 +40,11 @@
 //!   epoll|threads`); `hc2l-query` is the matching client, able to replay
 //!   `hc2l_roadnet` workload files over `--clients N` concurrent
 //!   connections and gate exactness.
-//! * **throughput measurement** — [`measure_throughput`] drives N in-process
-//!   workers over a pair set and reports aggregate queries/second and cache
-//!   hit rate; [`measure_connection_scaling`] holds hundreds of mostly-idle
-//!   TCP connections against a running server and verifies every answer
-//!   over the wire. The daemon's `--bench`/`--bench-scaling` flags and the
-//!   JSON bench's throughput + `concurrent_connections` columns are these
-//!   numbers.
+//! * **connection scaling** — [`measure_connection_scaling`] holds
+//!   hundreds of mostly-idle TCP connections against a running server and
+//!   verifies every answer over the wire; the daemon's `--bench-scaling`
+//!   mode runs it. Serving throughput and latency are measured by
+//!   `sysbench`, not by this crate.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -66,8 +64,8 @@ pub mod metrics;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 pub(crate) mod reactor;
+pub mod scaling;
 pub mod server;
-pub mod throughput;
 
 pub use cache::{CacheStats, QueryCache};
 pub use metrics::OpLatencies;
@@ -75,10 +73,8 @@ pub use protocol::{
     read_request, read_response, write_request, write_response, FrameDecoder, Request, Response,
     ServerStats, UpdateOutcome, MAX_FRAME_BYTES, MAX_ONE_TO_MANY_TARGETS, MAX_UPDATE_BATCH,
 };
+pub use scaling::{measure_connection_scaling, ConnectionScalingReport};
 pub use server::{
     serve, serve_with_model, Generation, ServeConfig, ServeModel, ServeState, ServedOracle,
     ServerHandle, UpdateError,
-};
-pub use throughput::{
-    measure_connection_scaling, measure_throughput, ConnectionScalingReport, ThroughputReport,
 };

@@ -1,14 +1,5 @@
-//! Aggregate-throughput measurement: N worker threads hammering one shared
-//! [`ServeState`] in process, plus a connection-count scaling driver that
-//! goes through real sockets.
-//!
-//! [`measure_throughput`] is the number the serving story is judged by —
-//! how many exact point-to-point queries per second one loaded index
-//! sustains across all cores — measured *above* the cache and counters
-//! (the real serve path) but below the socket layer, so it reports
-//! index + cache + contention throughput rather than loopback-TCP
-//! throughput. The daemon's `--bench` flag and the JSON bench's
-//! `queries_per_second` column both come from here.
+//! Connection-count scaling driver: holds many TCP connections against a
+//! running server and verifies every answer over the wire.
 //!
 //! [`measure_connection_scaling`] is the connection-model stress: it holds
 //! `connections` open TCP connections against a running server — a small
@@ -16,120 +7,19 @@
 //! of a real fleet of mostly-quiet clients — and reports over-the-wire
 //! throughput plus any answer mismatches. Sweeping it over 8 → 512+
 //! connections is what separates the epoll reactor from thread-per-
-//! connection serving; the JSON bench's `concurrent_connections` column is
-//! the largest count this driver verified exactness at.
+//! connection serving; `hc2l-serve --bench-scaling` runs that sweep on a
+//! saved index. In-process serving throughput is measured by `sysbench`
+//! (its `embedded` workload), not here.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use hc2l_graph::Distance;
 use hc2l_roadnet::QueryPair;
 
 use crate::protocol::{read_response, write_request, Request, Response};
-use crate::server::ServeState;
-
-/// Result of one [`measure_throughput`] run.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputReport {
-    /// Worker threads that ran.
-    pub threads: usize,
-    /// Total point-to-point queries answered across all workers.
-    pub queries: u64,
-    /// Wall-clock seconds from the start barrier to the last worker done.
-    pub seconds: f64,
-    /// Aggregate queries per second (`queries / seconds`).
-    pub queries_per_second: f64,
-    /// Cache hit rate over the run (0.0 when the cache is disabled).
-    pub cache_hit_rate: f64,
-}
-
-/// Runs `threads` workers over the pair set, each replaying the whole set
-/// `reps` times starting at a different offset (so workers don't march in
-/// lockstep over the same keys), and reports aggregate queries/second.
-///
-/// Cache counters are read as a delta around the run, so a `ServeState`
-/// that served other traffic before can still be measured. The distance
-/// sum is accumulated and black-boxed to keep the optimiser honest.
-pub fn measure_throughput(
-    state: &Arc<ServeState>,
-    pairs: &[QueryPair],
-    threads: usize,
-    reps: usize,
-) -> ThroughputReport {
-    assert!(!pairs.is_empty(), "cannot measure an empty workload");
-    let threads = threads.max(1);
-    let reps = reps.max(1);
-
-    // One warmup pass (faults mapped pages in, fills the cache's working
-    // set) before the timed section.
-    let mut warm: u64 = 0;
-    for p in pairs.iter().take(1024) {
-        warm = warm.wrapping_add(state.distance(p.source, p.target));
-    }
-    std::hint::black_box(warm);
-    // Counter baseline *after* the warmup, so the reported hit rate covers
-    // exactly the timed run.
-    let before = state.cache().stats();
-
-    let start_barrier = Arc::new(Barrier::new(threads + 1));
-    let workers: Vec<_> = (0..threads)
-        .map(|w| {
-            let state = Arc::clone(state);
-            let pairs = pairs.to_vec();
-            let barrier = Arc::clone(&start_barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let mut sum: u64 = 0;
-                let mut done: u64 = 0;
-                // Stagger the starting offset per worker.
-                let offset = (w * pairs.len()) / threads;
-                for _ in 0..reps {
-                    for i in 0..pairs.len() {
-                        let p = pairs[(i + offset) % pairs.len()];
-                        sum = sum.wrapping_add(state.distance(p.source, p.target));
-                        done += 1;
-                    }
-                }
-                std::hint::black_box(sum);
-                done
-            })
-        })
-        .collect();
-
-    // The clock starts *before* releasing the barrier: workers cannot
-    // proceed until this thread arrives, so the start is at most the
-    // barrier-release overhead early — whereas starting the clock after
-    // `wait()` returns would under-measure badly whenever the OS parks
-    // this thread while the released workers run.
-    let start = Instant::now();
-    start_barrier.wait();
-    let mut queries = 0u64;
-    for w in workers {
-        queries += w.join().expect("throughput worker panicked");
-    }
-    let seconds = start.elapsed().as_secs_f64();
-
-    let after = state.cache().stats();
-    let lookups = (after.hits + after.misses).saturating_sub(before.hits + before.misses);
-    let hits = after.hits.saturating_sub(before.hits);
-    ThroughputReport {
-        threads,
-        queries,
-        seconds,
-        queries_per_second: if seconds > 0.0 {
-            queries as f64 / seconds
-        } else {
-            0.0
-        },
-        cache_hit_rate: if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        },
-    }
-}
 
 /// Result of one [`measure_connection_scaling`] run.
 #[derive(Debug, Clone, Copy)]
@@ -265,8 +155,11 @@ pub fn measure_connection_scaling(
             })
             .collect();
 
-        // As in `measure_throughput`: the clock starts before the barrier
-        // release so a parked coordinator cannot under-measure the run.
+        // The clock starts *before* releasing the barrier: workers cannot
+        // proceed until this thread arrives, so the start is at most the
+        // barrier-release overhead early, whereas starting it after
+        // `wait()` returns under-measures whenever the OS parks this thread
+        // while the released workers run.
         let start = Instant::now();
         barrier.wait();
         for w in workers {
@@ -304,34 +197,16 @@ pub fn measure_connection_scaling(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::server::ServeState;
+    use crate::server::{serve_with_model, ServeModel, ServeState};
     use hc2l_graph::toy::paper_figure1;
     use hc2l_oracle::{Method, OracleBuilder};
     use hc2l_roadnet::random_pairs;
 
     #[test]
-    fn throughput_is_positive_and_counts_add_up() {
-        let g = paper_figure1();
-        let oracle = OracleBuilder::new(Method::Hc2l).build(&g);
-        let state = Arc::new(ServeState::new(oracle, 4, 4096));
-        let pairs = random_pairs(16, 200, 11);
-        let report = measure_throughput(&state, &pairs, 4, 5);
-        assert_eq!(report.threads, 4);
-        assert_eq!(report.queries, 4 * 5 * 200);
-        assert!(report.seconds > 0.0);
-        assert!(report.queries_per_second > 0.0);
-        // Replaying the same 200 pairs repeatedly must mostly hit.
-        assert!(
-            report.cache_hit_rate > 0.5,
-            "hit rate {}",
-            report.cache_hit_rate
-        );
-    }
-
-    #[test]
     fn connection_scaling_verifies_answers_over_mostly_idle_connections() {
-        use crate::server::{serve_with_model, ServeModel};
         use hc2l_oracle::DistanceOracle as _;
         let g = paper_figure1();
         let oracle = OracleBuilder::new(Method::Hc2l).build(&g);
@@ -357,16 +232,5 @@ mod tests {
         assert_eq!(report.mismatches, 0);
         assert!(report.queries_per_second > 0.0);
         server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn disabled_cache_reports_zero_hit_rate() {
-        let g = paper_figure1();
-        let oracle = OracleBuilder::new(Method::Hl).build(&g);
-        let state = Arc::new(ServeState::new(oracle, 2, 0));
-        let pairs = random_pairs(16, 50, 3);
-        let report = measure_throughput(&state, &pairs, 2, 2);
-        assert_eq!(report.cache_hit_rate, 0.0);
-        assert!(report.queries_per_second > 0.0);
     }
 }

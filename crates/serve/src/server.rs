@@ -3,8 +3,9 @@
 //! in-process request execution.
 //!
 //! One [`ServeState`] — index, result cache, counters — is built per served
-//! index and shared behind an `Arc`: the daemon's connection handlers, the
-//! `--bench` self-drive workers and the in-process tests all execute
+//! index and shared behind an `Arc`: the daemon's connection handlers,
+//! embedded callers (`sysbench`'s `embedded` workload) and the in-process
+//! tests all execute
 //! requests through the same [`ServeState::distance`] /
 //! [`ServeState::one_to_many_into`] entry points, so every path is measured
 //! and cached identically. The query path takes **no blocking locks**: the
@@ -584,8 +585,8 @@ impl ServeState {
 
     /// Answers a point-to-point query through the cache, counting it.
     ///
-    /// The in-process hot path: vertices are trusted to be in range (the
-    /// throughput driver and embedded users own their workloads). Anything
+    /// The in-process hot path: vertices are trusted to be in range
+    /// (embedded users own their workloads). Anything
     /// arriving over the wire goes through [`ServeState::try_distance`],
     /// which validates *before* counting or caching.
     ///

@@ -6,8 +6,9 @@
 //! 2. **mmap-open** it (`OracleBuilder::open`) — zero-copy views, no decode
 //!    of the label arenas into fresh heap memory;
 //! 3. share it across 8 worker threads through the `hc2l-serve` layer
-//!    (result cache + counters) and verify bit-identical answers;
-//! 4. measure aggregate serving **throughput** (queries/second).
+//!    (result cache + counters) and verify bit-identical answers.
+//!
+//! Serving throughput and latency are measured by `sysbench`, not here.
 //!
 //! The `hc2l-serve` / `hc2l-query` binaries wrap exactly these pieces in a
 //! TCP daemon and client:
@@ -22,7 +23,7 @@
 use std::sync::Arc;
 
 use hc2l_repro::hc2l_roadnet::{random_pairs, RoadNetworkConfig, WeightMode};
-use hc2l_repro::hc2l_serve::{measure_throughput, ServeState};
+use hc2l_repro::hc2l_serve::ServeState;
 use hc2l_repro::{DistanceOracle, Method, OracleBuilder};
 
 fn main() {
@@ -79,14 +80,6 @@ fn main() {
         pairs.len()
     );
 
-    // 4. Aggregate serving throughput through the result cache.
-    let report = measure_throughput(&state, &pairs, 8, 20);
-    println!(
-        "throughput: {:.2}M queries/s aggregate over {} threads (cache hit rate {:.1}%)",
-        report.queries_per_second / 1e6,
-        report.threads,
-        report.cache_hit_rate * 100.0
-    );
     let stats = state.stats();
     println!(
         "served {} point queries total; cache {}/{} entries",

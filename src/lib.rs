@@ -129,10 +129,10 @@
 //! N reactor threads multiplexing hundreds of mostly-idle non-blocking
 //! connections with write backpressure) and a blocking
 //! thread-per-connection fallback — the `hc2l-serve` binary (`--model
-//! epoll|threads`, `--bench` self-drive throughput mode, `--bench-scaling`
-//! connection sweep) and the `hc2l-query` client (point queries,
-//! workload-file replay over `--clients N` concurrent connections with
-//! exactness gating, workload generation). See `examples/serve_demo.rs`
+//! epoll|threads`, `--bench-scaling` over-the-wire exactness sweep) and
+//! the `hc2l-query` client (point queries, workload-file replay over
+//! `--clients N` concurrent connections with exactness gating, workload
+//! generation). See `examples/serve_demo.rs`
 //! for the full build → save → mmap-open → serve walkthrough and
 //! `crates/serve/src/bin/README.md` for the model table.
 //!
@@ -146,7 +146,7 @@
 //! | [`hc2l_ch`] / [`hc2l_h2h`] / [`hc2l_hl`] / [`hc2l_phl`] | the baselines |
 //! | [`hc2l_oracle`] | the unified [`DistanceOracle`] API over all of the above |
 //! | [`hc2l_roadnet`] | synthetic road networks, DIMACS parsing, query workloads |
-//! | [`hc2l_serve`] | concurrent query serving: epoll/threads daemon, wire protocol, result cache, throughput + connection-scaling bench |
+//! | [`hc2l_serve`] | concurrent query serving: epoll/threads daemon, wire protocol, result cache, connection-scaling gate |
 
 pub use hc2l;
 pub use hc2l_ch;

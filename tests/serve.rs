@@ -20,8 +20,8 @@ use hc2l_graph::{dijkstra, Distance, Graph, Vertex};
 use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder, SharedOracle};
 use hc2l_roadnet::seeded_grid;
 use hc2l_serve::{
-    measure_connection_scaling, measure_throughput, read_response, serve_with_model, write_request,
-    Request, Response, ServeModel, ServeState,
+    measure_connection_scaling, read_response, serve_with_model, write_request, Request, Response,
+    ServeModel, ServeState,
 };
 
 /// The connection models that actually run on this host: both on Linux,
@@ -162,20 +162,6 @@ fn cache_on_and_off_agree_pair_by_pair() {
 }
 
 #[test]
-fn throughput_driver_reports_positive_qps_for_every_method() {
-    let g = test_graph();
-    let pairs = hc2l_roadnet::random_pairs(g.num_vertices(), 200, 7);
-    for method in Method::ALL {
-        let oracle = OracleBuilder::new(method).threads(2).build(&g);
-        let state = Arc::new(ServeState::new(oracle, 4, 1 << 12));
-        let report = measure_throughput(&state, &pairs, 4, 3);
-        assert_eq!(report.queries, 4 * 3 * 200, "{method}");
-        assert!(report.queries_per_second > 0.0, "{method}");
-        assert!(report.cache_hit_rate > 0.5, "{method}: replays must hit");
-    }
-}
-
-#[test]
 fn daemon_serves_a_saved_index_over_tcp_with_exact_answers() {
     for &model in models() {
         daemon_serves_over_tcp_with(model);
@@ -241,25 +227,13 @@ fn daemon_serves_over_tcp_with(model: ServeModel) {
 
 #[test]
 fn daemon_holds_hundreds_of_mostly_idle_connections_with_exact_answers() {
-    // The connection-scaling claim in miniature: one mmap-served index,
-    // 256 concurrent connections of which 8 replay a Dijkstra-verified
-    // workload while 248 idle — every answer must be bit-identical and the
-    // daemon must still drain cleanly afterwards. (The committed
-    // BENCH_PR5.json runs the same gate at 512 connections per method.)
+    // The connection-scaling claim in miniature, for every backend: one
+    // mmap-served index, 256 concurrent connections of which 8 replay a
+    // Dijkstra-verified workload while 248 idle — every answer must be
+    // bit-identical and the daemon must still drain cleanly afterwards.
+    // (`hc2l-serve --bench-scaling` runs the same gate on a saved index.)
     let g = test_graph();
     let truth = ground_truth(&g);
-    let built = OracleBuilder::new(Method::Hc2l).build(&g);
-    let path = scratch("scaling-hc2l");
-    built.save(&path).expect("save");
-    let shared = SharedOracle::open(&path).expect("open");
-    let state = Arc::new(ServeState::new(shared, 4, 4096));
-    let server = serve_with_model(
-        Arc::clone(&state),
-        ("127.0.0.1", 0),
-        ServeModel::platform_default(),
-    )
-    .expect("bind");
-
     let pairs = hc2l_roadnet::random_pairs(g.num_vertices(), 300, 13);
     let expected: Vec<Distance> = pairs
         .iter()
@@ -272,24 +246,39 @@ fn daemon_holds_hundreds_of_mostly_idle_connections_with_exact_answers() {
     } else {
         32
     };
-    let report = measure_connection_scaling(server.addr(), &pairs, &expected, connections, 8, 2)
-        .expect("scaling run");
-    assert_eq!(report.connections, connections);
-    assert_eq!(
-        report.mismatches, 0,
-        "served answers diverged from Dijkstra"
-    );
-    assert_eq!(report.queries, 8 * 2 * 300);
-    assert!(report.queries_per_second > 0.0);
+    for method in Method::ALL {
+        let built = OracleBuilder::new(method).build(&g);
+        let path = scratch(&format!("scaling-{method}"));
+        built.save(&path).expect("save");
+        let shared = SharedOracle::open(&path).expect("open");
+        let state = Arc::new(ServeState::new(shared, 4, 4096));
+        let server = serve_with_model(
+            Arc::clone(&state),
+            ("127.0.0.1", 0),
+            ServeModel::platform_default(),
+        )
+        .expect("bind");
 
-    let start = std::time::Instant::now();
-    server.shutdown().expect("clean shutdown");
-    assert!(
-        start.elapsed() < std::time::Duration::from_secs(10),
-        "drain took {:?}",
-        start.elapsed()
-    );
-    std::fs::remove_file(&path).ok();
+        let report =
+            measure_connection_scaling(server.addr(), &pairs, &expected, connections, 8, 2)
+                .expect("scaling run");
+        assert_eq!(report.connections, connections, "{method}");
+        assert_eq!(
+            report.mismatches, 0,
+            "{method}: served answers diverged from Dijkstra"
+        );
+        assert_eq!(report.queries, 8 * 2 * 300, "{method}");
+        assert!(report.queries_per_second > 0.0, "{method}");
+
+        let start = std::time::Instant::now();
+        server.shutdown().expect("clean shutdown");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "{method}: drain took {:?}",
+            start.elapsed()
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]

@@ -33,7 +33,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Serve-crate files that execute on the request path: a panic here takes
-/// a connection or a worker down. `throughput.rs` (bench driver) and the
+/// a connection or a worker down. `scaling.rs` (test client driver) and the
 /// bins (process entry points, where exiting loudly is correct) are
 /// deliberately absent.
 const SERVE_REQUEST_PATH_FILES: &[&str] = &[
