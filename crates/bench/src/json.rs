@@ -739,6 +739,48 @@ mod tests {
     }
 
     #[test]
+    fn load_only_reports_a_missing_container() {
+        let workloads = smoke_workloads(10);
+        let dir = scratch_dir("missing");
+        assert!(!dir.exists());
+        let Err(err) = run_json_bench(&workloads, &IndexPersistence::LoadOnly { dir: dir.clone() })
+        else {
+            panic!("load-only run over an empty directory must fail");
+        };
+        let first = IndexPersistence::index_path(&dir, &workloads[0].name, Method::ALL[0]);
+        assert!(err.starts_with("loading "), "{err}");
+        assert!(err.contains(&first.display().to_string()), "{err}");
+    }
+
+    #[test]
+    fn load_only_refuses_a_corrupted_container() {
+        let workloads = smoke_workloads(10);
+        let dir = scratch_dir("corrupt");
+        run_json_bench(
+            &workloads,
+            &IndexPersistence::RoundTrip {
+                dir: dir.clone(),
+                keep: true,
+            },
+        )
+        .expect("save run must succeed");
+        // Flip one byte past the header: the container checksum must catch
+        // it before any backend decodes the sections.
+        let path = IndexPersistence::index_path(&dir, &workloads[0].name, Method::ALL[0]);
+        let mut bytes = std::fs::read(&path).expect("saved container is readable");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&path, &bytes).expect("container is writable");
+        let Err(err) = run_json_bench(&workloads, &IndexPersistence::LoadOnly { dir: dir.clone() })
+        else {
+            panic!("a corrupted container must not load");
+        };
+        assert!(err.starts_with("loading "), "{err}");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn save_index_creates_missing_nested_directories() {
         // `repro --save-index DIR` must create DIR (and parents) rather
         // than erroring when it does not exist yet.
