@@ -1,10 +1,10 @@
 //! Regeneration of the paper's Figures 6 and 7.
 
 use hc2l::Hc2lConfig;
+use hc2l_oracle::Method;
 use hc2l_roadnet::{distance_buckets, random_pairs, WeightMode};
 
 use crate::measure::{measure_build, measure_query_time};
-use crate::oracle::Method;
 use crate::report::Table;
 use crate::tables::SuiteOptions;
 

@@ -60,10 +60,10 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use hc2l_graph::{dijkstra, Distance, Graph, Vertex};
+use hc2l_oracle::{DistanceOracle, Method, Oracle};
 use hc2l_roadnet::{random_pairs, QueryPair, RoadNetworkConfig, WeightMode};
 
 use crate::measure::{measure_build, measure_one_to_many};
-use crate::oracle::{DistanceOracle, Method, Oracle};
 
 /// One benchmark workload: a seeded graph plus a seeded query set.
 pub struct JsonWorkload {

@@ -9,7 +9,7 @@
 //! | Table 1 | dataset summary | [`tables::table1`] |
 //! | Table 2 | query time / label size / construction time (distance weights) | [`tables::table2`] |
 //! | Table 3 | LCA storage and average hub size | [`tables::table3`] |
-//! | Table 4 | same as Table 2 with travel-time weights | [`tables::table4`] |
+//! | Table 4 | same as Table 2 with travel-time weights | [`tables::table2`] with [`WeightMode::TravelTime`](hc2l_roadnet::WeightMode::TravelTime) |
 //! | Table 5 | tree height and maximum cut width | [`tables::table5`] |
 //! | Figure 6 | query time by distance bucket Q1..Q10 | [`figures::figure6`] |
 //! | Figure 7 | query time / cut size vs. balance threshold β | [`figures::figure7`] |
@@ -22,10 +22,8 @@
 pub mod figures;
 pub mod json;
 pub mod measure;
-pub mod oracle;
 pub mod report;
 pub mod tables;
 
 pub use measure::{measure_query_time, BuildMeasurement, QueryMeasurement};
-pub use oracle::{build_oracle, DistanceOracle, Method, Oracle, OracleBuilder, OracleConfig};
 pub use report::Table;

@@ -3,9 +3,8 @@
 use std::time::Instant;
 
 use hc2l_graph::{Distance, Graph, Vertex};
+use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder};
 use hc2l_roadnet::QueryPair;
-
-use crate::oracle::{build_oracle, DistanceOracle, Method, Oracle};
 
 /// Result of timing a batch of queries on one oracle.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +32,7 @@ pub struct BuildMeasurement {
 /// Builds the index for a method, timing the whole construction.
 pub fn measure_build(method: Method, g: &Graph, threads: usize) -> BuildMeasurement {
     let start = Instant::now();
-    let oracle = build_oracle(method, g, threads);
+    let oracle = OracleBuilder::new(method).threads(threads).build(g);
     BuildMeasurement {
         oracle,
         build_seconds: start.elapsed().as_secs_f64(),
@@ -104,23 +103,6 @@ pub fn measure_one_to_many(
     start.elapsed().as_secs_f64() * 1e9 / (reps * sources.len() * targets.len()) as f64
 }
 
-/// Verifies that two oracles agree on a workload (used by integration tests
-/// and as a guard inside the experiment runners).
-pub fn oracles_agree(
-    a: &impl DistanceOracle,
-    b: &impl DistanceOracle,
-    pairs: &[QueryPair],
-) -> Result<(), (Vertex, Vertex, Distance, Distance)> {
-    for p in pairs {
-        let da = a.distance(p.source, p.target);
-        let db = b.distance(p.source, p.target);
-        if da != db {
-            return Err((p.source, p.target, da, db));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +121,6 @@ mod tests {
         assert_eq!(m1.num_queries, 200);
         assert!(m1.avg_micros >= 0.0);
         assert!(m1.avg_hubs > 0.0);
-        assert!(oracles_agree(&hc2l.oracle, &hl.oracle, &pairs).is_ok());
     }
 
     #[test]

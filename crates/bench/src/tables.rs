@@ -2,12 +2,12 @@
 
 use hc2l::Hc2lConfig;
 use hc2l_graph::Graph;
+use hc2l_oracle::{DistanceOracle, Method};
 use hc2l_roadnet::{
     dataset_summary, random_pairs, standard_suite, DatasetSpec, SuiteScale, WeightMode,
 };
 
 use crate::measure::{measure_build, measure_query_time};
-use crate::oracle::{DistanceOracle, Method};
 use crate::report::{fmt_bytes, fmt_seconds, Table};
 
 /// Options controlling which datasets to run and how many queries to time.

@@ -1,6 +1,6 @@
 //! Contraction and hierarchy construction.
 //!
-//! Construction works on a mutable [`DynamicGraph`] scratch; the queryable
+//! Construction works on a mutable `DynamicGraph` scratch; the queryable
 //! state — the upward adjacency plus the vertex ranks — is frozen into the
 //! flat [`FrozenCh`] view at the end, which is also exactly what the index
 //! container persists (see [`PersistentIndex`]).
@@ -561,25 +561,6 @@ impl ContractionHierarchy {
         &self.frozen
     }
 
-    /// Replaces the frozen upward graph in place, keeping the contraction
-    /// order. This is the installation point of the dynamic-update path
-    /// (`hc2l-dynamic`): customization recomputes the upward weights for the
-    /// *existing* order and swaps them in without re-running contraction.
-    /// The replacement must satisfy the same invariants as a built upward
-    /// graph (strictly sorted targets, edges towards strictly higher ranks);
-    /// they are re-checked here so a buggy updater fails loudly.
-    pub fn replace_upward(&mut self, upward: FrozenCh, num_shortcuts: usize) {
-        assert_eq!(
-            upward.num_vertices(),
-            self.ordering.rank.len(),
-            "replacement upward graph has the wrong vertex count"
-        );
-        validate_upward(&upward, &self.ordering.rank)
-            .expect("replacement upward graph violates the CH invariants");
-        self.frozen = upward;
-        self.num_shortcuts = num_shortcuts;
-    }
-
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.frozen.num_vertices()
@@ -779,6 +760,44 @@ mod tests {
         let view = FrozenCh::from_container(&c).unwrap();
         for v in 0..20u32 {
             assert_eq!(view.upward_targets(v), ch.upward_targets(v));
+        }
+    }
+
+    #[test]
+    fn crafted_upward_graphs_are_rejected_on_load() {
+        // Reversed ranks turn every upward edge downward, and swapped
+        // targets break the sorted adjacency: both loaders refuse either
+        // instead of answering with non-shortest distances.
+        let g = grid_graph(4, 5);
+        let ch = ContractionHierarchy::build(&g);
+        let (targets, weights, offsets) = ch.frozen.upward.parts();
+        let rank = &ch.ordering.rank;
+        let reversed: Vec<u32> = rank.iter().map(|&r| 19 - r).collect();
+        let v = (0..20u32)
+            .find(|&v| ch.upward_targets(v).len() >= 2)
+            .unwrap() as usize;
+        let mut unsorted = targets.to_vec();
+        unsorted.swap(offsets[v] as usize, offsets[v] as usize + 1);
+        for (targets, rank, why) in [
+            (
+                targets.to_vec(),
+                &reversed[..],
+                "upward edge does not point to a higher rank",
+            ),
+            (unsorted, &rank[..], "upward targets not strictly sorted"),
+        ] {
+            let mut w = ContainerWriter::new(ContractionHierarchy::METHOD_TAG);
+            let mut meta = MetaWriter::new();
+            meta.u64(ch.num_shortcuts as u64).f64(0.0);
+            w.push_section(sec::META, meta.finish());
+            w.push_pods(sec::UP_TARGETS, &targets);
+            w.push_pods(sec::UP_WEIGHTS, weights);
+            w.push_pods(sec::UP_OFFSETS, offsets);
+            w.push_pods(sec::RANK, rank);
+            let c = Container::from_bytes(&w.finish()).unwrap();
+            let want = Some(DecodeError::Malformed(why));
+            assert_eq!(ContractionHierarchy::read_sections(&c).err(), want);
+            assert_eq!(FrozenCh::from_container(&c).err(), want);
         }
     }
 }

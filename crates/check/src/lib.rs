@@ -15,7 +15,7 @@
 //! * [`shim`] — the checker's instantiation ([`shim::CheckAtomics`]): shim
 //!   atomics that report every ordering-relevant access to a cooperative
 //!   scheduler before performing it.
-//! * [`sched`] + [`model`] — the scheduler and exploration driver: every
+//! * `sched` + [`model`] — the scheduler and exploration driver: every
 //!   atomic access is a scheduling point; [`model`] re-runs a test closure
 //!   under **exhaustive DFS** over thread interleavings (with a bounded
 //!   preemption cap to keep 2–3-thread state spaces tractable) or

@@ -19,7 +19,7 @@
 //!   within that equivalence class is removed temporarily, the partition is
 //!   recomputed, and the bottleneck joins the cut region.
 
-use hc2l_graph::{Distance, Graph, Vertex, INFINITY};
+use hc2l_graph::{masked_dijkstra, Distance, Graph, Vertex, INFINITY};
 
 /// Result of the balanced-partition step: two initial partitions and the cut
 /// region separating them. The three sets are disjoint and together cover all
@@ -191,35 +191,6 @@ fn argmax_finite(dist: &[Distance], alive: &[bool]) -> Option<Vertex> {
         }
     }
     best.map(|(_, v)| v)
-}
-
-/// Dijkstra restricted to `alive` vertices.
-pub(crate) fn masked_dijkstra(g: &Graph, source: Vertex, alive: &[bool]) -> Vec<Distance> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut dist = vec![INFINITY; g.num_vertices()];
-    if !alive[source as usize] {
-        return dist;
-    }
-    let mut heap = BinaryHeap::new();
-    dist[source as usize] = 0;
-    heap.push(Reverse((0, source)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        for e in g.neighbors(v) {
-            if !alive[e.to as usize] {
-                continue;
-            }
-            let nd = d + e.weight as Distance;
-            if nd < dist[e.to as usize] {
-                dist[e.to as usize] = nd;
-                heap.push(Reverse((nd, e.to)));
-            }
-        }
-    }
-    dist
 }
 
 /// Connected components of the vertices with `alive[v] == true`, as vertex

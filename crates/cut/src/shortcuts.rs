@@ -9,9 +9,7 @@
 //! subgraph already matches the true distance, or when a third border vertex
 //! lies on a shortest path between the two (Lemma 4.11).
 
-use hc2l_graph::{dist_add, Distance, Graph, Vertex, VertexSet, INFINITY};
-
-use crate::partition::masked_dijkstra;
+use hc2l_graph::{dist_add, masked_dijkstra, Distance, Graph, Vertex, VertexSet, INFINITY};
 
 /// A shortcut edge to be added to a partition's subgraph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -451,6 +451,32 @@ mod tests {
     }
 
     #[test]
+    fn rerouting_increase_bounces_with_the_index_untouched() {
+        // On the 3x3 grid, each of these single increases changes which
+        // shortcuts the stored hierarchy needs, so the walk must refuse the
+        // batch with the typed error rather than relabel on a stale
+        // topology.
+        let g = weighted_grid(3, 3);
+        let index0 = Hc2lIndex::build(&g, Hc2lConfig::default());
+        let before = format!("{index0:?}");
+        for (u, v, old, new) in [(0, 3, 4, 26), (3, 4, 2, 14), (3, 6, 1, 25)] {
+            assert_eq!(g.edge_weight(u, v), Some(old));
+            let mut index = index0.clone();
+            assert_eq!(
+                update_hc2l(&mut index, &g, &[WeightUpdate::new(u, v, new)]),
+                Err(RelabelUnsupported::ShortcutTopologyChanged),
+                "({u}, {v}) {old} -> {new}"
+            );
+            assert_eq!(
+                format!("{index:?}"),
+                before,
+                "a bounced batch touched the index"
+            );
+            assert_all_pairs_exact(&g, &index);
+        }
+    }
+
+    #[test]
     fn contracted_endpoint_is_reported_for_fallback() {
         // A pendant chain off a grid: its edges are contracted away.
         let mut b = GraphBuilder::new(0);

@@ -28,11 +28,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of raw (possibly duplicate) edges added so far.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Grows the vertex set so that `v` is a valid vertex.
     pub fn ensure_vertex(&mut self, v: Vertex) {
         if (v as usize) >= self.num_vertices {

@@ -23,47 +23,6 @@ impl ComponentLabels {
         self.sizes.len()
     }
 
-    /// Component id of the largest component (ties broken by lowest id).
-    pub fn largest(&self) -> u32 {
-        let mut best = 0usize;
-        for (i, &s) in self.sizes.iter().enumerate() {
-            if s > self.sizes[best] {
-                best = i;
-            }
-        }
-        best as u32
-    }
-
-    /// Id of the second-largest component, if there are at least two.
-    pub fn second_largest(&self) -> Option<u32> {
-        if self.sizes.len() < 2 {
-            return None;
-        }
-        let largest = self.largest();
-        let mut best: Option<usize> = None;
-        for (i, &s) in self.sizes.iter().enumerate() {
-            if i as u32 == largest {
-                continue;
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) if s > self.sizes[b] => best = Some(i),
-                _ => {}
-            }
-        }
-        best.map(|b| b as u32)
-    }
-
-    /// Vertices belonging to component `c`.
-    pub fn members(&self, c: u32) -> Vec<Vertex> {
-        self.label
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == c)
-            .map(|(v, _)| v as Vertex)
-            .collect()
-    }
-
     /// Groups all vertices by component, ordered by component id. Vertices
     /// outside the mask (label `u32::MAX`) are skipped.
     pub fn groups(&self) -> Vec<Vec<Vertex>> {
@@ -123,15 +82,6 @@ pub fn is_connected(g: &Graph) -> bool {
     connected_components(g).num_components() == 1
 }
 
-/// Returns the vertex set of the largest connected component.
-pub fn largest_component(g: &Graph) -> Vec<Vertex> {
-    let cc = connected_components(g);
-    if cc.num_components() == 0 {
-        return Vec::new();
-    }
-    cc.members(cc.largest())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,26 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn largest_and_second_largest() {
-        let g = GraphBuilder::from_edges(
-            9,
-            &[
-                (0, 1, 1),
-                (1, 2, 1),
-                (2, 3, 1),
-                (4, 5, 1),
-                (6, 7, 1),
-                (7, 8, 1),
-            ],
-        );
-        let cc = connected_components(&g);
-        assert_eq!(cc.sizes[cc.largest() as usize], 4);
-        let second = cc.second_largest().unwrap();
-        assert_eq!(cc.sizes[second as usize], 3);
-        assert_eq!(largest_component(&g).len(), 4);
-    }
-
-    #[test]
     fn masked_components_ignore_removed_vertices() {
         // Path 0-1-2-3-4; masking out 2 splits it in two.
         let g = GraphBuilder::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
@@ -204,10 +134,17 @@ mod tests {
     }
 
     #[test]
+    fn groups_skip_masked_out_vertices() {
+        let g = GraphBuilder::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
+        let mask = [true, true, false, true, true];
+        let cc = connected_components_masked(&g, Some(&mask[..]));
+        assert_eq!(cc.groups(), [vec![0, 1], vec![3, 4]]);
+    }
+
+    #[test]
     fn empty_graph_is_connected() {
         let g = Graph::with_vertices(0);
         assert!(is_connected(&g));
-        assert!(largest_component(&g).is_empty());
     }
 
     use crate::graph::Graph;

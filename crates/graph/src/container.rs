@@ -94,8 +94,6 @@
 use std::fmt;
 use std::path::Path;
 
-use crate::flat_labels::PodValue;
-
 /// Magic bytes identifying an index container file.
 pub const MAGIC: [u8; 8] = *b"HC2LIDX\0";
 
@@ -132,12 +130,11 @@ pub mod method_tag {
     pub const CH: u32 = 6;
 }
 
-/// A decode failure: malformed codec input or a malformed/corrupt container.
+/// A decode failure: a malformed/corrupt container or label arena.
 ///
 /// This is the one typed error every `from_bytes`/`from_parts`/`read_*` path
-/// in the workspace reports — the byte codec in `flat_labels`, the arena
-/// validators, and the container reader all share it, so callers never see a
-/// panic on bad input.
+/// in the workspace reports — the container reader and the arena validators
+/// share it, so callers never see a panic on bad input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// Input ended before the structure it claims to hold.
@@ -258,6 +255,39 @@ impl From<DecodeError> for PersistError {
     }
 }
 
+/// Fixed-width little-endian value, the element of a container's array
+/// sections: [`ContainerWriter::push_pods`] encodes one and
+/// [`Container::read_pod_vec`] decodes one on any host. Types that are also
+/// [`Pod`] can additionally be viewed in place ([`Container::section_pods`]).
+pub trait PodValue: Copy {
+    /// Encoded width in bytes.
+    const WIDTH: usize;
+    /// Appends the little-endian encoding to `out`.
+    fn write_le(self, out: &mut Vec<u8>);
+    /// Decodes from exactly [`PodValue::WIDTH`] bytes.
+    fn read_le(bytes: &[u8]) -> Self;
+}
+
+impl PodValue for u32 {
+    const WIDTH: usize = 4;
+    fn write_le(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn read_le(bytes: &[u8]) -> Self {
+        u32::from_le_bytes(bytes[..4].try_into().expect("a 4-byte slice"))
+    }
+}
+
+impl PodValue for u64 {
+    const WIDTH: usize = 8;
+    fn write_le(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn read_le(bytes: &[u8]) -> Self {
+        u64::from_le_bytes(bytes[..8].try_into().expect("an 8-byte slice"))
+    }
+}
+
 /// Marker for values whose in-memory representation equals their on-disk
 /// encoding: fixed width, no padding bytes, every bit pattern valid, fields
 /// little-endian on a little-endian host.
@@ -272,7 +302,7 @@ impl From<DecodeError> for PersistError {
 pub unsafe trait Pod: PodValue {}
 
 // SAFETY: primitive integers are padding-free and valid for any bit pattern;
-// their codec is their little-endian byte representation.
+// their encoding is their little-endian byte representation.
 unsafe impl Pod for u32 {}
 // SAFETY: as above.
 unsafe impl Pod for u64 {}
@@ -928,8 +958,10 @@ impl Container {
         })
     }
 
-    /// Decodes a section into an owned vector (works on any host, for any
-    /// [`PodValue`] — including non-castable encodings like packed tuples).
+    /// Decodes a section into an owned vector, value by value. This is the
+    /// load path on big-endian hosts, where [`Container::section_pods`]
+    /// refuses to view the little-endian bytes in place, and the owned
+    /// loaders' path on every host.
     pub fn read_pod_vec<T: PodValue>(&self, tag: u32) -> Result<Vec<T>, DecodeError> {
         let bytes = self.section(tag)?;
         if bytes.len() % T::WIDTH != 0 {
@@ -1241,6 +1273,28 @@ mod tests {
             c.read_pod_vec::<u64>(1).unwrap_err(),
             DecodeError::BadSectionLen { tag: 1 }
         );
+    }
+
+    #[test]
+    fn pod_sections_decode_owned_exactly_as_viewed_in_place() {
+        // The on-disk encoding is little-endian whatever the host, and the
+        // owned decode (the big-endian load path) yields the same values as
+        // the in-place view.
+        let mut bytes = Vec::new();
+        0x0102_0304u32.write_le(&mut bytes);
+        0x0102_0304_0506_0708u64.write_le(&mut bytes);
+        assert_eq!(bytes, [4, 3, 2, 1, 8, 7, 6, 5, 4, 3, 2, 1]);
+
+        let narrow = [0, 1, 0x0102_0304, u32::MAX];
+        let wide = [0, 1, 0x0102_0304_0506_0708, u64::MAX];
+        let mut w = ContainerWriter::new(0);
+        w.push_pods(1, &narrow);
+        w.push_pods(2, &wide);
+        let c = Container::from_bytes(&w.finish()).unwrap();
+        assert_eq!(c.read_pod_vec::<u32>(1).unwrap(), narrow);
+        assert_eq!(c.read_pod_vec::<u64>(2).unwrap(), wide);
+        assert_eq!(c.section_pods::<u32>(1).unwrap(), narrow);
+        assert_eq!(c.section_pods::<u64>(2).unwrap(), wide);
     }
 
     #[test]

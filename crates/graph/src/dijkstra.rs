@@ -1,4 +1,5 @@
-//! Dijkstra's algorithm and the bidirectional variant.
+//! Dijkstra's algorithm: the full, point-to-point, masked and
+//! bidirectional searches.
 //!
 //! These serve three purposes in the reproduction: (a) the search-based
 //! baseline discussed in the paper's related work, (b) the ground-truth
@@ -10,16 +11,6 @@ use std::collections::BinaryHeap;
 
 use crate::graph::Graph;
 use crate::types::{dist_add, Distance, Vertex, INFINITY};
-
-/// Outcome of a single-source search.
-#[derive(Debug, Clone)]
-pub struct DijkstraResult {
-    /// Distance from the source to every vertex (`INFINITY` if unreachable).
-    pub dist: Vec<Distance>,
-    /// Predecessor on one shortest path (`None` for the source and for
-    /// unreachable vertices). Only populated by [`dijkstra_with_parents`].
-    pub parent: Vec<Option<Vertex>>,
-}
 
 /// Plain single-source Dijkstra over the whole graph.
 pub fn dijkstra(g: &Graph, source: Vertex) -> Vec<Distance> {
@@ -40,29 +31,6 @@ pub fn dijkstra(g: &Graph, source: Vertex) -> Vec<Distance> {
         }
     }
     dist
-}
-
-/// Single-source Dijkstra that also records shortest-path parents.
-pub fn dijkstra_with_parents(g: &Graph, source: Vertex) -> DijkstraResult {
-    let mut dist = vec![INFINITY; g.num_vertices()];
-    let mut parent = vec![None; g.num_vertices()];
-    let mut heap: BinaryHeap<Reverse<(Distance, Vertex)>> = BinaryHeap::new();
-    dist[source as usize] = 0;
-    heap.push(Reverse((0, source)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        for e in g.neighbors(v) {
-            let nd = dist_add(d, e.weight as Distance);
-            if nd < dist[e.to as usize] {
-                dist[e.to as usize] = nd;
-                parent[e.to as usize] = Some(v);
-                heap.push(Reverse((nd, e.to)));
-            }
-        }
-    }
-    DijkstraResult { dist, parent }
 }
 
 /// Point-to-point Dijkstra, terminating as soon as the target is settled.
@@ -92,18 +60,27 @@ pub fn dijkstra_distance(g: &Graph, source: Vertex, target: Vertex) -> Distance 
     dist[target as usize]
 }
 
-/// Dijkstra that stops once all `targets` are settled; returns only the
-/// distances to the targets (in the given order). Used when computing
-/// pairwise border-vertex distances for shortcut insertion.
-pub fn dijkstra_targets(g: &Graph, source: Vertex, targets: &[Vertex]) -> Vec<Distance> {
+/// Dijkstra restricted to the vertices with `mask[v] == true`: the search
+/// HC2L's construction runs inside the current partition (Algorithms 1–3)
+/// and PHL's path decomposition runs over the uncovered vertices. Vertices
+/// outside the mask, or every vertex when the source itself is masked out,
+/// report `INFINITY`.
+pub fn masked_dijkstra(g: &Graph, source: Vertex, mask: &[bool]) -> Vec<Distance> {
+    masked_search(g, source, mask, |_, _| {})
+}
+
+/// The [`masked_dijkstra`] loop, reporting each improving relaxation as
+/// `on_improve(vertex, predecessor)`; a vertex's last report names its
+/// parent on the shortest-path tree.
+pub(crate) fn masked_search(
+    g: &Graph,
+    source: Vertex,
+    mask: &[bool],
+    mut on_improve: impl FnMut(Vertex, Vertex),
+) -> Vec<Distance> {
     let mut dist = vec![INFINITY; g.num_vertices()];
-    let mut is_target = vec![false; g.num_vertices()];
-    let mut remaining = 0usize;
-    for &t in targets {
-        if !is_target[t as usize] {
-            is_target[t as usize] = true;
-            remaining += 1;
-        }
+    if !mask[source as usize] {
+        return dist;
     }
     let mut heap: BinaryHeap<Reverse<(Distance, Vertex)>> = BinaryHeap::new();
     dist[source as usize] = 0;
@@ -112,44 +89,14 @@ pub fn dijkstra_targets(g: &Graph, source: Vertex, targets: &[Vertex]) -> Vec<Di
         if d > dist[v as usize] {
             continue;
         }
-        if is_target[v as usize] {
-            is_target[v as usize] = false;
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
-        }
         for e in g.neighbors(v) {
-            let nd = dist_add(d, e.weight as Distance);
+            if !mask[e.to as usize] {
+                continue;
+            }
+            let nd = d + e.weight as Distance;
             if nd < dist[e.to as usize] {
                 dist[e.to as usize] = nd;
-                heap.push(Reverse((nd, e.to)));
-            }
-        }
-    }
-    targets.iter().map(|&t| dist[t as usize]).collect()
-}
-
-/// Multi-source Dijkstra: distance from the closest of the `sources` to every
-/// vertex, with the seed distances given per source (e.g. offsets along a
-/// highway path in PHL).
-pub fn multi_source_dijkstra(g: &Graph, sources: &[(Vertex, Distance)]) -> Vec<Distance> {
-    let mut dist = vec![INFINITY; g.num_vertices()];
-    let mut heap: BinaryHeap<Reverse<(Distance, Vertex)>> = BinaryHeap::new();
-    for &(s, d0) in sources {
-        if d0 < dist[s as usize] {
-            dist[s as usize] = d0;
-            heap.push(Reverse((d0, s)));
-        }
-    }
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        for e in g.neighbors(v) {
-            let nd = dist_add(d, e.weight as Distance);
-            if nd < dist[e.to as usize] {
-                dist[e.to as usize] = nd;
+                on_improve(e.to, v);
                 heap.push(Reverse((nd, e.to)));
             }
         }
@@ -246,51 +193,25 @@ mod tests {
     }
 
     #[test]
-    fn parents_form_shortest_path_tree() {
+    fn masked_search_reports_a_shortest_path_tree_inside_the_mask() {
         let g = paper_example();
-        let r = dijkstra_with_parents(&g, 0);
+        let mask: Vec<bool> = (0..16).map(|v| v % 5 != 3).collect();
+        let mut parent = [None; 16];
+        let dist = masked_search(&g, 0, &mask, |v, p| parent[v as usize] = Some(p));
+        assert_eq!(dist, masked_dijkstra(&g, 0, &mask));
         for v in 1..16u32 {
-            let mut cur = v;
-            let mut len: Distance = 0;
-            while let Some(p) = r.parent[cur as usize] {
+            if dist[v as usize] == INFINITY {
+                assert_eq!(parent[v as usize], None, "unreached {v} has a parent");
+                continue;
+            }
+            let (mut cur, mut len) = (v, 0);
+            while let Some(p) = parent[cur as usize] {
+                assert!(mask[p as usize], "parent {p} lies outside the mask");
                 len += g.edge_weight(p, cur).unwrap() as Distance;
                 cur = p;
             }
-            assert_eq!(cur, 0, "parent chain must reach the source");
-            assert_eq!(len, r.dist[v as usize]);
-        }
-    }
-
-    #[test]
-    fn targeted_search_returns_target_distances() {
-        let g = paper_example();
-        let full = dijkstra(&g, 4);
-        let targets = vec![0u32, 7, 15, 4];
-        let got = dijkstra_targets(&g, 4, &targets);
-        for (i, &t) in targets.iter().enumerate() {
-            assert_eq!(got[i], full[t as usize]);
-        }
-    }
-
-    #[test]
-    fn multi_source_takes_minimum_over_seeds() {
-        let g = paper_example();
-        let d_a = dijkstra(&g, 0);
-        let d_b = dijkstra(&g, 15);
-        let combined = multi_source_dijkstra(&g, &[(0, 0), (15, 0)]);
-        for v in 0..16usize {
-            assert_eq!(combined[v], d_a[v].min(d_b[v]));
-        }
-    }
-
-    #[test]
-    fn multi_source_respects_seed_offsets() {
-        let g = paper_example();
-        let d = multi_source_dijkstra(&g, &[(0, 10), (15, 0)]);
-        let d_a = dijkstra(&g, 0);
-        let d_b = dijkstra(&g, 15);
-        for v in 0..16usize {
-            assert_eq!(d[v], (d_a[v] + 10).min(d_b[v]));
+            assert_eq!(cur, 0, "parent chain of {v} must reach the source");
+            assert_eq!(len, dist[v as usize], "vertex {v}");
         }
     }
 

@@ -37,11 +37,11 @@
 //!
 //! Construction keeps whatever nested scratch it likes; a `freeze()` step
 //! converts it into the arena once, computing all size totals at that point
-//! so `stats()` calls are O(1) afterwards. The arenas serialise losslessly
-//! through the little-endian byte codec (`to_bytes` / `from_bytes`, built on
-//! [`PodValue`]) — the vendored serde stand-in is marker-only (see
-//! `vendor/README.md`) — and malformed input surfaces as the typed
-//! [`DecodeError`] shared with the container module, never a panic.
+//! so `stats()` calls are O(1) afterwards. The only on-disk form of an arena
+//! is its raw arrays, one container section each (see `crate::container`);
+//! `parts()` hands them to the writer and `from_parts` reassembles them on
+//! load, rejecting malformed input with the typed [`DecodeError`] shared
+//! with the container module, never a panic.
 //!
 //! The query kernels that scan these arenas ([`min_plus_scan`],
 //! [`min_plus_merge`] and friends) live in [`crate::kernels`] — re-exported
@@ -67,7 +67,7 @@ pub trait Store {
     type Slice<T: Copy + 'static>: Deref<Target = [T]>;
 }
 
-/// Owned, `Vec`-backed storage — what `freeze()` and the byte codec produce.
+/// Owned, `Vec`-backed storage — what `freeze()` and the owned loaders produce.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Owned;
 
@@ -167,26 +167,6 @@ impl<T: Copy + 'static> FlatCsr<T, Owned> {
             offsets.push(values.len() as u32);
         }
         FlatCsr { values, offsets }
-    }
-}
-
-impl<T: PodValue, S: Store> FlatCsr<T, S> {
-    /// Serialises the arena with the shared little-endian codec.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_pod_slice(&mut out, &self.values);
-        write_pod_slice(&mut out, &self.offsets);
-        out
-    }
-}
-
-impl<T: PodValue> FlatCsr<T, Owned> {
-    /// Reads an arena back from [`FlatCsr::to_bytes`] output, reporting the
-    /// bytes consumed alongside.
-    pub fn from_bytes(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
-        let (values, n) = read_pod_slice::<T>(bytes)?;
-        let (offsets, m) = read_pod_slice::<u32>(&bytes[n..])?;
-        Ok((FlatCsr::from_parts(values, offsets)?, n + m))
     }
 }
 
@@ -327,16 +307,6 @@ impl FlatLevelLabels<Owned> {
     pub fn empty(n: usize) -> Self {
         LevelLabelsBuilder::new(n).freeze()
     }
-
-    /// Reads an arena back from [`FlatLevelLabels::to_bytes`] output,
-    /// reporting the bytes consumed alongside.
-    pub fn from_bytes(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
-        let (dists, a) = read_pod_slice::<Distance>(bytes)?;
-        let (level_offsets, b) = read_pod_slice::<u32>(&bytes[a..])?;
-        let (level_index, c) = read_pod_slice::<u32>(&bytes[a + b..])?;
-        let labels = FlatLevelLabels::from_parts(dists, level_offsets, level_index)?;
-        Ok((labels, a + b + c))
-    }
 }
 
 impl<S: Store> FlatLevelLabels<S> {
@@ -443,15 +413,6 @@ impl<S: Store> FlatLevelLabels<S> {
     pub fn parts(&self) -> (&[Distance], &[u32], &[u32]) {
         (&self.dists, &self.level_offsets, &self.level_index)
     }
-
-    /// Serialises the arena with the shared little-endian codec.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_pod_slice(&mut out, &self.dists);
-        write_pod_slice(&mut out, &self.level_offsets);
-        write_pod_slice(&mut out, &self.level_index);
-        out
-    }
 }
 
 impl<S: Store> std::fmt::Debug for FlatLevelLabels<S> {
@@ -531,16 +492,6 @@ impl FlatEntryLabels<Owned> {
             dists,
             offsets,
         }
-    }
-
-    /// Reads an arena back from [`FlatEntryLabels::to_bytes`] output,
-    /// reporting the bytes consumed alongside.
-    pub fn from_bytes(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
-        let (hubs, a) = read_pod_slice::<Vertex>(bytes)?;
-        let (dists, b) = read_pod_slice::<Distance>(&bytes[a..])?;
-        let (offsets, c) = read_pod_slice::<u32>(&bytes[a + b..])?;
-        let labels = FlatEntryLabels::from_parts(hubs, dists, offsets)?;
-        Ok((labels, a + b + c))
     }
 }
 
@@ -638,15 +589,6 @@ impl<S: Store> FlatEntryLabels<S> {
     pub fn parts(&self) -> (&[Vertex], &[Distance], &[u32]) {
         (&self.hubs, &self.dists, &self.offsets)
     }
-
-    /// Serialises the arena with the shared little-endian codec.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_pod_slice(&mut out, &self.hubs);
-        write_pod_slice(&mut out, &self.dists);
-        write_pod_slice(&mut out, &self.offsets);
-        out
-    }
 }
 
 impl<S: Store> std::fmt::Debug for FlatEntryLabels<S> {
@@ -683,80 +625,6 @@ impl<S: Store, S2: Store> PartialEq<FlatEntryLabels<S2>> for FlatEntryLabels<S> 
 }
 
 impl<S: Store> Eq for FlatEntryLabels<S> {}
-
-/// Fixed-width little-endian scalar, the unit of the arena byte codec.
-pub trait PodValue: Copy {
-    /// Encoded width in bytes.
-    const WIDTH: usize;
-    /// Appends the little-endian encoding to `out`.
-    fn write_le(self, out: &mut Vec<u8>);
-    /// Decodes from exactly [`PodValue::WIDTH`] bytes.
-    fn read_le(bytes: &[u8]) -> Self;
-}
-
-impl PodValue for u32 {
-    const WIDTH: usize = 4;
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn read_le(bytes: &[u8]) -> Self {
-        u32::from_le_bytes(bytes[..4].try_into().unwrap())
-    }
-}
-
-impl PodValue for u64 {
-    const WIDTH: usize = 8;
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn read_le(bytes: &[u8]) -> Self {
-        u64::from_le_bytes(bytes[..8].try_into().unwrap())
-    }
-}
-
-/// Packed pair encoding used by nested bag structures (e.g. the H2H tree
-/// decomposition's `(vertex, distance)` bags): 12 bytes on disk, not
-/// zero-copy castable (the in-memory tuple has padding) but decodable on any
-/// host.
-impl PodValue for (u32, u64) {
-    const WIDTH: usize = 12;
-    fn write_le(self, out: &mut Vec<u8>) {
-        self.0.write_le(out);
-        self.1.write_le(out);
-    }
-    fn read_le(bytes: &[u8]) -> Self {
-        (u32::read_le(bytes), u64::read_le(&bytes[4..]))
-    }
-}
-
-/// Appends `len (u64 LE)` followed by the slice's values.
-pub fn write_pod_slice<T: PodValue>(out: &mut Vec<u8>, values: &[T]) {
-    (values.len() as u64).write_le(out);
-    for &v in values {
-        v.write_le(out);
-    }
-}
-
-/// Reads a slice written by [`write_pod_slice`]; returns the values and the
-/// number of bytes consumed, or [`DecodeError::Truncated`] when the input is
-/// shorter than its length prefix claims.
-pub fn read_pod_slice<T: PodValue>(bytes: &[u8]) -> Result<(Vec<T>, usize), DecodeError> {
-    if bytes.len() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = u64::read_le(bytes) as usize;
-    let need = 8 + len.checked_mul(T::WIDTH).ok_or(DecodeError::Truncated)?;
-    if bytes.len() < need {
-        return Err(DecodeError::Truncated);
-    }
-    let mut values = Vec::with_capacity(len);
-    let mut at = 8;
-    for _ in 0..len {
-        values.push(T::read_le(&bytes[at..]));
-        at += T::WIDTH;
-    }
-    Ok((values, at))
-}
 
 #[cfg(test)]
 mod tests {
@@ -815,11 +683,11 @@ mod tests {
         assert_eq!(csr.row_len(2), 2);
         assert_eq!(csr.total_values(), 5);
         assert_eq!(csr.memory_bytes(), 5 * 8 + 4 * 4);
-        let bytes = csr.to_bytes();
-        let (back, used) = FlatCsr::<u64>::from_bytes(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
+        let (values, offsets) = csr.parts();
+        let back = FlatCsr::<u64>::from_parts(values.to_vec(), offsets.to_vec()).unwrap();
         assert_eq!(back, csr);
-        assert!(FlatCsr::<u64>::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        // A value arena one short of the final offset is rejected.
+        assert!(FlatCsr::<u64>::from_parts(values[..4].to_vec(), offsets.to_vec()).is_err());
     }
 
     #[test]
@@ -862,20 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn level_labels_byte_codec_round_trips() {
-        let mut b = LevelLabelsBuilder::new(4);
-        b.push_level(1, &[5, 6]);
-        b.push_level(1, &[7]);
-        b.push_level(3, &[INFINITY, 0]);
-        let frozen = b.freeze();
-        let bytes = frozen.to_bytes();
-        let (back, used) = FlatLevelLabels::from_bytes(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(back, frozen);
-        assert!(FlatLevelLabels::from_bytes(&bytes[..10]).is_err());
-    }
-
-    #[test]
     fn entry_labels_freeze_and_round_trip() {
         let pairs = vec![vec![(3u32, 10u64), (7, 2)], vec![], vec![(1, 0)]];
         let flat = FlatEntryLabels::freeze_pairs(&pairs);
@@ -885,24 +739,19 @@ mod tests {
         assert_eq!(flat.len_of(1), 0);
         assert_eq!(flat.total_entries(), 3);
         assert!((flat.avg_entries() - 1.0).abs() < 1e-12);
-        let bytes = flat.to_bytes();
-        let (back, used) = FlatEntryLabels::from_bytes(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
+        let (h, d, o) = flat.parts();
+        let back =
+            FlatEntryLabels::<Owned>::from_parts(h.to_vec(), d.to_vec(), o.to_vec()).unwrap();
         assert_eq!(back, flat);
     }
 
     #[test]
     fn malformed_level_offsets_are_rejected() {
-        // Hand-craft bytes whose per-vertex offset table is decreasing:
-        // dists len 5, level_offsets [4, 1], level_index [0, 2]. Every other
-        // invariant holds, but slicing dists[4..1] would panic — the codec
-        // must reject it.
-        let mut bytes = Vec::new();
-        write_pod_slice(&mut bytes, &[0u64, 0, 0, 0, 0]);
-        write_pod_slice(&mut bytes, &[4u32, 1]);
-        write_pod_slice(&mut bytes, &[0u32, 2]);
+        // A per-vertex offset table that decreases: dists len 5,
+        // level_offsets [4, 1], level_index [0, 2]. Every other invariant
+        // holds, but slicing dists[4..1] would panic — loading must reject it.
         assert!(matches!(
-            FlatLevelLabels::from_bytes(&bytes),
+            FlatLevelLabels::<Owned>::from_parts(vec![0u64; 5], vec![4u32, 1], vec![0u32, 2]),
             Err(DecodeError::Malformed(_))
         ));
     }
@@ -910,15 +759,109 @@ mod tests {
     #[test]
     fn corrupt_codec_input_is_rejected() {
         let flat = FlatEntryLabels::freeze_pairs(&[vec![(1u32, 2u64)]]);
-        let mut bytes = flat.to_bytes();
+        let (h, d, o) = flat.parts();
         // Corrupt the final offset so it no longer matches the arena length.
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        assert!(FlatEntryLabels::from_bytes(&bytes).is_err());
-        assert_eq!(
-            FlatEntryLabels::from_bytes(&[]).unwrap_err(),
-            DecodeError::Truncated
-        );
+        let mut offsets = o.to_vec();
+        offsets[1] ^= 0xFF00_0000;
+        assert!(matches!(
+            FlatEntryLabels::<Owned>::from_parts(h.to_vec(), d.to_vec(), offsets),
+            Err(DecodeError::Malformed(_))
+        ));
+        // No arrays at all: the offset table is empty.
+        assert!(matches!(
+            FlatEntryLabels::<Owned>::from_parts(Vec::new(), Vec::new(), Vec::new()),
+            Err(DecodeError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn flat_csr_from_parts_rejects_each_broken_invariant() {
+        let bad = |values: Vec<u64>, offsets: Vec<u32>| {
+            FlatCsr::<u64>::from_parts(values, offsets).unwrap_err()
+        };
+        for (values, offsets, why) in [
+            (vec![], vec![], "CSR offset table is empty"),
+            (vec![1, 2], vec![1, 2], "CSR offsets do not start at 0"),
+            (
+                vec![1, 2],
+                vec![0, 1],
+                "CSR offsets do not end at the arena length",
+            ),
+            (vec![1, 2], vec![0, 2, 1, 2], "CSR offsets decrease"),
+        ] {
+            assert_eq!(bad(values, offsets), DecodeError::Malformed(why));
+        }
+    }
+
+    #[test]
+    fn level_labels_from_parts_reject_each_broken_invariant() {
+        let bad = |dists: Vec<Distance>, offsets: Vec<u32>, index: Vec<u32>| {
+            FlatLevelLabels::<Owned>::from_parts(dists, offsets, index).unwrap_err()
+        };
+        for (dists, offsets, index, why) in [
+            (vec![], vec![], vec![], "level index is empty"),
+            (
+                vec![5],
+                vec![0, 1],
+                vec![1, 2],
+                "level index does not start at 0",
+            ),
+            (
+                vec![5],
+                vec![0, 1],
+                vec![0, 1],
+                "level index does not end at the offset-table length",
+            ),
+            (
+                vec![5],
+                vec![0, 1],
+                vec![0, 0, 2],
+                "level index is not strictly increasing",
+            ),
+            (
+                vec![5],
+                vec![0, 2],
+                vec![0, 2],
+                "level offset exceeds the distance arena",
+            ),
+        ] {
+            assert_eq!(bad(dists, offsets, index), DecodeError::Malformed(why));
+        }
+    }
+
+    #[test]
+    fn entry_labels_from_parts_reject_each_broken_invariant() {
+        let bad = |hubs: Vec<Vertex>, dists: Vec<Distance>, offsets: Vec<u32>| {
+            FlatEntryLabels::<Owned>::from_parts(hubs, dists, offsets).unwrap_err()
+        };
+        for (hubs, dists, offsets, why) in [
+            (
+                vec![1, 2],
+                vec![7],
+                vec![0, 2],
+                "hub and distance columns differ in length",
+            ),
+            (
+                vec![1],
+                vec![7],
+                vec![1, 1],
+                "entry offsets do not start at 0",
+            ),
+            (
+                vec![1],
+                vec![7],
+                vec![0, 2],
+                "entry offsets do not end at the arena length",
+            ),
+            (
+                vec![1, 2],
+                vec![7, 8],
+                vec![0, 2, 1, 2],
+                "entry offsets decrease",
+            ),
+        ] {
+            assert_eq!(bad(hubs, dists, offsets), DecodeError::Malformed(why));
+        }
     }
 
     #[test]
@@ -957,28 +900,10 @@ mod tests {
         let (h, d, o) = flat.parts();
         assert_eq!((h.len(), d.len(), o.len()), (42, 42, 4));
 
-        // The byte codec carries exactly those arrays, each with its
-        // 8-byte length prefix.
-        let bytes = flat.to_bytes();
-        assert_eq!(bytes.len(), 3 * 8 + bytes_of_arrays);
-        let (back, _) = FlatEntryLabels::from_bytes(&bytes).unwrap();
-        assert_eq!(back.memory_bytes(), bytes_of_arrays);
-        assert_eq!(back.parts(), flat.parts());
-
         let view: FlatEntryLabelsRef<'_> = FlatEntryLabels::from_parts(h, d, o).unwrap();
         assert_eq!(view, flat);
         assert_eq!(view.memory_bytes(), bytes_of_arrays);
         assert_eq!(view.dists(0), flat.dists(0));
         assert_eq!(view.hubs(2), &[1, 5]);
-    }
-
-    #[test]
-    fn packed_pair_codec_round_trips() {
-        let pairs: Vec<(u32, u64)> = vec![(1, 2), (u32::MAX, u64::MAX), (0, 0)];
-        let mut bytes = Vec::new();
-        write_pod_slice(&mut bytes, &pairs);
-        let (back, used) = read_pod_slice::<(u32, u64)>(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(back, pairs);
     }
 }

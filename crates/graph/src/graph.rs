@@ -2,8 +2,7 @@
 //!
 //! [`Graph`] is the work-horse representation used during index
 //! construction: it supports cheap induced subgraphs, vertex masking and
-//! shortcut insertion, all of which the hierarchy construction needs. For
-//! query-time structures prefer [`crate::CsrGraph`].
+//! shortcut insertion, all of which the hierarchy construction needs.
 
 use serde::{Deserialize, Serialize};
 
@@ -160,11 +159,6 @@ impl Graph {
         }
     }
 
-    /// Maximum vertex degree.
-    pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(|a| a.len()).max().unwrap_or(0)
-    }
-
     /// Approximate in-memory footprint of the adjacency structure in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.adj.len() * std::mem::size_of::<Vec<Edge>>()
@@ -259,7 +253,6 @@ mod tests {
     #[test]
     fn degree_statistics() {
         let g = triangle();
-        assert_eq!(g.max_degree(), 2);
         assert!((g.average_degree() - 2.0).abs() < 1e-9);
         assert_eq!(g.total_weight(), 7);
     }

@@ -215,7 +215,7 @@ fn init_kernel() -> KernelKind {
 /// Both inputs must only contain values `<= INFINITY` (the workspace-wide
 /// invariant for stored distances), so the lane adds cannot overflow.
 ///
-/// Scans shorter than [`SCAN_SIMD_MIN`] take the scalar path *inline*
+/// Scans shorter than `SCAN_SIMD_MIN` (64) take the scalar path *inline*
 /// without consulting the dispatcher at all: HC2L's per-level cut labels
 /// are typically a few dozen entries, and at that size the kernel-select
 /// atomic load plus an outlined SIMD call costs more than the scan itself.

@@ -7,11 +7,12 @@
 //! * [`Graph`] / [`GraphBuilder`] — adjacency-list representation with
 //!   deterministic edge ordering, suitable for incremental construction and
 //!   for deriving subgraphs during hierarchy construction.
-//! * [`CsrGraph`] — a compact compressed-sparse-row view used by the
-//!   query-time hot paths and by the search baselines.
-//! * [`dijkstra`] — single-source, targeted and multi-source Dijkstra
-//!   variants, plus the bidirectional search baseline from the paper's
-//!   related-work section.
+//! * [`mod@dijkstra`] — full, point-to-point and masked Dijkstra, plus the
+//!   bidirectional search baseline from the paper's related-work section.
+//!   [`masked_dijkstra`] is the one search the construction runs inside a
+//!   partition (HC2L's partitioning and shortcuts, PHL's path decomposition).
+//! * [`pathutil`] — the double-sweep diameter bound and the greedy
+//!   shortest-path decomposition behind the PHL baseline.
 //! * [`components`] — connected components, needed both by the balanced
 //!   partitioning step (Algorithm 1) and by the synthetic network generators.
 //! * [`contraction`] — repeated degree-one contraction with the
@@ -36,7 +37,7 @@
 //!   header, per-section table of contents with 64-byte alignment,
 //!   checksum) and the [`PersistentIndex`] trait every backend implements
 //!   for save/load; see its module docs for the exact byte layout and the
-//!   versioning policy.
+//!   versioning policy. It is the only on-disk form of any index or arena.
 //! * [`failpoints`] — feature-gated fault-injection hooks (injected I/O
 //!   errors, panics, delays, torn writes) shared by every crate in the
 //!   serving stack; inlined no-ops unless the `failpoints` feature is on.
@@ -49,7 +50,6 @@ pub mod builder;
 pub mod components;
 pub mod container;
 pub mod contraction;
-pub mod csr;
 pub mod dijkstra;
 pub mod failpoints;
 pub mod flat_labels;
@@ -62,17 +62,13 @@ pub mod toy;
 pub mod types;
 
 pub use builder::GraphBuilder;
-pub use components::{connected_components, largest_component, ComponentLabels};
+pub use components::{connected_components, ComponentLabels};
 pub use container::{
     Container, ContainerWriter, DecodeError, MetaReader, MetaWriter, PersistError, PersistentIndex,
     SectionSpec,
 };
 pub use contraction::{contract_degree_one, ContractedVertex, DegreeOneContraction};
-pub use csr::CsrGraph;
-pub use dijkstra::{
-    bidirectional_dijkstra, dijkstra, dijkstra_distance, dijkstra_targets, dijkstra_with_parents,
-    multi_source_dijkstra, DijkstraResult,
-};
+pub use dijkstra::{bidirectional_dijkstra, dijkstra, dijkstra_distance, masked_dijkstra};
 pub use flat_labels::{
     Borrowed, FlatCsr, FlatCsrRef, FlatEntryLabels, FlatEntryLabelsRef, FlatLevelLabels,
     FlatLevelLabelsRef, LevelLabelsBuilder, Owned, Store,
@@ -82,7 +78,6 @@ pub use kernels::{
     active_kernel, available_kernels, detect_kernel, force_kernel, min_plus_gather, min_plus_merge,
     min_plus_scan, KernelKind,
 };
-pub use pathutil::{eccentricity_from, extract_path, farthest_vertex, path_weight};
 pub use querystats::QueryStats;
 pub use subgraph::{InducedSubgraph, VertexSet};
 pub use types::{dist_add, is_finite, Distance, Vertex, Weight, INFINITY};

@@ -1,73 +1,16 @@
-//! Path utilities: path extraction from shortest-path trees, farthest-vertex
-//! searches (used to seed the balanced partitioning with two distant
-//! vertices), and eccentricity estimation (used for the dataset summary
-//! table's diameter column).
+//! Path utilities over the masked search: farthest-vertex double sweeps
+//! (the dataset summary table's diameter column) and the greedy
+//! shortest-path decomposition behind the PHL baseline.
 
-use crate::dijkstra::{dijkstra, dijkstra_with_parents};
+use crate::dijkstra::{masked_dijkstra, masked_search};
 use crate::graph::Graph;
-use crate::types::{is_finite, Distance, Vertex, Weight};
-
-/// Total weight of a path given as a vertex sequence. Panics if consecutive
-/// vertices are not adjacent.
-pub fn path_weight(g: &Graph, path: &[Vertex]) -> Distance {
-    path.windows(2)
-        .map(|w| {
-            g.edge_weight(w[0], w[1])
-                .unwrap_or_else(|| panic!("no edge between {} and {}", w[0], w[1]))
-                as Distance
-        })
-        .sum()
-}
-
-/// Extracts the shortest path from `source` to `target` as a vertex sequence
-/// (inclusive of both endpoints). Returns `None` if `target` is unreachable.
-pub fn extract_path(g: &Graph, source: Vertex, target: Vertex) -> Option<Vec<Vertex>> {
-    let r = dijkstra_with_parents(g, source);
-    if !is_finite(r.dist[target as usize]) {
-        return None;
-    }
-    let mut path = vec![target];
-    let mut cur = target;
-    while cur != source {
-        cur = r.parent[cur as usize]?;
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
-/// The vertex farthest from `source` (among reachable vertices, restricted to
-/// `mask` if provided), together with its distance.
-pub fn farthest_vertex(g: &Graph, source: Vertex, mask: Option<&[bool]>) -> (Vertex, Distance) {
-    let dist = dijkstra(g, source);
-    let mut best = (source, 0);
-    for (v, &d) in dist.iter().enumerate() {
-        if !is_finite(d) {
-            continue;
-        }
-        if let Some(m) = mask {
-            if !m[v] {
-                continue;
-            }
-        }
-        if d > best.1 {
-            best = (v as Vertex, d);
-        }
-    }
-    best
-}
-
-/// Eccentricity of `source`: the largest finite shortest-path distance from
-/// it. A double sweep (`eccentricity_from(farthest_vertex(..))`) gives the
-/// usual lower bound on the diameter reported in dataset summaries.
-pub fn eccentricity_from(g: &Graph, source: Vertex) -> Distance {
-    farthest_vertex(g, source, None).1
-}
+use crate::types::{is_finite, Distance, Vertex};
 
 /// Lower bound on the graph diameter via a double Dijkstra sweep.
 pub fn diameter_double_sweep(g: &Graph, start: Vertex) -> Distance {
-    let (far, _) = farthest_vertex(g, start, None);
-    eccentricity_from(g, far)
+    let all = vec![true; g.num_vertices()];
+    let (far, _) = farthest_vertex(g, start, &all);
+    farthest_vertex(g, far, &all).1
 }
 
 /// Decomposes the graph greedily into vertex-disjoint shortest paths, longest
@@ -114,12 +57,14 @@ pub fn greedy_path_decomposition(g: &Graph, min_len: usize) -> Vec<Vec<Vertex>> 
 /// Longest shortest path found by a double sweep from `seed`, restricted to
 /// the vertices allowed by `mask`.
 fn longest_path_from(g: &Graph, seed: Vertex, mask: &[bool]) -> Vec<Vertex> {
-    let (a, _) = farthest_vertex_masked(g, seed, mask);
-    let (b, _) = farthest_vertex_masked(g, a, mask);
-    shortest_path_masked(g, a, b, mask).unwrap_or_else(|| vec![seed])
+    let (a, _) = farthest_vertex(g, seed, mask);
+    let (b, _) = farthest_vertex(g, a, mask);
+    extract_path(g, a, b, mask).unwrap_or_else(|| vec![seed])
 }
 
-fn farthest_vertex_masked(g: &Graph, source: Vertex, mask: &[bool]) -> (Vertex, Distance) {
+/// The vertex farthest from `source` among the masked vertices it reaches,
+/// together with its distance (`(source, 0)` if it reaches none).
+fn farthest_vertex(g: &Graph, source: Vertex, mask: &[bool]) -> (Vertex, Distance) {
     let dist = masked_dijkstra(g, source, mask);
     let mut best = (source, 0);
     for (v, &d) in dist.iter().enumerate() {
@@ -130,34 +75,11 @@ fn farthest_vertex_masked(g: &Graph, source: Vertex, mask: &[bool]) -> (Vertex, 
     best
 }
 
-fn shortest_path_masked(g: &Graph, s: Vertex, t: Vertex, mask: &[bool]) -> Option<Vec<Vertex>> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n = g.num_vertices();
-    let mut dist = vec![crate::types::INFINITY; n];
-    let mut parent: Vec<Option<Vertex>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    if !mask[s as usize] {
-        return None;
-    }
-    dist[s as usize] = 0;
-    heap.push(Reverse((0, s)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        for e in g.neighbors(v) {
-            if !mask[e.to as usize] {
-                continue;
-            }
-            let nd = d + e.weight as Distance;
-            if nd < dist[e.to as usize] {
-                dist[e.to as usize] = nd;
-                parent[e.to as usize] = Some(v);
-                heap.push(Reverse((nd, e.to)));
-            }
-        }
-    }
+/// A shortest path from `s` to `t` through masked vertices, both endpoints
+/// included, or `None` if `t` is unreachable.
+fn extract_path(g: &Graph, s: Vertex, t: Vertex, mask: &[bool]) -> Option<Vec<Vertex>> {
+    let mut parent: Vec<Option<Vertex>> = vec![None; g.num_vertices()];
+    let dist = masked_search(g, s, mask, |v, p| parent[v as usize] = Some(p));
     if !is_finite(dist[t as usize]) {
         return None;
     }
@@ -171,81 +93,49 @@ fn shortest_path_masked(g: &Graph, s: Vertex, t: Vertex, mask: &[bool]) -> Optio
     Some(path)
 }
 
-fn masked_dijkstra(g: &Graph, source: Vertex, mask: &[bool]) -> Vec<Distance> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n = g.num_vertices();
-    let mut dist = vec![crate::types::INFINITY; n];
-    if !mask[source as usize] {
-        return dist;
-    }
-    let mut heap = BinaryHeap::new();
-    dist[source as usize] = 0;
-    heap.push(Reverse((0, source)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        for e in g.neighbors(v) {
-            if !mask[e.to as usize] {
-                continue;
-            }
-            let nd = d + e.weight as Distance;
-            if nd < dist[e.to as usize] {
-                dist[e.to as usize] = nd;
-                heap.push(Reverse((nd, e.to)));
-            }
-        }
-    }
-    dist
-}
-
-/// Checks whether a vertex sequence is a shortest path in `g` (its total
-/// weight equals the shortest-path distance between its endpoints).
-pub fn is_shortest_path(g: &Graph, path: &[Vertex]) -> bool {
-    if path.len() < 2 {
-        return true;
-    }
-    let w = path_weight(g, path);
-    w == crate::dijkstra::dijkstra_distance(g, path[0], *path.last().unwrap())
-}
-
-/// A `Weight`-typed convenience wrapper for the common case of checking a
-/// two-vertex hop.
-pub fn edge_or_panic(g: &Graph, u: Vertex, v: Vertex) -> Weight {
-    g.edge_weight(u, v)
-        .unwrap_or_else(|| panic!("expected edge between {u} and {v}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::dijkstra::dijkstra_distance;
     use crate::toy::{grid_graph, paper_figure1, path_graph};
+
+    /// Whether `path` is a walk of `g` whose weight is the shortest-path
+    /// distance between its endpoints.
+    fn is_shortest_path(g: &Graph, path: &[Vertex]) -> bool {
+        let weight: Option<Distance> = path
+            .windows(2)
+            .map(|w| g.edge_weight(w[0], w[1]).map(Distance::from))
+            .sum();
+        weight == Some(dijkstra_distance(g, path[0], path[path.len() - 1]))
+    }
 
     #[test]
     fn extract_path_is_shortest() {
         let g = paper_figure1();
-        let p = extract_path(&g, 2, 10).unwrap();
+        let all = vec![true; 16];
+        let p = extract_path(&g, 2, 10, &all).unwrap();
         assert_eq!(p.first(), Some(&2));
         assert_eq!(p.last(), Some(&10));
-        assert_eq!(path_weight(&g, &p), 5);
+        assert_eq!(dijkstra_distance(&g, 2, 10), 5);
         assert!(is_shortest_path(&g, &p));
     }
 
     #[test]
     fn extract_path_unreachable_is_none() {
         let g = GraphBuilder::from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
-        assert!(extract_path(&g, 0, 3).is_none());
+        assert!(extract_path(&g, 0, 3, &[true; 4]).is_none());
+        // A masked-out vertex cuts the only route.
+        let g = path_graph(4, 1);
+        assert!(extract_path(&g, 0, 3, &[true, false, true, true]).is_none());
     }
 
     #[test]
     fn farthest_vertex_on_path_graph() {
         let g = path_graph(6, 2);
-        let (v, d) = farthest_vertex(&g, 0, None);
-        assert_eq!(v, 5);
-        assert_eq!(d, 10);
-        assert_eq!(eccentricity_from(&g, 2), 6);
+        let all = vec![true; 6];
+        assert_eq!(farthest_vertex(&g, 0, &all), (5, 10));
+        assert_eq!(farthest_vertex(&g, 2, &all).1, 6);
         assert_eq!(diameter_double_sweep(&g, 3), 10);
     }
 
@@ -253,7 +143,7 @@ mod tests {
     fn farthest_vertex_respects_mask() {
         let g = path_graph(6, 1);
         let mask = vec![true, true, true, true, false, false];
-        let (v, d) = farthest_vertex(&g, 0, Some(&mask));
+        let (v, d) = farthest_vertex(&g, 0, &mask);
         assert_eq!(v, 3);
         assert_eq!(d, 3);
     }
@@ -286,17 +176,28 @@ mod tests {
     }
 
     #[test]
+    fn diameter_stays_within_the_start_component() {
+        // A 3-hop path of weight 9 and a separate heavy edge of weight 50.
+        let g = GraphBuilder::from_edges(6, &[(0, 1, 3), (1, 2, 3), (2, 3, 3), (4, 5, 50)]);
+        assert_eq!(diameter_double_sweep(&g, 1), 9);
+        assert_eq!(diameter_double_sweep(&g, 5), 50);
+    }
+
+    #[test]
+    fn greedy_decomposition_emits_singletons_below_min_len() {
+        let g = path_graph(4, 1);
+        let paths = greedy_path_decomposition(&g, 10);
+        let mut vertices: Vec<Vertex> = paths.iter().flatten().copied().collect();
+        vertices.sort_unstable();
+        assert!(paths.iter().all(|p| p.len() == 1), "{paths:?}");
+        assert_eq!(vertices, [0, 1, 2, 3]);
+    }
+
+    #[test]
     fn greedy_decomposition_on_disconnected_graph() {
         let g = GraphBuilder::from_edges(6, &[(0, 1, 1), (1, 2, 1), (3, 4, 1)]);
         let paths = greedy_path_decomposition(&g, 2);
         let covered: usize = paths.iter().map(|p| p.len()).sum();
         assert_eq!(covered, 6);
-    }
-
-    #[test]
-    fn path_weight_and_edge_helper() {
-        let g = path_graph(4, 3);
-        assert_eq!(path_weight(&g, &[0, 1, 2, 3]), 9);
-        assert_eq!(edge_or_panic(&g, 1, 2), 3);
     }
 }

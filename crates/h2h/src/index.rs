@@ -159,16 +159,6 @@ impl<S: Store> FrozenH2h<S> {
         self.pos.row(v as usize)
     }
 
-    /// The frozen ancestor-distance arena.
-    pub fn dist_csr(&self) -> &FlatCsr<Distance, S> {
-        &self.dist
-    }
-
-    /// The frozen bag-position arena.
-    pub fn pos_csr(&self) -> &FlatCsr<u32, S> {
-        &self.pos
-    }
-
     /// The LCA structure.
     pub fn lca(&self) -> &LcaStructure<S> {
         &self.lca

@@ -29,18 +29,6 @@ pub struct IndexStats {
     pub hierarchy: HierarchyStats,
 }
 
-impl IndexStats {
-    /// Label size in mebibytes.
-    pub fn label_mib(&self) -> f64 {
-        self.label_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Total size in mebibytes.
-    pub fn total_mib(&self) -> f64 {
-        self.total_bytes as f64 / (1024.0 * 1024.0)
-    }
-}
-
 /// Wall-clock construction statistics (Table 2's "Construction Time").
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ConstructionStats {
@@ -48,34 +36,4 @@ pub struct ConstructionStats {
     pub seconds: f64,
     /// Number of threads used (1 = the paper's HC2L, >1 = HC2Lp).
     pub threads: usize,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unit_conversions() {
-        let stats = IndexStats {
-            num_vertices: 10,
-            core_vertices: 8,
-            contraction_ratio: 0.2,
-            label_bytes: 2 * 1024 * 1024,
-            lca_bytes: 80,
-            contraction_bytes: 0,
-            total_bytes: 2 * 1024 * 1024 + 80,
-            avg_label_entries: 3.5,
-            hierarchy: HierarchyStats {
-                num_nodes: 3,
-                internal_nodes: 1,
-                leaves: 2,
-                height: 1,
-                max_cut_size: 2,
-                avg_cut_size: 1.5,
-                lca_storage_bytes: 80,
-            },
-        };
-        assert!((stats.label_mib() - 2.0).abs() < 1e-9);
-        assert!(stats.total_mib() > 2.0);
-    }
 }

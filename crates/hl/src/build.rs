@@ -294,29 +294,6 @@ impl HubLabelIndex {
     pub fn stats(&self) -> HubLabelStats {
         self.frozen.stats()
     }
-
-    /// Serialises the frozen index with the shared little-endian codec (the
-    /// vendored serde stand-in is marker-only, see `vendor/README.md`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.frozen.labels.to_bytes();
-        hc2l_graph::flat_labels::write_pod_slice(&mut out, &self.frozen.order_of);
-        hc2l_graph::flat_labels::write_pod_slice(&mut out, &[self.construction_seconds.to_bits()]);
-        out
-    }
-
-    /// Reads an index back from [`HubLabelIndex::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (labels, a) = FlatEntryLabels::from_bytes(bytes)?;
-        let (order_of, b) = hc2l_graph::flat_labels::read_pod_slice::<u32>(&bytes[a..])?;
-        let (secs, _) = hc2l_graph::flat_labels::read_pod_slice::<u64>(&bytes[a + b..])?;
-        if secs.len() != 1 {
-            return Err(DecodeError::Malformed("expected one timing field"));
-        }
-        Ok(HubLabelIndex {
-            frozen: FrozenHubLabels::from_parts(labels, order_of)?,
-            construction_seconds: f64::from_bits(secs[0]),
-        })
-    }
 }
 
 impl PersistentIndex for HubLabelIndex {
@@ -461,22 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn byte_codec_round_trips_the_frozen_index() {
-        let g = paper_figure1();
-        let index = HubLabelIndex::build(&g);
-        let bytes = index.to_bytes();
-        let back = HubLabelIndex::from_bytes(&bytes).expect("codec must round-trip");
-        assert_eq!(back.labels(), index.labels());
-        for v in 0..16u32 {
-            assert_eq!(back.order_of(v), index.order_of(v));
-            for t in 0..16u32 {
-                assert_eq!(back.query(v, t), index.query(v, t));
-            }
-        }
-        assert!(HubLabelIndex::from_bytes(&bytes[..bytes.len() / 2]).is_err());
-    }
-
-    #[test]
     fn container_round_trip_and_borrowed_view_agree() {
         let g = paper_figure1();
         let index = HubLabelIndex::build(&g);
@@ -536,6 +497,41 @@ mod tests {
                     assert_eq!(view.query(s, t), index.query(s, t));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn crafted_containers_are_rejected_on_load() {
+        // An order array that misses a vertex, or a label whose hubs are out
+        // of order, fails both loaders with a typed error.
+        let g = paper_figure1();
+        let index = HubLabelIndex::build(&g);
+        let (hubs, dists, offsets) = index.labels().parts();
+        let order = &index.frozen.order_of;
+        let mut unsorted = hubs.to_vec();
+        let row = index.labels().range_of(0);
+        assert!(row.len() >= 2);
+        unsorted.swap(row.start, row.start + 1);
+        for (hubs, order, why) in [
+            (
+                hubs.to_vec(),
+                &order[..15],
+                "order array does not cover every vertex",
+            ),
+            (unsorted, &order[..], "hub label not strictly sorted"),
+        ] {
+            let mut w = ContainerWriter::new(HubLabelIndex::METHOD_TAG);
+            let mut meta = MetaWriter::new();
+            meta.f64(0.0);
+            w.push_section(sec::META, meta.finish());
+            w.push_pods(sec::HUBS, &hubs);
+            w.push_pods(sec::DISTS, dists);
+            w.push_pods(sec::OFFSETS, offsets);
+            w.push_pods(sec::ORDER, order);
+            let c = Container::from_bytes(&w.finish()).unwrap();
+            let want = Some(DecodeError::Malformed(why));
+            assert_eq!(HubLabelIndex::read_sections(&c).err(), want);
+            assert_eq!(FrozenHubLabels::from_container(&c).err(), want);
         }
     }
 }

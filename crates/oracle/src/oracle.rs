@@ -283,6 +283,33 @@ mod tests {
     }
 
     #[test]
+    fn bounced_hc2l_relabel_falls_back_to_an_exact_rebuild() {
+        use hc2l_dynamic::WeightUpdate;
+        use hc2l_graph::toy::grid_graph;
+        use hc2l_graph::{dijkstra, GraphBuilder};
+
+        // The 3x3 grid of hc2l-dynamic's relabel tests, where raising edge
+        // (0, 3) from 4 to 26 makes `update_hc2l` bounce the batch.
+        let mut b = GraphBuilder::new(0);
+        for (u, v, _) in grid_graph(3, 3).edges() {
+            b.add_edge(u, v, 1 + ((u * 7 + v * 13) % 9));
+        }
+        let g0 = b.build();
+        assert_eq!(g0.edge_weight(0, 3), Some(4));
+        let mut oracle = OracleBuilder::new(Method::Hc2l).build(&g0);
+        let mut g = g0.clone();
+        let report = oracle.apply_updates(&mut g, &[WeightUpdate::new(0, 3, 26)]);
+        assert_eq!(report.strategy, UpdateStrategy::Rebuild);
+        assert_eq!((report.applied, report.rejected), (1, 0));
+        for s in 0..9u32 {
+            let dist = dijkstra(&g, s);
+            for t in 0..9u32 {
+                assert_eq!(oracle.distance(s, t), dist[t as usize], "({s},{t})");
+            }
+        }
+    }
+
+    #[test]
     fn trait_method_accessor_matches_variant() {
         let g = paper_figure1();
         for method in Method::ALL {

@@ -7,9 +7,9 @@ use serde::{Deserialize, Serialize};
 
 use hc2l_graph::container::{
     method_tag, Container, ContainerWriter, DecodeError, MetaReader, MetaWriter, PersistentIndex,
-    Pod,
+    Pod, PodValue,
 };
-use hc2l_graph::flat_labels::{read_pod_slice, write_pod_slice, Borrowed, Owned, PodValue, Store};
+use hc2l_graph::flat_labels::{Borrowed, Owned, Store};
 use hc2l_graph::{Distance, FlatCsr, Graph, Vertex, INFINITY};
 
 use crate::decompose::HighwayDecomposition;
@@ -322,24 +322,6 @@ impl PhlIndex {
             memory_bytes: labels.memory_bytes(),
             num_paths: self.num_paths,
         }
-    }
-
-    /// Serialises the frozen index labels with the shared little-endian
-    /// codec (the vendored serde stand-in is marker-only).
-    pub fn labels_to_bytes(&self) -> Vec<u8> {
-        let mut out = self.frozen.arena().to_bytes();
-        write_pod_slice(&mut out, &[self.construction_seconds.to_bits()]);
-        out
-    }
-
-    /// Reads a label arena back from [`PhlIndex::labels_to_bytes`] output.
-    pub fn labels_from_bytes(bytes: &[u8]) -> Result<FlatCsr<PhlEntry>, DecodeError> {
-        let (labels, used) = FlatCsr::<PhlEntry>::from_bytes(bytes)?;
-        let (secs, _) = read_pod_slice::<u64>(&bytes[used..])?;
-        if secs.len() != 1 {
-            return Err(DecodeError::Malformed("expected one timing field"));
-        }
-        Ok(labels)
     }
 }
 
@@ -682,6 +664,37 @@ mod tests {
                     assert_eq!(view.query(s, t), index.query(s, t));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn crafted_containers_are_rejected_on_load() {
+        // An offset table that stops short of the entry arena, or a label
+        // out of (path, offset) order, fails both loaders with a typed error.
+        let g = paper_figure1();
+        let index = PhlIndex::build(&g);
+        let (entries, offsets) = index.labels().parts();
+        let v = (0..16).find(|&v| index.label_len(v) >= 2).unwrap() as usize;
+        let mut unsorted = entries.to_vec();
+        unsorted.swap(offsets[v] as usize, offsets[v] as usize + 1);
+        for (entries, offsets, why) in [
+            (
+                entries.to_vec(),
+                &offsets[..16],
+                "CSR offsets do not end at the arena length",
+            ),
+            (unsorted, offsets, "PHL label not sorted by (path, offset)"),
+        ] {
+            let mut w = ContainerWriter::new(PhlIndex::METHOD_TAG);
+            let mut meta = MetaWriter::new();
+            meta.u64(index.num_paths as u64).f64(0.0);
+            w.push_section(sec::META, meta.finish());
+            w.push_pods(sec::ENTRIES, &entries);
+            w.push_pods(sec::OFFSETS, offsets);
+            let c = Container::from_bytes(&w.finish()).unwrap();
+            let want = Some(DecodeError::Malformed(why));
+            assert_eq!(PhlIndex::read_sections(&c).err(), want);
+            assert_eq!(FrozenPhlLabels::from_container(&c).err(), want);
         }
     }
 }

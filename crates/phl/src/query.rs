@@ -172,14 +172,4 @@ mod tests {
             assert_eq!(got[s as usize], 0);
         }
     }
-
-    #[test]
-    fn byte_codec_round_trips_the_frozen_arena() {
-        let g = grid_graph(4, 4);
-        let index = PhlIndex::build(&g);
-        let bytes = index.labels_to_bytes();
-        let back = PhlIndex::labels_from_bytes(&bytes).expect("codec must round-trip");
-        assert_eq!(&back, index.labels());
-        assert!(PhlIndex::labels_from_bytes(&bytes[..bytes.len() - 2]).is_err());
-    }
 }

@@ -163,13 +163,6 @@ pub fn standard_suite(scale: SuiteScale) -> Vec<DatasetSpec> {
     ]
 }
 
-/// A reduced suite (first `k` datasets) for quick experiments.
-pub fn reduced_suite(scale: SuiteScale, k: usize) -> Vec<DatasetSpec> {
-    let mut suite = standard_suite(scale);
-    suite.truncate(k);
-    suite
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +181,7 @@ mod tests {
 
     #[test]
     fn tiny_suite_builds_connected_networks() {
-        for spec in reduced_suite(SuiteScale::Tiny, 5) {
+        for spec in standard_suite(SuiteScale::Tiny).into_iter().take(5) {
             let net = spec.build();
             let g = net.graph(WeightMode::Distance);
             assert!(is_connected(&g), "{} must be connected", spec.name);
@@ -201,10 +194,5 @@ mod tests {
         let tiny = &standard_suite(SuiteScale::Tiny)[0];
         let small = &standard_suite(SuiteScale::Small)[0];
         assert!(small.nominal_vertices() > tiny.nominal_vertices());
-    }
-
-    #[test]
-    fn reduced_suite_truncates() {
-        assert_eq!(reduced_suite(SuiteScale::Tiny, 3).len(), 3);
     }
 }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use hc2l_graph::pathutil::diameter_double_sweep;
-use hc2l_graph::{CsrGraph, Distance, Graph};
+use hc2l_graph::{Distance, Graph};
 
 /// Summary row describing a dataset, mirroring Table 1 of the paper.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -21,7 +21,8 @@ pub struct DatasetSummary {
     pub diameter: Distance,
     /// Average vertex degree.
     pub avg_degree: f64,
-    /// Memory footprint of the CSR representation in bytes.
+    /// Memory footprint of the graph in compressed-sparse-row form, in
+    /// bytes (see `csr_bytes`).
     pub memory_bytes: usize,
 }
 
@@ -46,30 +47,15 @@ pub fn dataset_summary(name: &str, region: &str, g: &Graph) -> DatasetSummary {
         num_edges: g.num_edges(),
         diameter,
         avg_degree: g.average_degree(),
-        memory_bytes: CsrGraph::from_graph(g).memory_bytes(),
+        memory_bytes: csr_bytes(g),
     }
 }
 
-/// Formats a list of summaries as an aligned text table (used by the `repro`
-/// binary for Table 1).
-pub fn format_summary_table(rows: &[DatasetSummary]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<8} {:>10} {:>10} {:>12} {:>8} {:>10}\n",
-        "Dataset", "|V|", "|E|", "diam.", "deg.", "Memory"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<8} {:>10} {:>10} {:>12} {:>8.2} {:>8.1} MB\n",
-            r.name,
-            r.num_vertices,
-            r.num_edges,
-            r.diameter,
-            r.avg_degree,
-            r.memory_mib()
-        ));
-    }
-    out
+/// Bytes of `g` in compressed-sparse-row form: `n + 1` `u64` row offsets,
+/// then a `u32` target and a `u32` weight per directed edge.
+fn csr_bytes(g: &Graph) -> usize {
+    let half_edges: usize = g.vertices().map(|v| g.degree(v)).sum();
+    (g.num_vertices() + 1) * 8 + half_edges * 8
 }
 
 #[cfg(test)]
@@ -87,7 +73,16 @@ mod tests {
         assert_eq!(s.num_edges, 26);
         assert!(s.diameter >= 4);
         assert!(s.avg_degree > 3.0);
-        assert!(s.memory_bytes > 0);
+        // 17 row offsets of 8 bytes, then 52 directed edges of 4 + 4 bytes.
+        assert_eq!(s.memory_bytes, 17 * 8 + 52 * 8);
+    }
+
+    #[test]
+    fn summary_of_empty_and_edgeless_graphs() {
+        let empty = dataset_summary("E", "", &Graph::with_vertices(0));
+        assert_eq!((empty.diameter, empty.memory_bytes), (0, 8));
+        let isolated = dataset_summary("I", "", &Graph::with_vertices(3));
+        assert_eq!((isolated.diameter, isolated.memory_bytes), (0, 4 * 8));
     }
 
     #[test]
@@ -101,15 +96,5 @@ mod tests {
             "diameter should be in metres, got {}",
             s.diameter
         );
-    }
-
-    #[test]
-    fn table_formatting_contains_all_rows() {
-        let g = paper_figure1();
-        let rows = vec![dataset_summary("A", "", &g), dataset_summary("B", "", &g)];
-        let table = format_summary_table(&rows);
-        assert!(table.contains("A"));
-        assert!(table.contains("B"));
-        assert!(table.lines().count() >= 3);
     }
 }

@@ -431,8 +431,10 @@ fn generate_workload(args: &Args) {
     );
 }
 
-/// Groups consecutive same-source pairs into one-to-many batches of at most
-/// `batch` targets (preserving replay order within a group).
+/// Groups every pair with the same source, wherever it occurs in the
+/// replay, into one-to-many batches of at most `batch` targets. Sources
+/// keep the order of their first pair, and targets keep replay order
+/// within a source.
 fn batch_plan(pairs: &[QueryPair], batch: usize) -> Vec<(u32, Vec<u32>)> {
     let mut plan: Vec<(u32, Vec<u32>)> = Vec::new();
     let mut by_source: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();

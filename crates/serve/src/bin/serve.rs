@@ -35,7 +35,9 @@
 //! `--drain-secs` (default 3) bounds how long shutdown waits for
 //! already-queued response bytes to flush. `--max-inflight N` (default 0 =
 //! unlimited) sheds queries beyond N concurrently executing with a typed
-//! `Overloaded` response the client retries with backoff.
+//! `Overloaded` response the client retries with backoff. `--cache N`
+//! (default 65536, 0 disables) sizes the result cache; values above
+//! `hc2l_serve::cache::MAX_CAPACITY` (2^24 entries) are usage errors.
 //!
 //! Observability: every request is recorded into per-opcode latency
 //! histograms (cache hit/miss split for distance) — scrape them as
@@ -58,6 +60,7 @@ use std::sync::Arc;
 
 use hc2l_oracle::OracleBuilder;
 use hc2l_roadnet::random_pairs;
+use hc2l_serve::cache::MAX_CAPACITY;
 use hc2l_serve::{
     measure_connection_scaling, serve_with_model, ServeConfig, ServeModel, ServeState,
 };
@@ -165,7 +168,16 @@ fn parse_args() -> Args {
             }
             "--port" => args.port = parse!(&mut i, "--port"),
             "--threads" => args.threads = parse!(&mut i, "--threads"),
-            "--cache" => args.cache = parse!(&mut i, "--cache"),
+            "--cache" => {
+                args.cache = parse!(&mut i, "--cache");
+                if args.cache > MAX_CAPACITY {
+                    eprintln!(
+                        "invalid --cache {}: at most {MAX_CAPACITY} entries",
+                        args.cache
+                    );
+                    exit(2);
+                }
+            }
             "--model" => {
                 args.model = read_value(&mut i).parse().unwrap_or_else(|e| {
                     eprintln!("{e}");

@@ -88,6 +88,19 @@ fn stripe() -> usize {
     })
 }
 
+/// Largest capacity [`QueryCache::new`] honours: 2^24 entries, a table of
+/// 2^25 slots (1 GiB). Larger requests are clamped to it.
+pub const MAX_CAPACITY: usize = 1 << 24;
+
+/// Table slots for a requested capacity: `None` for a disabled cache,
+/// otherwise a non-zero power of two of at most `2 × MAX_CAPACITY`.
+fn table_slots(capacity: usize) -> Option<usize> {
+    Some(capacity.min(MAX_CAPACITY))
+        .filter(|&c| c > 0)
+        .and_then(|c| c.checked_mul(2))
+        .and_then(usize::checked_next_power_of_two)
+}
+
 /// A direct-mapped, epoch-tagged result cache keyed on canonicalised
 /// `(s, t)` pairs, shared by reference across worker threads.
 ///
@@ -109,16 +122,15 @@ impl std::fmt::Debug for QueryCache {
 }
 
 impl QueryCache {
-    /// A cache sized for `capacity` entries: a table of
-    /// `(2 × capacity).next_power_of_two()` slots. `capacity == 0`
+    /// A cache sized for `capacity` entries, clamped to [`MAX_CAPACITY`]: a
+    /// table of `(2 × capacity).next_power_of_two()` slots. `capacity == 0`
     /// disables the cache entirely (every lookup is a recorded miss,
     /// inserts are dropped).
     pub fn new(capacity: usize) -> Self {
         // Empty slots carry key u64::MAX, which never matches a probe: real
         // keys pack two in-range vertex ids, validated by the serving layer.
         QueryCache {
-            table: (capacity > 0)
-                .then(|| FrontCore::new(capacity.saturating_mul(2).next_power_of_two())),
+            table: table_slots(capacity).map(FrontCore::new),
             counters: Box::new(std::array::from_fn(|_| Counters::default())),
         }
     }
@@ -368,6 +380,12 @@ mod tests {
         assert!(!off.is_enabled());
         assert_eq!((off.stats().capacity, off.stats().len), (0, 0));
         assert_eq!(QueryCache::new(3).stats().capacity, 8);
+        // Oversized requests (2 × 2^63 wraps to zero; 2^40 entries would be
+        // a 32 TiB table) clamp to the documented maximum, never zero slots.
+        assert_eq!(table_slots(MAX_CAPACITY), Some(2 * MAX_CAPACITY));
+        for huge in [MAX_CAPACITY + 1, 1 << 40, 1 << 63, usize::MAX] {
+            assert_eq!(table_slots(huge), Some(2 * MAX_CAPACITY), "{huge}");
+        }
 
         let cache = QueryCache::new(64);
         let s = cache.stats();

@@ -17,7 +17,7 @@
 //! see every lookup. A sampled cache miss also records how many hubs its
 //! index query scanned.
 //!
-//! [`render`] turns a counter snapshot plus the live histograms into the
+//! `render` turns a counter snapshot plus the live histograms into the
 //! Prometheus text exposition document answered to a `Metrics` frame
 //! (scrape with `hc2l-query --metrics`).
 

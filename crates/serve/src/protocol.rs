@@ -39,7 +39,7 @@ use hc2l_oracle::WeightUpdate;
 
 /// Upper bound on one frame's payload (compare: a one-to-many request of
 /// 1M targets is 4MB). Anything larger is rejected as malformed — by both
-/// decoders on the way in, and by [`write_frame`]'s typed error on the way
+/// decoders on the way in, and by `write_frame`'s typed error on the way
 /// out, so an oversized frame can never even be produced.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
@@ -336,11 +336,6 @@ impl FrameDecoder {
     /// frame — the same condition the blocking decoder reports as an error.
     pub fn is_idle(&self) -> bool {
         self.pos == self.buf.len()
-    }
-
-    /// Bytes buffered but not yet decoded.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     /// Whether the next `next_request`/`next_response` call would make

@@ -444,11 +444,6 @@ impl ServeState {
             .epoch
     }
 
-    /// Whether this state can absorb `UpdateWeights` batches.
-    pub fn supports_updates(&self) -> bool {
-        self.engine.is_some()
-    }
-
     /// Absorbs a weight-update batch and publishes the re-weighted index as
     /// a new generation. Queries keep answering on the old generation
     /// throughout and switch at the pointer swap.
@@ -591,7 +586,7 @@ impl ServeState {
     /// which validates *before* counting or caching.
     ///
     /// The cache's hit/miss counter is the request count. Latency is timed
-    /// on a per-thread sample only (see [`sample_this_distance`]); an
+    /// on a per-thread sample only (see `sample_this_distance`); an
     /// unsampled request reads no clock and writes no histogram.
     #[inline]
     pub fn distance(&self, s: Vertex, t: Vertex) -> Distance {

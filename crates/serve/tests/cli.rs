@@ -1,13 +1,13 @@
 //! Command-line contract of the `hc2l-serve` daemon: malformed
-//! `--bench-scaling` lists and removed flags are rejected up front with
-//! exit status 2, never silently clamped to a default or turned into a
-//! panic deeper in the run.
+//! `--bench-scaling` lists, oversized `--cache` tables and removed flags
+//! are rejected up front with exit status 2, never silently clamped to a
+//! default or turned into a panic or an abort deeper in the run.
 
 use std::process::Command;
 
 #[test]
 fn malformed_scaling_counts_and_removed_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &["--grid", "4x4", "--bench-scaling", "0"],
             "--bench-scaling",
@@ -17,6 +17,29 @@ fn malformed_scaling_counts_and_removed_flags_are_usage_errors() {
             "--bench-scaling",
         ),
         (&["--grid", "4x4", "--bench"], "--bench"),
+        // 2 × 2^63 slots wraps to zero; 2^40 entries is a 64 TiB table.
+        (
+            &[
+                "--grid",
+                "4x4",
+                "--cache",
+                "9223372036854775808",
+                "--bench-scaling",
+                "1",
+            ],
+            "--cache",
+        ),
+        (
+            &[
+                "--grid",
+                "4x4",
+                "--cache",
+                "1099511627776",
+                "--bench-scaling",
+                "1",
+            ],
+            "--cache",
+        ),
     ];
     for (args, flag) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_hc2l-serve"))

@@ -10,17 +10,18 @@
 //!   held),
 //! * the O(1) cached size totals (`index_bytes`, label bytes, entry counts)
 //!   equal a full per-vertex recount, i.e. freezing lost nothing, and
-//! * a frozen index survives a byte-codec round-trip (the workspace's
-//!   stand-in for serde persistence; the vendored serde is marker-only).
+//! * a frozen arena comes back bit-identical from the index container, its
+//!   only on-disk form.
 
 mod common;
 
 use common::random_connected_graph;
-use hc2l::{Hc2lConfig, Hc2lIndex};
-use hc2l_graph::flat_labels::{FlatLevelLabels, LevelLabelsBuilder};
+use hc2l::{FrozenHc2l, Hc2lConfig, Hc2lIndex};
+use hc2l_graph::flat_labels::LevelLabelsBuilder;
 use hc2l_graph::{dijkstra, Distance, Graph, Vertex, INFINITY};
+use hc2l_graph::{Container, ContainerWriter, PersistentIndex};
 use hc2l_h2h::H2hIndex;
-use hc2l_hl::HubLabelIndex;
+use hc2l_hl::{FrozenHubLabels, HubLabelIndex};
 use hc2l_oracle::{DistanceOracle, Method, OracleBuilder};
 use hc2l_phl::PhlIndex;
 
@@ -203,34 +204,35 @@ fn frozen_arena_matches_prefreeze_builder_scratch() {
 }
 
 #[test]
-fn frozen_index_byte_codec_round_trips() {
+fn frozen_arenas_survive_the_container_bit_identically() {
     let g = random_connected_graph(40, 25, 7);
-    let n = g.num_vertices() as Vertex;
+    let load = |w: ContainerWriter| Container::from_bytes(&w.finish()).expect("valid container");
 
-    // Full HL index round-trip: queries from the decoded index must match.
     let hl = HubLabelIndex::build(&g);
-    let decoded = HubLabelIndex::from_bytes(&hl.to_bytes()).expect("HL codec round-trip");
-    for s in (0..n).step_by(3) {
-        for t in (0..n).step_by(2) {
-            assert_eq!(decoded.query(s, t), hl.query(s, t));
-        }
-    }
+    let mut w = ContainerWriter::new(HubLabelIndex::METHOD_TAG);
+    hl.write_sections(&mut w);
+    let c = load(w);
+    let owned = HubLabelIndex::read_sections(&c).expect("HL loads");
+    let view = FrozenHubLabels::from_container(&c).expect("HL view opens");
+    assert_eq!(owned.labels(), hl.labels());
+    assert_eq!(view.labels(), hl.labels());
 
-    // HC2L label-arena round-trip: the decoded arena is bit-identical and
-    // serves the same slices.
     let hc2l = Hc2lIndex::build(&g, Hc2lConfig::default());
-    let bytes = hc2l.labels().to_bytes();
-    let (decoded, used) = FlatLevelLabels::from_bytes(&bytes).expect("arena codec round-trip");
-    assert_eq!(used, bytes.len());
-    assert_eq!(&decoded, hc2l.labels());
-    for v in (0..decoded.num_vertices() as Vertex).step_by(3) {
-        for l in 0..decoded.num_levels(v) {
-            assert_eq!(decoded.level_array(v, l), hc2l.labels().level_array(v, l));
+    let mut w = ContainerWriter::new(Hc2lIndex::METHOD_TAG);
+    hc2l.write_sections(&mut w);
+    let c = load(w);
+    let owned = Hc2lIndex::read_sections(&c).expect("HC2L loads");
+    let view = FrozenHc2l::from_container(&c).expect("HC2L view opens");
+    assert_eq!(owned.labels(), hc2l.labels());
+    assert_eq!(view.labels(), hc2l.labels());
+    for v in (0..hc2l.labels().num_vertices() as Vertex).step_by(3) {
+        for l in 0..hc2l.labels().num_levels(v) {
+            assert_eq!(
+                view.labels().level_array(v, l),
+                hc2l.labels().level_array(v, l)
+            );
         }
     }
-
-    // Truncated input must be rejected, not mis-decoded.
-    assert!(FlatLevelLabels::from_bytes(&bytes[..bytes.len() - 3]).is_err());
 }
 
 #[test]

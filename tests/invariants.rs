@@ -2,14 +2,22 @@
 //! cuts really separate and balance, shortcut insertion restores the
 //! distance-preserving property, tail pruning never changes query results,
 //! and the balanced tree hierarchy respects its definition. Each check runs
-//! over a sweep of seeded random graphs from `tests/common`.
+//! over a sweep of seeded random graphs from `tests/common`. The masked
+//! Dijkstra every partition-local search runs on is checked against plain
+//! Dijkstra on the induced subgraph, and PHL's highways against it.
 
 mod common;
 
 use hc2l::{Hc2lConfig, Hc2lIndex};
 use hc2l_cut::{add_shortcuts, balanced_cut, CutConfig};
 use hc2l_graph::components::connected_components_masked;
-use hc2l_graph::{dijkstra, dijkstra_distance, InducedSubgraph, Vertex};
+use hc2l_graph::pathutil::greedy_path_decomposition;
+use hc2l_graph::toy::paper_figure1;
+use hc2l_graph::{
+    dijkstra, dijkstra_distance, masked_dijkstra, Distance, Graph, InducedSubgraph, Vertex,
+    INFINITY,
+};
+use hc2l_roadnet::seeded_grid;
 
 /// Algorithm 2's output is a partition whose cut really separates the two
 /// sides.
@@ -153,5 +161,95 @@ fn lca_cut_contains_a_realising_hub() {
                 );
             }
         }
+    }
+}
+
+/// The partition-local search HC2L's partitioning and shortcuts and PHL's
+/// path decomposition share, on the paper's Figure 1 graph and a seeded
+/// grid.
+fn masked_search_graphs() -> [(&'static str, Graph); 2] {
+    [
+        ("paper figure 1", paper_figure1()),
+        ("seeded 7x9 grid", seeded_grid(7, 9, 0x5EED)),
+    ]
+}
+
+/// With every vertex allowed, the masked search is plain Dijkstra.
+#[test]
+fn dijkstra_under_a_full_mask_is_plain_dijkstra() {
+    for (name, g) in &masked_search_graphs() {
+        let all = vec![true; g.num_vertices()];
+        for s in 0..g.num_vertices() as Vertex {
+            assert_eq!(
+                masked_dijkstra(g, s, &all),
+                dijkstra(g, s),
+                "{name} source {s}"
+            );
+        }
+    }
+}
+
+/// With a partial mask it is Dijkstra on the induced subgraph, ids mapped
+/// back and `INFINITY` outside the mask.
+#[test]
+fn dijkstra_under_a_mask_is_dijkstra_on_the_induced_subgraph() {
+    for (name, g) in &masked_search_graphs() {
+        let n = g.num_vertices();
+        // Drop every third vertex, which lengthens or cuts many routes.
+        let mask: Vec<bool> = (0..n).map(|v| v % 3 != 1).collect();
+        let kept: Vec<Vertex> = (0..n as Vertex).filter(|&v| mask[v as usize]).collect();
+        let sub = InducedSubgraph::new(g, &kept);
+        let mut detours = 0;
+        for &s in &kept {
+            let got = masked_dijkstra(g, s, &mask);
+            let want = dijkstra(&sub.graph, sub.to_local(s).unwrap());
+            let full = dijkstra(g, s);
+            for v in 0..n as Vertex {
+                let expected = sub.to_local(v).map_or(INFINITY, |l| want[l as usize]);
+                assert_eq!(got[v as usize], expected, "{name} ({s}, {v})");
+                detours += usize::from(mask[v as usize] && expected != full[v as usize]);
+            }
+        }
+        assert!(detours > 0, "{name}: the mask changed no distance");
+    }
+}
+
+/// A masked-out source reaches nothing, not even itself.
+#[test]
+fn dijkstra_from_a_masked_out_source_reaches_nothing() {
+    for (name, g) in &masked_search_graphs() {
+        let n = g.num_vertices();
+        for s in 0..n as Vertex {
+            let mut mask = vec![true; n];
+            mask[s as usize] = false;
+            let dist = masked_dijkstra(g, s, &mask);
+            assert!(dist.iter().all(|&d| d == INFINITY), "{name} source {s}");
+        }
+    }
+}
+
+/// PHL's highways are shortest paths of the graph left when they were
+/// chosen: each path's weight equals the masked distance between its ends
+/// over the vertices no earlier path covers.
+#[test]
+fn greedy_highways_are_shortest_paths_of_the_uncovered_graph() {
+    for (i, g) in common::sparse_graph_cases(12, 60, 0x4A).iter().enumerate() {
+        let mut uncovered = vec![true; g.num_vertices()];
+        for path in greedy_path_decomposition(g, 2) {
+            let weight: Distance = path
+                .windows(2)
+                .map(|w| Distance::from(g.edge_weight(w[0], w[1]).expect("a real path")))
+                .sum();
+            let ends = (path[0], path[path.len() - 1]);
+            let shortest = masked_dijkstra(g, ends.0, &uncovered)[ends.1 as usize];
+            assert_eq!(weight, shortest, "case {i}: highway {path:?}");
+            for &v in &path {
+                uncovered[v as usize] = false;
+            }
+        }
+        assert!(
+            uncovered.iter().all(|&u| !u),
+            "case {i}: uncovered vertices"
+        );
     }
 }
