@@ -124,15 +124,6 @@ pub fn add_shortcuts(
     shortcuts
 }
 
-/// Applies shortcuts to a graph in place (weights are clamped into the edge
-/// weight range; road-network distances fit comfortably).
-pub fn apply_shortcuts(g: &mut Graph, shortcuts: &[Shortcut]) {
-    for s in shortcuts {
-        let w = s.weight.min(u32::MAX as Distance) as u32;
-        g.add_or_relax_edge(s.u, s.v, w);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,20 +253,5 @@ mod tests {
         let part = vec![1u32, 2];
         let dists = cut_distance_arrays(&g, &cut);
         assert!(add_shortcuts(&g, &cut, &part, &dists).is_empty());
-    }
-
-    #[test]
-    fn apply_shortcuts_relaxes_existing_edges() {
-        let mut g = hc2l_graph::toy::path_graph(3, 5);
-        apply_shortcuts(
-            &mut g,
-            &[Shortcut {
-                u: 0,
-                v: 2,
-                weight: 7,
-            }],
-        );
-        assert_eq!(g.edge_weight(0, 2), Some(7));
-        assert_eq!(dijkstra_distance(&g, 0, 2), 7);
     }
 }

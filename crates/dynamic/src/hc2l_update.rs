@@ -70,6 +70,9 @@ pub enum RelabelUnsupported {
     /// not contain; it could cross a stored cut, so the fixed hierarchy
     /// can no longer answer exactly.
     ShortcutTopologyChanged,
+    /// The new metric needs a shortcut longer than a `u32` edge weight can
+    /// hold; a fresh build stops bisecting above it instead.
+    ShortcutOverflow,
 }
 
 impl std::fmt::Display for RelabelUnsupported {
@@ -84,6 +87,9 @@ impl std::fmt::Display for RelabelUnsupported {
             RelabelUnsupported::MissingCoreEdge => "updated edge is not a core edge",
             RelabelUnsupported::ShortcutTopologyChanged => {
                 "new metric requires shortcuts outside the built topology"
+            }
+            RelabelUnsupported::ShortcutOverflow => {
+                "new metric requires a shortcut longer than u32::MAX"
             }
         })
     }
@@ -233,13 +239,13 @@ impl Relabel<'_> {
                 .filter(|&l| child_id.is_ancestor_of(hierarchy.bits_of(map[l as usize])))
                 .collect();
             let (old_child, old_pairs) =
-                child_subgraph(&old_sub, &cut_local, &part, &old_cut_dists);
+                child_subgraph(&old_sub, &cut_local, &part, &old_cut_dists)?;
             let (new_child, new_pairs) = child_subgraph(
                 &new_sub,
                 &labelling.ordered_cut,
                 &part,
                 &labelling.cut_distances,
-            );
+            )?;
             // Every shortcut the new metric needs must already be an edge
             // of the built child (a base edge or an original shortcut);
             // otherwise it could cross a stored cut further down and the
@@ -258,21 +264,24 @@ impl Relabel<'_> {
 
 /// Rebuilds one child's shortcut-enhanced subgraph the way the builder
 /// does, also returning the emitted shortcut pairs (parent-local ids,
-/// normalised `u < v`) for the topology-stability check.
+/// normalised `u < v`) for the topology-stability check. A shortcut that
+/// does not fit a `u32` edge weight bounces the batch, so the oracle
+/// rebuilds, and the fresh build stops bisecting above it.
 fn child_subgraph(
     sub: &Graph,
     cut: &[Vertex],
     part: &[Vertex],
     cut_distances: &[Vec<Distance>],
-) -> (Graph, std::collections::HashSet<(Vertex, Vertex)>) {
+) -> Result<(Graph, std::collections::HashSet<(Vertex, Vertex)>), RelabelUnsupported> {
     let shortcuts = add_shortcuts(sub, cut, part, cut_distances);
     let mut child = InducedSubgraph::new(sub, part);
     let mut pairs = std::collections::HashSet::with_capacity(shortcuts.len());
     for s in &shortcuts {
-        child.add_shortcut_parent_ids(s.u, s.v, s.weight.min(u32::MAX as Distance) as u32);
+        let weight = u32::try_from(s.weight).map_err(|_| RelabelUnsupported::ShortcutOverflow)?;
+        child.add_shortcut_parent_ids(s.u, s.v, weight);
         pairs.insert((s.u.min(s.v), s.u.max(s.v)));
     }
-    (child.graph, pairs)
+    Ok((child.graph, pairs))
 }
 
 /// Weighted-graph equality as *edge sets* — the two graphs were built by
@@ -517,5 +526,33 @@ mod tests {
             assert_eq!(index.query(u, t), dist[t as usize]);
             assert_eq!(rebuilt.query(u, t), dist[t as usize]);
         }
+    }
+
+    #[test]
+    fn overflowing_shortcut_bounces_with_the_index_untouched() {
+        // Scaling every weight by 2^28 keeps every shortest path, so the
+        // shortcut topology stays the same, but some shortcut now exceeds
+        // u32::MAX. The walk must bounce the batch rather than insert a
+        // clamped (too short) shortcut; the rebuild it falls back to stays
+        // exact.
+        let g = weighted_grid(6, 6);
+        let ups: Vec<WeightUpdate> = g
+            .edges()
+            .map(|(u, v, w)| WeightUpdate::new(u, v, w << 28))
+            .collect();
+        let index0 = Hc2lIndex::build(&g, Hc2lConfig::default());
+        let mut index = index0.clone();
+        assert_eq!(
+            update_hc2l(&mut index, &g, &ups),
+            Err(RelabelUnsupported::ShortcutOverflow)
+        );
+        assert_eq!(
+            format!("{index:?}"),
+            format!("{index0:?}"),
+            "a bounced batch touched the index"
+        );
+        let mut g2 = g.clone();
+        crate::apply_batch(&mut g2, &ups);
+        assert_all_pairs_exact(&g2, &Hc2lIndex::build(&g2, Hc2lConfig::default()));
     }
 }

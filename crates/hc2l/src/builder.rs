@@ -10,14 +10,15 @@
 //! 3. add the non-redundant shortcuts to each partition (Algorithm 3) so the
 //!    child subgraphs stay distance-preserving, and
 //! 4. recurse into the two partitions; subgraphs at or below the leaf
-//!    threshold label all their vertices directly.
+//!    threshold label all their vertices directly, and so does a node whose
+//!    cut would need a shortcut longer than a `u32` edge weight can hold.
 //!
 //! When [`Hc2lConfig::threads`] is greater than one, the two children of a
 //! sufficiently large node are processed in parallel (fork-join), and the
 //! per-cut-vertex searches inside each node run on a small worker pool — the
 //! HC2Lp variant of Section 4.4.
 
-use hc2l_cut::{add_shortcuts, balanced_cut, BalancedTreeHierarchy, CutConfig};
+use hc2l_cut::{add_shortcuts, balanced_cut, BalancedTreeHierarchy, CutConfig, Shortcut};
 use hc2l_graph::{Distance, Graph, InducedSubgraph, Vertex};
 
 use crate::config::Hc2lConfig;
@@ -97,8 +98,8 @@ fn build_subtree(sub: Graph, map: Vec<Vertex>, config: &Hc2lConfig) -> SubtreeBu
     }
 
     // Decide whether to bisect further.
-    let (cut_local, split) = if n <= config.leaf_threshold {
-        ((0..n as Vertex).collect::<Vec<_>>(), None)
+    let split = if n <= config.leaf_threshold {
+        None
     } else {
         let bc = hc2l_obs::phase::time("cut_partition", || {
             balanced_cut(&sub, CutConfig { beta: config.beta })
@@ -107,11 +108,7 @@ fn build_subtree(sub: Graph, map: Vec<Vertex>, config: &Hc2lConfig) -> SubtreeBu
             || bc.part_a.len() == n
             || bc.part_b.len() == n
             || (bc.part_a.is_empty() && bc.part_b.is_empty());
-        if degenerate {
-            ((0..n as Vertex).collect::<Vec<_>>(), None)
-        } else {
-            (bc.cut, Some((bc.part_a, bc.part_b)))
-        }
+        (!degenerate).then_some((bc.cut, bc.part_a, bc.part_b))
     };
 
     // Label this node's cut over the current (distance-preserving) subgraph.
@@ -122,9 +119,42 @@ fn build_subtree(sub: Graph, map: Vec<Vertex>, config: &Hc2lConfig) -> SubtreeBu
     } else {
         1
     };
-    let labelling = hc2l_obs::phase::time("labelling", || {
-        label_node(&sub, &cut_local, config.tail_pruning, node_threads)
-    });
+    let label = |cut: &[Vertex]| {
+        hc2l_obs::phase::time("labelling", || {
+            label_node(&sub, cut, config.tail_pruning, node_threads)
+        })
+    };
+    let all_vertices = || (0..n as Vertex).collect::<Vec<_>>();
+    let (labelling, parts) = match split {
+        None => (label(&all_vertices()), None),
+        Some((cut, part_a, part_b)) => {
+            let labelling = label(&cut);
+            // Shortcut insertion keeps each child distance-preserving — it
+            // is part of the partitioning work, phase-wise.
+            let shortcuts = |part: &[Vertex]| {
+                hc2l_obs::phase::time("cut_partition", || {
+                    add_shortcuts(&sub, &labelling.ordered_cut, part, &labelling.cut_distances)
+                })
+            };
+            let parallel =
+                config.threads > 1 && part_a.len().min(part_b.len()) >= config.parallel_grain;
+            let (short_a, short_b) = join(parallel, || shortcuts(&part_a), || shortcuts(&part_b));
+            if short_a
+                .iter()
+                .chain(&short_b)
+                .all(|s| s.weight <= u32::MAX as Distance)
+            {
+                (labelling, Some(([part_a, part_b], [short_a, short_b])))
+            } else {
+                // A shortcut past u32::MAX cannot be an edge weight, and a
+                // clamped one would undercut the path it stands for. Stop
+                // bisecting instead: every vertex joins the cut and is
+                // labelled here, on a subgraph that still preserves
+                // distances because every shortcut above it fit.
+                (label(&all_vertices()), None)
+            }
+        }
+    };
     let mut arrays = Vec::with_capacity(n);
     for (local, array) in labelling.arrays.iter().enumerate() {
         arrays.push((map[local], array.clone()));
@@ -135,29 +165,24 @@ fn build_subtree(sub: Graph, map: Vec<Vertex>, config: &Hc2lConfig) -> SubtreeBu
         .map(|&c| map[c as usize])
         .collect();
 
-    let children = match split {
+    let children = match parts {
         None => [None, None],
-        Some((part_a, part_b)) => {
-            let build_child = |part: &[Vertex]| -> Box<SubtreeBuild> {
-                // Shortcut insertion keeps the child distance-preserving —
-                // it is part of the partitioning work, phase-wise.
-                let shortcuts = hc2l_obs::phase::time("cut_partition", || {
-                    add_shortcuts(&sub, &labelling.ordered_cut, part, &labelling.cut_distances)
-                });
+        Some(([part_a, part_b], [short_a, short_b])) => {
+            let build_child = |part: &[Vertex], shortcuts: &[Shortcut]| -> Box<SubtreeBuild> {
                 let mut child = InducedSubgraph::new(&sub, part);
-                for s in &shortcuts {
-                    child.add_shortcut_parent_ids(
-                        s.u,
-                        s.v,
-                        s.weight.min(u32::MAX as Distance) as u32,
-                    );
+                for s in shortcuts {
+                    child.add_shortcut_parent_ids(s.u, s.v, s.weight as u32);
                 }
                 let child_map: Vec<Vertex> = part.iter().map(|&v| map[v as usize]).collect();
                 Box::new(build_subtree(child.graph, child_map, config))
             };
             let parallel =
                 config.threads > 1 && part_a.len().min(part_b.len()) >= config.parallel_grain;
-            let (left, right) = join(parallel, || build_child(&part_a), || build_child(&part_b));
+            let (left, right) = join(
+                parallel,
+                || build_child(&part_a, &short_a),
+                || build_child(&part_b, &short_b),
+            );
             [Some(left), Some(right)]
         }
     };

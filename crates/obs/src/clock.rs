@@ -21,8 +21,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Process-wide start instant for the `Instant` fallback and for log
-/// timestamps.
+/// Process-wide start instant for the `Instant` fallback.
 pub(crate) fn process_start() -> Instant {
     static START: OnceLock<Instant> = OnceLock::new();
     *START.get_or_init(Instant::now)
@@ -123,12 +122,6 @@ pub fn ns_since(start: u64) -> u64 {
         return 0;
     }
     ((delta as u128 * tick_ns_mult() as u128) >> 32) as u64
-}
-
-/// Seconds elapsed since the first clock use in this process — the log
-/// timestamp base.
-pub(crate) fn uptime_secs() -> f64 {
-    process_start().elapsed().as_secs_f64()
 }
 
 #[cfg(test)]

@@ -16,19 +16,15 @@
 //! * [`phase`] — named wall-time accumulators for build phases (cut
 //!   partitioning, labelling, freeze, bounds). Construction code adds spans
 //!   as it goes; the bench drains them into a `build_phases` report.
-//! * [`log`] — a leveled stderr logger configured by the `HC2L_LOG`
-//!   environment variable (`off`/`error`/`warn`/`info`/`debug`), plus
-//!   [`prom`], helpers for rendering the Prometheus text exposition format
-//!   served by the daemon's `Metrics` frame.
+//! * [`prom`] — helpers for rendering the Prometheus text exposition
+//!   format served by the daemon's `Metrics` frame.
 //!
 //! Everything here is hand-rolled on `std` only, matching the repository's
 //! vendored-stubs constraint (no external crates).
 
 pub mod clock;
 pub mod histogram;
-pub mod log;
 pub mod phase;
 pub mod prom;
 
 pub use histogram::{Histogram, HistogramCore, Snapshot};
-pub use log::Level;

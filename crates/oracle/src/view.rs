@@ -182,12 +182,6 @@ impl SharedOracle {
         SharedOracle::from_container(Container::open_mmap(path)?)
     }
 
-    /// Opens an index container with the buffered read path
-    /// ([`Container::open`]) — one heap copy, no file mapping.
-    pub fn open_buffered(path: &Path) -> Result<SharedOracle, PersistError> {
-        SharedOracle::from_container(Container::open(path)?)
-    }
-
     /// Wraps an already-loaded container.
     pub fn from_container(container: Container) -> Result<SharedOracle, PersistError> {
         let container = Arc::new(container);
@@ -353,7 +347,7 @@ mod tests {
         let path = scratch("buffered");
         built.save(&path).unwrap();
         let mapped = SharedOracle::open(&path).unwrap();
-        let buffered = SharedOracle::open_buffered(&path).unwrap();
+        let buffered = SharedOracle::from_container(Container::open(&path).unwrap()).unwrap();
         assert!(!buffered.is_mapped());
         for s in 0..16u32 {
             for t in 0..16u32 {

@@ -58,25 +58,12 @@ pub enum DatasetConfig {
 }
 
 impl DatasetSpec {
-    /// Generates the road network for this spec. Generation time and size
-    /// go to the `HC2L_LOG` logger at `info` — the medium-scale suite takes
-    /// minutes and this is the only progress signal `repro` emits per
-    /// dataset.
+    /// Generates the road network for this spec.
     pub fn build(&self) -> RoadNetwork {
-        let t0 = hc2l_obs::clock::now();
-        let net = match &self.config {
+        match &self.config {
             DatasetConfig::City(cfg) => cfg.generate(),
             DatasetConfig::MultiCity(cfg) => generate_multi_city(cfg),
-        };
-        hc2l_obs::info!(
-            "generated dataset {} ({}): {} vertices, {} edges in {:.1}ms",
-            self.name,
-            self.region,
-            net.num_vertices(),
-            net.num_segments(),
-            hc2l_obs::clock::ns_since(t0) as f64 / 1e6
-        );
-        net
+        }
     }
 
     /// Expected number of vertices (before corridor vertices are added).

@@ -174,10 +174,15 @@ fn parse_args() -> Args {
                     eprintln!("--gen-grid expects ROWSxCOLS, e.g. 16x16");
                     exit(2);
                 });
-                let rows = r.parse().unwrap_or(0);
-                let cols = c.parse().unwrap_or(0);
+                let rows: usize = r.parse().unwrap_or(0);
+                let cols: usize = c.parse().unwrap_or(0);
                 if rows == 0 || cols == 0 {
                     eprintln!("--gen-grid expects ROWSxCOLS, e.g. 16x16");
+                    exit(2);
+                }
+                // Vertex ids are u32: a product past u32::MAX would wrap.
+                if rows.checked_mul(cols).is_none_or(|n| n > u32::MAX as usize) {
+                    eprintln!("--gen-grid {v}: at most {} vertices", u32::MAX);
                     exit(2);
                 }
                 args.gen_grid = Some((rows, cols));

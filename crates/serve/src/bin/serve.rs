@@ -2,16 +2,14 @@
 //!
 //! ```text
 //! hc2l-serve --index paris.hc2l [--port 7171] [--threads N] [--cache N]
-//!            [--model epoll|threads] [--addr-file FILE] [--buffered]
+//!            [--model epoll|threads] [--addr-file FILE]
 //!            [--idle-timeout SECS] [--stall-timeout SECS]
-//!            [--drain-secs SECS] [--max-inflight N] [--metrics-every SECS]
+//!            [--drain-secs SECS] [--max-inflight N]
 //! hc2l-serve --grid ROWSxCOLS [--grid-seed S] [--method hc2l|ch|...] [...]
-//! hc2l-serve --index paris.hc2l --bench-scaling 8,64,512 [--threads N]
-//!            [--cache N] [--model epoll|threads]
 //! ```
 //!
-//! Loads one saved index container (memory-mapped; `--buffered` forces the
-//! heap-read fallback) and serves the binary wire protocol on
+//! Loads one saved index container (memory-mapped, with a heap read where
+//! mapping is unavailable) and serves the binary wire protocol on
 //! `127.0.0.1:PORT` until a client sends `Shutdown`. `--model` picks the
 //! connection model: `epoll` (the default where it exists) multiplexes any
 //! number of connections over `--threads` reactor threads; `threads` is the
@@ -23,10 +21,10 @@
 //!
 //! `--grid ROWSxCOLS` serves a seeded synthetic grid instead of a saved
 //! container: the daemon builds a `--method` index (default `ch`) over the
-//! grid in-process and — because it then owns the underlying graph — accepts
-//! live `UpdateWeights` frames (`hc2l-query --update/--update-file`). A
-//! daemon started from `--index` serves a static snapshot and answers
-//! update frames with a typed error.
+//! grid (at most `u32::MAX` vertices) in-process and — because it then owns
+//! the underlying graph — accepts live `UpdateWeights` frames (`hc2l-query
+//! --update/--update-file`). A daemon started from `--index` serves a
+//! static snapshot and answers update frames with a typed error.
 //!
 //! Overload and fault posture: `--idle-timeout` (default 300s) reaps
 //! connections quiet at a frame boundary; `--stall-timeout` (default 30s)
@@ -41,33 +39,17 @@
 //!
 //! Observability: every request is recorded into per-opcode latency
 //! histograms (cache hit/miss split for distance) — scrape them as
-//! Prometheus text with `hc2l-query --metrics`, or pass `--metrics-every
-//! SECS` to dump one-line per-opcode summaries to stderr on that period
-//! (0, the default, disables the dump). `HC2L_LOG=info|debug` raises the
-//! stderr log level (default `warn`).
-//!
-//! `--bench-scaling COUNTS` is the over-the-wire exactness sweep instead
-//! of a daemon: it boots a server on an ephemeral port and, for each
-//! comma-separated connection count (each at least 1), holds that many
-//! connections — 8 active replayers, the rest idle — while the actives
-//! replay 2000 seeded random pairs twice with every answer gated against
-//! the index itself. It prints one `connections ... mismatches N` line per
-//! count and exits 1 on any mismatch. Serving throughput is measured by
-//! `sysbench`, not here.
+//! Prometheus text with `hc2l-query --metrics`, and read the counters with
+//! `hc2l-query --stats`. Driving and gating traffic is `hc2l-query`'s job
+//! (`--replay FILE --clients N --idle M`); serving throughput is measured
+//! by `sysbench`.
 
 use std::process::exit;
 use std::sync::Arc;
 
 use hc2l_oracle::OracleBuilder;
-use hc2l_roadnet::random_pairs;
 use hc2l_serve::cache::MAX_CAPACITY;
-use hc2l_serve::{
-    measure_connection_scaling, serve_with_model, ServeConfig, ServeModel, ServeState,
-};
-
-/// Pairs the `--bench-scaling` sweep replays, and the seed that draws them.
-const SCALING_PAIRS: usize = 2000;
-const SCALING_SEED: u64 = 0xBEEF;
+use hc2l_serve::{serve_with_model, ServeConfig, ServeModel, ServeState};
 
 struct Args {
     index: String,
@@ -79,13 +61,10 @@ struct Args {
     cache: usize,
     model: ServeModel,
     addr_file: Option<String>,
-    buffered: bool,
-    bench_scaling: Option<Vec<usize>>,
     idle_timeout_secs: u64,
     stall_timeout_secs: u64,
     drain_secs: u64,
     max_inflight: usize,
-    metrics_every_secs: u64,
 }
 
 impl Args {
@@ -120,13 +99,10 @@ fn parse_args() -> Args {
         cache: 1 << 16,
         model: ServeModel::platform_default(),
         addr_file: None,
-        buffered: false,
-        bench_scaling: None,
         idle_timeout_secs: 300,
         stall_timeout_secs: 30,
         drain_secs: 3,
         max_inflight: 0,
-        metrics_every_secs: 0,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -150,12 +126,22 @@ fn parse_args() -> Args {
             "--index" => args.index = read_value(&mut i),
             "--grid" => {
                 let spec = read_value(&mut i);
+                // Vertex ids are u32: a product past u32::MAX would wrap.
                 let parsed = spec.split_once('x').and_then(|(r, c)| {
-                    Some((r.trim().parse().ok()?, c.trim().parse().ok()?))
-                        .filter(|&(r, c): &(usize, usize)| r >= 2 && c >= 2)
+                    Some((r.trim().parse().ok()?, c.trim().parse().ok()?)).filter(
+                        |&(r, c): &(usize, usize)| {
+                            r >= 2
+                                && c >= 2
+                                && r.checked_mul(c).is_some_and(|n| n <= u32::MAX as usize)
+                        },
+                    )
                 });
                 args.grid = Some(parsed.unwrap_or_else(|| {
-                    eprintln!("invalid --grid {spec:?}: expected ROWSxCOLS, both >= 2");
+                    eprintln!(
+                        "invalid --grid {spec:?}: expected ROWSxCOLS, both >= 2, \
+                         at most {} vertices",
+                        u32::MAX
+                    );
                     exit(2);
                 }));
             }
@@ -185,28 +171,10 @@ fn parse_args() -> Args {
                 })
             }
             "--addr-file" => args.addr_file = Some(read_value(&mut i)),
-            "--buffered" => args.buffered = true,
-            "--bench-scaling" => {
-                let list = read_value(&mut i);
-                let counts = list
-                    .split(',')
-                    .map(|c| match c.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => n,
-                        _ => {
-                            eprintln!(
-                                "invalid --bench-scaling count {c:?}: expected a positive integer"
-                            );
-                            exit(2);
-                        }
-                    })
-                    .collect();
-                args.bench_scaling = Some(counts);
-            }
             "--idle-timeout" => args.idle_timeout_secs = parse!(&mut i, "--idle-timeout"),
             "--stall-timeout" => args.stall_timeout_secs = parse!(&mut i, "--stall-timeout"),
             "--drain-secs" => args.drain_secs = parse!(&mut i, "--drain-secs"),
             "--max-inflight" => args.max_inflight = parse!(&mut i, "--max-inflight"),
-            "--metrics-every" => args.metrics_every_secs = parse!(&mut i, "--metrics-every"),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -225,7 +193,7 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let threads = args.threads.max(1);
-    let (state, num_vertices) = if let Some((rows, cols)) = args.grid {
+    let state = if let Some((rows, cols)) = args.grid {
         let g = hc2l_roadnet::seeded_grid(rows, cols, args.grid_seed);
         let n = g.num_vertices();
         let oracle = OracleBuilder::new(args.method).build(&g);
@@ -234,19 +202,13 @@ fn main() {
              live weight updates enabled",
             args.method
         );
-        let state = Arc::new(
+        Arc::new(
             ServeState::with_updates(g, oracle, threads, args.cache)
                 .with_config(args.serve_config()),
-        );
-        (state, n)
+        )
     } else {
         let path = std::path::Path::new(&args.index);
-        let oracle = if args.buffered {
-            hc2l_oracle::SharedOracle::open_buffered(path)
-        } else {
-            OracleBuilder::open(path)
-        }
-        .unwrap_or_else(|e| {
+        let oracle = OracleBuilder::open(path).unwrap_or_else(|e| {
             eprintln!("cannot open index {}: {e}", path.display());
             exit(1);
         });
@@ -261,56 +223,8 @@ fn main() {
                 "heap-buffered"
             }
         );
-        let n = oracle.num_vertices();
-        let state =
-            Arc::new(ServeState::new(oracle, threads, args.cache).with_config(args.serve_config()));
-        (state, n)
+        Arc::new(ServeState::new(oracle, threads, args.cache).with_config(args.serve_config()))
     };
-
-    if let Some(counts) = &args.bench_scaling {
-        let pairs = random_pairs(num_vertices, SCALING_PAIRS, SCALING_SEED);
-        // Expected answers from the index itself: the sweep gates that
-        // concurrent serving over the wire is bit-identical to it.
-        let expected: Vec<u64> = pairs
-            .iter()
-            .map(|p| state.oracle().distance(p.source, p.target))
-            .collect();
-        let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), args.model)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot bind the scaling server: {e}");
-                exit(1);
-            });
-        let mut failed = false;
-        for &count in counts {
-            match measure_connection_scaling(server.addr(), &pairs, &expected, count, 8, 2) {
-                Ok(r) => {
-                    println!(
-                        "connections {} active {} queries {} seconds {:.4} \
-                         queries_per_second {:.0} mismatches {}",
-                        r.connections,
-                        r.active,
-                        r.queries,
-                        r.seconds,
-                        r.queries_per_second,
-                        r.mismatches
-                    );
-                    failed |= r.mismatches > 0;
-                }
-                Err(e) => {
-                    eprintln!("scaling run at {count} connections failed: {e}");
-                    failed = true;
-                }
-            }
-        }
-        server.shutdown().unwrap_or_else(|e| {
-            eprintln!("scaling server shutdown failed: {e}");
-            exit(1);
-        });
-        if failed {
-            exit(1);
-        }
-        return;
-    }
 
     let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", args.port), args.model)
         .unwrap_or_else(|e| {
@@ -335,32 +249,6 @@ fn main() {
         state.cache().stats().capacity,
         hc2l_graph::active_kernel()
     );
-    if args.metrics_every_secs > 0 {
-        let state = Arc::clone(&state);
-        let every = std::time::Duration::from_secs(args.metrics_every_secs);
-        std::thread::spawn(move || {
-            let mut last = std::time::Instant::now();
-            while !state.is_shutting_down() {
-                // Poll the shutdown flag on a short interval so the dump
-                // thread never outlives the drain by a full period.
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                if last.elapsed() < every {
-                    continue;
-                }
-                last = std::time::Instant::now();
-                let lat = state.latency();
-                eprintln!(
-                    "[metrics] distance(hit, sampled 1/64)  {}\n\
-                     [metrics] distance(miss, sampled 1/64) {}\n\
-                     [metrics] one_to_many    {}\n[metrics] update_weights {}",
-                    lat.distance_hit.snapshot().summary(),
-                    lat.distance_miss.snapshot().summary(),
-                    lat.one_to_many.snapshot().summary(),
-                    lat.update_weights.snapshot().summary()
-                );
-            }
-        });
-    }
     if let Err(e) = server.wait() {
         eprintln!("serve loop failed: {e}");
         exit(1);

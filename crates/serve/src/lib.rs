@@ -39,21 +39,19 @@
 //!   fallback). The `hc2l-serve` binary is the daemon (`--model
 //!   epoll|threads`); `hc2l-query` is the matching client, able to replay
 //!   `hc2l_roadnet` workload files over `--clients N` concurrent
-//!   connections and gate exactness.
-//! * **connection scaling** — [`measure_connection_scaling`] holds
-//!   hundreds of mostly-idle TCP connections against a running server and
-//!   verifies every answer over the wire; the daemon's `--bench-scaling`
-//!   mode runs it. Serving throughput and latency are measured by
-//!   `sysbench`, not by this crate.
+//!   connections (`--idle M` more held open and quiet) and gate exactness.
+//!   Serving throughput and latency are measured by `sysbench`, not by
+//!   this crate.
 //!
 //! ```no_run
 //! use std::sync::Arc;
 //! use hc2l_oracle::OracleBuilder;
-//! use hc2l_serve::{serve, ServeState};
+//! use hc2l_serve::{serve_with_model, ServeModel, ServeState};
 //!
 //! let oracle = OracleBuilder::open(std::path::Path::new("paris.hc2l")).unwrap();
 //! let state = Arc::new(ServeState::new(oracle, 8, 1 << 20));
-//! let server = serve(state, ("0.0.0.0", 7171)).unwrap();
+//! let model = ServeModel::platform_default();
+//! let server = serve_with_model(state, ("0.0.0.0", 7171), model).unwrap();
 //! println!("serving on {}", server.addr());
 //! server.wait().unwrap();
 //! ```
@@ -64,7 +62,6 @@ pub mod metrics;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 pub(crate) mod reactor;
-pub mod scaling;
 pub mod server;
 
 pub use cache::{CacheStats, QueryCache};
@@ -73,8 +70,7 @@ pub use protocol::{
     read_request, read_response, write_request, write_response, FrameDecoder, Request, Response,
     ServerStats, UpdateOutcome, MAX_FRAME_BYTES, MAX_ONE_TO_MANY_TARGETS, MAX_UPDATE_BATCH,
 };
-pub use scaling::{measure_connection_scaling, ConnectionScalingReport};
 pub use server::{
-    serve, serve_with_model, Generation, ServeConfig, ServeModel, ServeState, ServedOracle,
-    ServerHandle, UpdateError,
+    serve_with_model, Generation, ServeConfig, ServeModel, ServeState, ServedOracle, ServerHandle,
+    UpdateError,
 };

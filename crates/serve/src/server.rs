@@ -24,10 +24,9 @@
 //! entries are epoch-tagged, so the swap invalidates the whole cache in
 //! O(1) without a sweep.
 //!
-//! [`serve`] keeps the original blocking model; [`serve_with_model`] selects
-//! a [`ServeModel`] — the epoll reactor (`crate::reactor`) holds hundreds of
-//! mostly-idle connections on a handful of threads, where the blocking model
-//! would need one OS thread per client.
+//! [`serve_with_model`] runs the chosen [`ServeModel`] — the epoll reactor
+//! (`crate::reactor`) holds hundreds of mostly-idle connections on a handful
+//! of threads, where the blocking model would need one OS thread per client.
 
 use std::cell::Cell;
 use std::io::{self, BufWriter, Read, Write};
@@ -343,8 +342,8 @@ pub struct ServeState {
     /// touched).
     engine_failed: AtomicBool,
     shutdown: AtomicBool,
-    /// Set by [`serve`] once the listener is bound; guards against two
-    /// serve loops sharing one state's shutdown flag.
+    /// Set by [`serve_with_model`] once the listener is bound; guards
+    /// against two serve loops sharing one state's shutdown flag.
     bound_addr: OnceLock<SocketAddr>,
 }
 
@@ -514,7 +513,9 @@ impl ServeState {
             Err(_) => {
                 self.engine_failed.store(true, Ordering::Release);
                 self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                hc2l_obs::error!(
+                // A write error on stderr must not turn into a second panic.
+                let _ = writeln!(
+                    io::stderr(),
                     "update batch panicked mid-apply; engine disabled, \
                      still serving the last published generation"
                 );
@@ -551,13 +552,6 @@ impl ServeState {
         drop(guard);
         self.update_batches.fetch_add(1, Ordering::Relaxed);
         self.latency.update_weights.record(clock::ns_since(t0));
-        hc2l_obs::info!(
-            "published epoch {epoch}: {} updates applied, {} rejected, via {} in {}us",
-            report.applied,
-            report.rejected,
-            report.strategy,
-            report.micros
-        );
         Ok(UpdateOutcome {
             strategy_tag: report.strategy.tag(),
             applied: report.applied as u64,
@@ -715,13 +709,16 @@ impl ServeState {
     /// Records a connection closed for blowing an idle or stall budget.
     pub(crate) fn note_reaped(&self) {
         self.connections_reaped.fetch_add(1, Ordering::Relaxed);
-        hc2l_obs::debug!("connection reaped (idle or stall budget exceeded)");
     }
 
     /// Records a caught request-handler panic.
     pub(crate) fn note_panic(&self) {
         self.panics_caught.fetch_add(1, Ordering::Relaxed);
-        hc2l_obs::error!("request handler panicked (caught); the daemon keeps serving");
+        // A write error on stderr must not turn into a second panic.
+        let _ = writeln!(
+            io::stderr(),
+            "request handler panicked (caught); the daemon keeps serving"
+        );
     }
 
     /// Records a response write that failed because the peer was gone.
@@ -999,13 +996,6 @@ impl ServerHandle {
         self.state.request_shutdown();
         self.wait()
     }
-}
-
-/// Binds `addr` and serves it with the blocking thread-per-connection model
-/// until a `Shutdown` request arrives — shorthand for [`serve_with_model`]
-/// with [`ServeModel::Threads`].
-pub fn serve(state: Arc<ServeState>, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
-    serve_with_model(state, addr, ServeModel::Threads)
 }
 
 /// Binds `addr` and runs the chosen connection model in a background thread
@@ -1787,7 +1777,8 @@ mod tests {
         let g = paper_figure1();
         let oracle = OracleBuilder::new(Method::Hl).build(&g);
         let state = Arc::new(ServeState::new(oracle, 1, 0)); // one slot
-        let server = serve(Arc::clone(&state), ("127.0.0.1", 0)).unwrap();
+        let server =
+            serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), ServeModel::Threads).unwrap();
         let addr = server.addr();
         // Occupy the only slot with a connection that stays idle.
         let idle = TcpStream::connect(addr).unwrap();

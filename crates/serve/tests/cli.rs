@@ -1,31 +1,42 @@
-//! Command-line contract of the `hc2l-serve` daemon: malformed
-//! `--bench-scaling` lists, oversized `--cache` tables and removed flags
-//! are rejected up front with exit status 2, never silently clamped to a
-//! default or turned into a panic or an abort deeper in the run.
+//! Command-line contract of the `hc2l-serve` daemon and the `hc2l-query`
+//! client: oversized `--cache` tables and grids, and removed flags, are
+//! rejected up front with exit status 2, never silently clamped to a
+//! default or turned into a panic or an abort deeper in the run; and the
+//! two binaries together serve and gate a replay end to end.
 
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join(name);
+    std::fs::remove_file(&path).ok();
+    path
+}
 
 #[test]
-fn malformed_scaling_counts_and_removed_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 5] = [
-        (
-            &["--grid", "4x4", "--bench-scaling", "0"],
-            "--bench-scaling",
-        ),
-        (
-            &["--grid", "4x4", "--bench-scaling", "8,,64"],
-            "--bench-scaling",
-        ),
+fn oversized_tables_and_removed_flags_are_usage_errors() {
+    let cases: [(&[&str], &str); 8] = [
         (&["--grid", "4x4", "--bench"], "--bench"),
-        // 2 × 2^63 slots wraps to zero; 2^40 entries is a 64 TiB table.
+        (
+            &["--grid", "4x4", "--bench-scaling", "8"],
+            "--bench-scaling",
+        ),
+        (
+            &["--grid", "4x4", "--metrics-every", "1"],
+            "--metrics-every",
+        ),
+        (&["--grid", "4x4", "--buffered"], "--buffered"),
+        // 2 × 2^63 slots wraps to zero; 2^40 entries is a 64 TiB table. The
+        // trailing unknown flag stops the run if `--cache` were accepted.
         (
             &[
                 "--grid",
                 "4x4",
                 "--cache",
                 "9223372036854775808",
-                "--bench-scaling",
-                "1",
+                "--no-such-flag",
             ],
             "--cache",
         ),
@@ -35,11 +46,13 @@ fn malformed_scaling_counts_and_removed_flags_are_usage_errors() {
                 "4x4",
                 "--cache",
                 "1099511627776",
-                "--bench-scaling",
-                "1",
+                "--no-such-flag",
             ],
             "--cache",
         ),
+        // 65536 × 65537 vertices overflow u32 ids; the second wraps usize.
+        (&["--grid", "65536x65537"], "--grid"),
+        (&["--grid", "18446744073709551615x2"], "--grid"),
     ];
     for (args, flag) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_hc2l-serve"))
@@ -58,20 +71,80 @@ fn malformed_scaling_counts_and_removed_flags_are_usage_errors() {
 }
 
 #[test]
-fn scaling_sweep_gates_every_count_over_the_wire() {
-    let out = Command::new(env!("CARGO_BIN_EXE_hc2l-serve"))
-        .args(["--grid", "4x4", "--threads", "2", "--bench-scaling", "1,16"])
+fn oversized_generated_grids_are_usage_errors() {
+    for spec in ["65536x65537", "18446744073709551615x2"] {
+        let out_file = scratch(&format!("oversized-{spec}.q"));
+        let out = Command::new(env!("CARGO_BIN_EXE_hc2l-query"))
+            .args(["--gen-grid", spec, "--out"])
+            .arg(&out_file)
+            .output()
+            .expect("failed to run hc2l-query");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(stderr.contains("--gen-grid"), "{spec}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+        assert!(out.stdout.is_empty(), "{spec}");
+        assert!(!out_file.exists(), "{spec} wrote {}", out_file.display());
+    }
+}
+
+#[test]
+fn daemon_serves_a_gated_replay_over_mostly_idle_connections() {
+    let addr_file = scratch("replay.addr");
+    let workload = scratch("replay.q");
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_hc2l-serve"))
+        .args([
+            "--grid",
+            "4x4",
+            "--port",
+            "0",
+            "--threads",
+            "2",
+            "--addr-file",
+        ])
+        .arg(&addr_file)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("failed to start hc2l-serve");
+    let query = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_hc2l-query"))
+            .arg("--addr-file")
+            .arg(&addr_file)
+            .args(args)
+            .output()
+            .expect("failed to run hc2l-query")
+    };
+
+    let generated = Command::new(env!("CARGO_BIN_EXE_hc2l-query"))
+        .args(["--gen-grid", "4x4", "--count", "200", "--out"])
+        .arg(&workload)
         .output()
-        .expect("failed to run hc2l-serve");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 2, "one line per count: {stdout}");
-    assert!(lines[0].starts_with("connections 1 active 1 "), "{stdout}");
-    assert!(lines[1].starts_with("connections 16 active 8 "), "{stdout}");
+        .expect("failed to run hc2l-query");
+    assert!(generated.status.success(), "{generated:?}");
+
+    let workload_arg = workload.to_str().expect("utf-8 scratch path");
+    let replay = query(&[
+        "--replay",
+        workload_arg,
+        "--clients",
+        "2",
+        "--idle",
+        "14",
+        "--reps",
+        "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    let shutdown = query(&["--shutdown"]);
+    let daemon_status = daemon.wait().expect("daemon did not exit");
+    assert_eq!(replay.status.code(), Some(0), "{replay:?}");
     assert!(
-        lines.iter().all(|l| l.ends_with(" mismatches 0")),
+        stdout.contains("replayed 800 queries") && stdout.contains(", 0 mismatches"),
         "{stdout}"
+    );
+    assert!(shutdown.status.success(), "{shutdown:?}");
+    assert!(
+        daemon_status.success(),
+        "daemon exited with {daemon_status}"
     );
 }

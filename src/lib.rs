@@ -128,11 +128,10 @@
 //! one execution path — an event-driven epoll reactor (the Linux default:
 //! N reactor threads multiplexing hundreds of mostly-idle non-blocking
 //! connections with write backpressure) and a blocking
-//! thread-per-connection fallback — the `hc2l-serve` binary (`--model
-//! epoll|threads`, `--bench-scaling` over-the-wire exactness sweep) and
-//! the `hc2l-query` client (point queries, workload-file replay over
-//! `--clients N` concurrent connections with exactness gating, workload
-//! generation). See `examples/serve_demo.rs`
+//! thread-per-connection fallback — the `hc2l-serve` daemon (`--model
+//! epoll|threads`) and the `hc2l-query` client (point queries,
+//! workload-file replay over `--clients N` concurrent connections plus
+//! `--idle M` quiet ones with exactness gating, workload generation). See `examples/serve_demo.rs`
 //! for the full build → save → mmap-open → serve walkthrough and
 //! `crates/serve/src/bin/README.md` for the model table.
 //!
@@ -146,7 +145,7 @@
 //! | [`hc2l_ch`] / [`hc2l_h2h`] / [`hc2l_hl`] / [`hc2l_phl`] | the baselines |
 //! | [`hc2l_oracle`] | the unified [`DistanceOracle`] API over all of the above |
 //! | [`hc2l_roadnet`] | synthetic road networks, DIMACS parsing, query workloads |
-//! | [`hc2l_serve`] | concurrent query serving: epoll/threads daemon, wire protocol, result cache, connection-scaling gate |
+//! | [`hc2l_serve`] | concurrent query serving: epoll/threads daemon, wire protocol, result cache, replay client |
 
 pub use hc2l;
 pub use hc2l_ch;

@@ -10,8 +10,12 @@ mod common;
 use std::path::PathBuf;
 
 use hc2l::Hc2lConfig;
-use hc2l_graph::{dijkstra, Graph, Vertex};
-use hc2l_oracle::{DistanceOracle, Method, OracleBuilder, SharedOracle};
+use hc2l_graph::toy::paper_figure1;
+use hc2l_graph::{dijkstra, Graph, GraphBuilder, Vertex, Weight};
+use hc2l_oracle::{DistanceOracle, Method, OracleBuilder, SharedOracle, WeightUpdate};
+use hc2l_roadnet::seeded_grid;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 fn assert_oracle_exact(g: &Graph, oracle: &impl DistanceOracle) {
     let n = g.num_vertices();
@@ -178,6 +182,91 @@ fn all_methods_agree_pairwise() {
                         oracle.name(),
                         oracles[0].name()
                     );
+                }
+            }
+        }
+    }
+}
+
+/// `g` with every edge that `pick` selects (by its position in
+/// `g.edges()`) re-weighted to `weight`.
+fn reweighted(g: &Graph, weight: Weight, pick: impl Fn(usize) -> bool) -> Graph {
+    let mut b = GraphBuilder::new(g.num_vertices());
+    for (i, (u, v, w)) in g.edges().enumerate() {
+        b.add_edge(u, v, if pick(i) { weight } else { w });
+    }
+    b.build()
+}
+
+// Shortcuts carry path lengths, which outgrow the u32 edge weights they
+// are inserted as; a clamped shortcut would undercut the path it stands
+// for. Every pair must still match Dijkstra.
+
+#[test]
+fn every_method_stays_exact_when_grid_shortcuts_exceed_u32() {
+    let g = reweighted(&seeded_grid(8, 8, 3), 1 << 30, |_| true);
+    assert_eq!(dijkstra(&g, 0)[36], 8_589_934_592);
+    for method in Method::ALL {
+        assert_oracle_exact(&g, &OracleBuilder::new(method).build(&g));
+    }
+}
+
+#[test]
+fn every_method_stays_exact_when_figure1_shortcuts_exceed_u32() {
+    let g = reweighted(&paper_figure1(), u32::MAX, |i| i % 2 == 0);
+    assert_eq!(dijkstra(&g, 0)[2], 4_294_967_297);
+    for method in Method::ALL {
+        assert_oracle_exact(&g, &OracleBuilder::new(method).build(&g));
+    }
+}
+
+/// One random re-weighting of an edge of weight `w`: an increase, a
+/// decrease, a weight near `u32::MAX` or a small weight.
+fn churned_weight(rng: &mut StdRng, w: Weight) -> Weight {
+    match rng.random_range(0..4u32) {
+        0 => w.saturating_mul(rng.random_range(2..=8u32)),
+        1 => (w / 2).max(1),
+        2 => u32::MAX - rng.random_range(0..16u32),
+        _ => rng.random_range(1..=20u32),
+    }
+}
+
+#[test]
+fn every_method_stays_exact_through_seeded_weight_churn() {
+    // 25 update batches per graph and seed. Each batch walks one fixed edge
+    // through small, huge and back-to-small weights, and re-weights 1-6
+    // other distinct edges; after every batch each method must answer
+    // every pair exactly on the re-weighted graph, whichever strategy
+    // (incremental or rebuild) absorbed the batch.
+    const FIXED_EDGE_WEIGHTS: [Weight; 5] = [1, 50, u32::MAX, 3, u32::MAX - 1];
+    for g0 in [paper_figure1(), seeded_grid(6, 6, 7), seeded_grid(5, 7, 9)] {
+        let edges: Vec<(Vertex, Vertex)> = g0.edges().map(|(u, v, _)| (u, v)).collect();
+        for seed in 0..3u64 {
+            for method in Method::ALL {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut g = g0.clone();
+                let mut oracle = OracleBuilder::new(method).build(&g);
+                for batch in 0..25 {
+                    let (fu, fv) = edges[0];
+                    let mut ups = vec![WeightUpdate::new(
+                        fu,
+                        fv,
+                        FIXED_EDGE_WEIGHTS[batch % FIXED_EDGE_WEIGHTS.len()],
+                    )];
+                    let others = rng.random_range(1..=6usize);
+                    let mut picked = vec![0usize];
+                    while picked.len() <= others {
+                        let i = rng.random_range(1..edges.len());
+                        if !picked.contains(&i) {
+                            picked.push(i);
+                            let (u, v) = edges[i];
+                            let w = g.edge_weight(u, v).expect("edge of the graph");
+                            ups.push(WeightUpdate::new(u, v, churned_weight(&mut rng, w)));
+                        }
+                    }
+                    let report = oracle.apply_updates(&mut g, &ups);
+                    assert_eq!(report.rejected, 0, "{method} seed {seed} batch {batch}");
+                    assert_oracle_exact(&g, &oracle);
                 }
             }
         }

@@ -33,9 +33,8 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Serve-crate files that execute on the request path: a panic here takes
-/// a connection or a worker down. `scaling.rs` (test client driver) and the
-/// bins (process entry points, where exiting loudly is correct) are
-/// deliberately absent.
+/// a connection or a worker down. The bins (process entry points, where
+/// exiting loudly is correct) are deliberately absent.
 const SERVE_REQUEST_PATH_FILES: &[&str] = &[
     "crates/serve/src/server.rs",
     "crates/serve/src/reactor.rs",
