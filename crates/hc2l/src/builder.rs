@@ -125,8 +125,8 @@ fn build_subtree(sub: Graph, map: Vec<Vertex>, config: &Hc2lConfig) -> SubtreeBu
         })
     };
     let all_vertices = || (0..n as Vertex).collect::<Vec<_>>();
-    let (labelling, parts) = match split {
-        None => (label(&all_vertices()), None),
+    let (labelling, children) = match split {
+        None => (label(&all_vertices()), [None, None]),
         Some((cut, part_a, part_b)) => {
             let labelling = label(&cut);
             // Shortcut insertion keeps each child distance-preserving — it
@@ -144,14 +144,27 @@ fn build_subtree(sub: Graph, map: Vec<Vertex>, config: &Hc2lConfig) -> SubtreeBu
                 .chain(&short_b)
                 .all(|s| s.weight <= u32::MAX as Distance)
             {
-                (labelling, Some(([part_a, part_b], [short_a, short_b])))
+                let build_child = |part: &[Vertex], shortcuts: &[Shortcut]| {
+                    let mut child = InducedSubgraph::new(&sub, part);
+                    for s in shortcuts {
+                        child.add_shortcut_parent_ids(s.u, s.v, s.weight as u32);
+                    }
+                    let child_map: Vec<Vertex> = part.iter().map(|&v| map[v as usize]).collect();
+                    Box::new(build_subtree(child.graph, child_map, config))
+                };
+                let (left, right) = join(
+                    parallel,
+                    || build_child(&part_a, &short_a),
+                    || build_child(&part_b, &short_b),
+                );
+                (labelling, [Some(left), Some(right)])
             } else {
                 // A shortcut past u32::MAX cannot be an edge weight, and a
                 // clamped one would undercut the path it stands for. Stop
                 // bisecting instead: every vertex joins the cut and is
                 // labelled here, on a subgraph that still preserves
                 // distances because every shortcut above it fit.
-                (label(&all_vertices()), None)
+                (label(&all_vertices()), [None, None])
             }
         }
     };
@@ -164,28 +177,6 @@ fn build_subtree(sub: Graph, map: Vec<Vertex>, config: &Hc2lConfig) -> SubtreeBu
         .iter()
         .map(|&c| map[c as usize])
         .collect();
-
-    let children = match parts {
-        None => [None, None],
-        Some(([part_a, part_b], [short_a, short_b])) => {
-            let build_child = |part: &[Vertex], shortcuts: &[Shortcut]| -> Box<SubtreeBuild> {
-                let mut child = InducedSubgraph::new(&sub, part);
-                for s in shortcuts {
-                    child.add_shortcut_parent_ids(s.u, s.v, s.weight as u32);
-                }
-                let child_map: Vec<Vertex> = part.iter().map(|&v| map[v as usize]).collect();
-                Box::new(build_subtree(child.graph, child_map, config))
-            };
-            let parallel =
-                config.threads > 1 && part_a.len().min(part_b.len()) >= config.parallel_grain;
-            let (left, right) = join(
-                parallel,
-                || build_child(&part_a, &short_a),
-                || build_child(&part_b, &short_b),
-            );
-            [Some(left), Some(right)]
-        }
-    };
 
     SubtreeBuild {
         cut: cut_orig,
