@@ -35,8 +35,10 @@ impl GraphBuilder {
         }
     }
 
-    /// Records an undirected edge. Self-loops are ignored; zero weights are
-    /// clamped to one so that Dijkstra's positive-weight assumption holds.
+    /// Records an undirected edge. Self-loops are ignored. Edge weights are
+    /// always at least 1, so that Dijkstra's positive-weight assumption
+    /// holds: a weight of 0 is stored as 1, as
+    /// [`Graph::set_edge_weight`] does.
     pub fn add_edge(&mut self, u: Vertex, v: Vertex, w: Weight) {
         if u == v {
             return;

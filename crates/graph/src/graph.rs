@@ -127,10 +127,15 @@ impl Graph {
     /// or smaller than the old one. Returns `false` (and changes nothing)
     /// when the edge does not exist — dynamic-update batches use this to
     /// reject updates against phantom edges instead of inserting them.
+    ///
+    /// Edge weights are always at least 1, so that Dijkstra's
+    /// positive-weight assumption holds: a weight of 0 is stored as 1, as
+    /// [`crate::GraphBuilder::add_edge`] does.
     pub fn set_edge_weight(&mut self, u: Vertex, v: Vertex, w: Weight) -> bool {
         if u == v {
             return false;
         }
+        let w = w.max(1);
         let (un, vn) = (u as usize, v as usize);
         if un >= self.adj.len() || vn >= self.adj.len() {
             return false;
@@ -248,6 +253,10 @@ mod tests {
         assert!(!g2.set_edge_weight(1, 1, 7));
         assert!(!g2.set_edge_weight(0, 99, 7));
         assert_eq!(g2.edge_weight(0, 1), Some(5));
+        // A weight of 0 is stored as 1, as the builder stores it.
+        assert!(g2.set_edge_weight(1, 0, 0));
+        assert_eq!(g2.edge_weight(0, 1), Some(1));
+        assert_eq!(g2.edge_weight(1, 0), Some(1));
     }
 
     #[test]

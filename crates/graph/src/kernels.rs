@@ -70,27 +70,12 @@ pub enum KernelKind {
 
 impl KernelKind {
     /// Stable lower-case name (`scalar`/`avx2`/`neon`) — the value accepted
-    /// by the `HC2L_KERNEL` override and reported in bench/stats output.
+    /// by the `HC2L_KERNEL` override and reported in bench and metrics output.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Avx2 => "avx2",
             KernelKind::Neon => "neon",
-        }
-    }
-
-    /// Wire tag (1 = scalar, 2 = avx2, 3 = neon) carried in server stats.
-    pub fn tag(self) -> u32 {
-        self as u32
-    }
-
-    /// Inverse of [`KernelKind::tag`].
-    pub fn from_tag(tag: u32) -> Option<KernelKind> {
-        match tag {
-            1 => Some(KernelKind::Scalar),
-            2 => Some(KernelKind::Avx2),
-            3 => Some(KernelKind::Neon),
-            _ => None,
         }
     }
 
@@ -597,14 +582,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_kind_round_trips_names_and_tags() {
+    fn kernel_kind_round_trips_names() {
         for k in [KernelKind::Scalar, KernelKind::Avx2, KernelKind::Neon] {
             assert_eq!(KernelKind::from_name(k.name()), Some(k));
-            assert_eq!(KernelKind::from_tag(k.tag()), Some(k));
         }
         assert_eq!(KernelKind::from_name(" AVX2 "), Some(KernelKind::Avx2));
         assert_eq!(KernelKind::from_name("sse9"), None);
-        assert_eq!(KernelKind::from_tag(0), None);
     }
 
     #[test]

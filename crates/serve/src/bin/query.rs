@@ -10,7 +10,7 @@
 //!                           server shed the request before executing it —
 //!                           with exponential backoff + jitter; connection
 //!                           failures retry (reconnecting) only for
-//!                           idempotent requests (--distance, --stats,
+//!                           idempotent requests (--distance, --metrics,
 //!                           replay setup). Updates and shutdown fail fast:
 //!                           the client cannot know whether they executed.
 //!   --deadline SECS         overall wall-clock bound; when it passes, the
@@ -22,11 +22,11 @@
 //!   --replay FILE           replay a workload file (hc2l_roadnet format:
 //!                           `source target [expected]` lines); gates
 //!                           exactness when expected distances are present
-//!     --reps N              replay the file N times (default 1)
+//!     --reps N              replay the file N >= 1 times (default 1)
 //!     --batch N             group pairs by source and send one-to-many
 //!                           requests of up to N targets (default: point
 //!                           queries)
-//!     --clients N           replay over N concurrent connections, each
+//!     --clients N           replay over N >= 1 concurrent connections, each
 //!                           running the full workload (default 1); the
 //!                           printed q/s aggregates all clients
 //!     --idle N              additionally hold N idle connections open for
@@ -38,19 +38,21 @@
 //!                           update format: `u v new_weight` lines); both
 //!                           print the strategy that absorbed the batch
 //!                           (ch-customize / hc2l-relabel / rebuild),
-//!                           applied/rejected counts and the new epoch
-//!   --stats                 print server counters as a labeled table
-//!                           (identity, traffic, cache, latency percentiles,
-//!                           fault counters)
+//!                           applied/rejected counts and the epoch served
+//!                           after it; --update-file validates the whole
+//!                           batch first, against the vertex count of a
+//!                           `Metrics` scrape
 //!   --metrics               scrape the Prometheus text-exposition document
-//!                           (the `Metrics` frame) to stdout — pipe it to a
-//!                           file or a pushgateway
+//!                           (the `Metrics` frame: every server counter and
+//!                           latency series) to stdout — pipe it to a file
+//!                           or a pushgateway
 //!   --shutdown              stop the daemon
 //!
 //! workload generation (no server needed):
 //!   --gen-grid RxC --out FILE [--count N] [--seed S] [--grid-seed S]
-//!                           write a workload over the seeded reference
-//!                           grid, with exact expected distances (Dijkstra)
+//!                           write N >= 1 queries (default 500) over the
+//!                           seeded reference grid, with exact expected
+//!                           distances (Dijkstra)
 //!     --apply-updates FILE  apply a weight-update batch to the grid first,
 //!                           so the expected distances gate a daemon that
 //!                           has absorbed the same batch
@@ -77,7 +79,6 @@ use std::process::exit;
 use std::time::{Duration, Instant};
 
 use hc2l_graph::{dijkstra, Distance, INFINITY};
-use hc2l_oracle::Method;
 use hc2l_roadnet::{random_pairs, read_workload_file, seeded_grid, write_workload_file, QueryPair};
 use hc2l_serve::{read_response, write_request, Request, Response};
 
@@ -92,7 +93,6 @@ struct Args {
     batch: usize,
     clients: usize,
     idle: usize,
-    stats: bool,
     metrics: bool,
     shutdown: bool,
     update: Option<hc2l_oracle::WeightUpdate>,
@@ -141,6 +141,17 @@ fn parse_args() -> Args {
             })
         };
     }
+    // A count of 0 would run nothing, so it is a usage error, not a 1.
+    macro_rules! positive {
+        ($i:expr, $what:literal) => {{
+            let v: usize = parse!($i, $what);
+            if v == 0 {
+                eprintln!(concat!("invalid ", $what, " 0: must be at least 1"));
+                exit(2);
+            }
+            v
+        }};
+    }
     while i < argv.len() {
         match argv[i].as_str() {
             "--addr" => args.addr = Some(read_value(&mut i)),
@@ -152,11 +163,10 @@ fn parse_args() -> Args {
                 args.distance = Some((s, t));
             }
             "--replay" => args.replay = Some(read_value(&mut i)),
-            "--reps" => args.reps = parse!(&mut i, "--reps"),
+            "--reps" => args.reps = positive!(&mut i, "--reps"),
             "--batch" => args.batch = parse!(&mut i, "--batch"),
-            "--clients" => args.clients = parse!(&mut i, "--clients"),
+            "--clients" => args.clients = positive!(&mut i, "--clients"),
             "--idle" => args.idle = parse!(&mut i, "--idle"),
-            "--stats" => args.stats = true,
             "--metrics" => args.metrics = true,
             "--shutdown" => args.shutdown = true,
             "--update" => {
@@ -188,7 +198,7 @@ fn parse_args() -> Args {
                 args.gen_grid = Some((rows, cols));
             }
             "--out" => args.out = Some(read_value(&mut i)),
-            "--count" => args.count = parse!(&mut i, "--count"),
+            "--count" => args.count = positive!(&mut i, "--count"),
             "--seed" => args.seed = parse!(&mut i, "--seed"),
             "--grid-seed" => args.grid_seed = parse!(&mut i, "--grid-seed"),
             "--retries" => args.retries = parse!(&mut i, "--retries"),
@@ -306,7 +316,7 @@ fn ask_resilient(
 ) -> Response {
     let idempotent = matches!(
         req,
-        Request::Distance(..) | Request::OneToMany { .. } | Request::Stats | Request::Metrics
+        Request::Distance(..) | Request::OneToMany { .. } | Request::Metrics
     );
     let mut attempt = 0u32;
     loop {
@@ -413,7 +423,7 @@ fn generate_workload(args: &Args) {
         let (applied, rejected) = hc2l_oracle::apply_batch(&mut g, &updates);
         eprintln!("applied {applied} updates from {file} to the grid ({rejected} rejected)");
     }
-    let pairs = random_pairs(g.num_vertices(), args.count.max(1), args.seed);
+    let pairs = random_pairs(g.num_vertices(), args.count, args.seed);
     // Exact expected distances, one Dijkstra per distinct source.
     let mut by_source: std::collections::HashMap<u32, Vec<Distance>> =
         std::collections::HashMap::new();
@@ -536,7 +546,7 @@ fn run_replay_client(
             return run;
         }
     };
-    'replay: for _ in 0..args.reps.max(1) {
+    'replay: for _ in 0..args.reps {
         for req in plan {
             if policy.past_deadline() {
                 run.aborted = Some("--deadline exceeded".to_string());
@@ -638,8 +648,7 @@ fn replay(args: &Args) {
         })
         .collect();
 
-    let clients = args.clients.max(1);
-    let reps = args.reps.max(1);
+    let (clients, reps) = (args.clients, args.reps);
     // How many answers one client produces when nothing goes wrong — the
     // yardstick partial progress is reported against.
     let planned: u64 = plan
@@ -763,101 +772,32 @@ fn send_updates(
     }
 }
 
-/// Fetches the server counters (retrying transparently — Stats is
+/// Scrapes the `Metrics` document (retrying transparently — the scrape is
 /// idempotent).
-fn fetch_stats(
-    addr: &str,
-    policy: &mut RetryPolicy,
-    session: &mut Option<Session>,
-) -> hc2l_serve::ServerStats {
-    match ask_resilient(addr, policy, session, &Request::Stats) {
-        Response::Stats(s) => s,
+fn fetch_metrics(addr: &str, policy: &mut RetryPolicy, session: &mut Option<Session>) -> String {
+    match ask_resilient(addr, policy, session, &Request::Metrics) {
+        Response::Metrics(doc) => doc,
         other => {
-            eprintln!("unexpected response to Stats: {other:?}");
+            eprintln!("unexpected response to Metrics: {other:?}");
             exit(1);
         }
     }
 }
 
-/// Renders the server counters as a labeled table grouped into sections
-/// (index identity, traffic, cache, latency percentiles, fault counters).
-/// Separate from printing so the layout has a unit test.
-fn format_stats(s: &hc2l_serve::ServerStats) -> String {
-    let method = Method::from_tag(s.method_tag)
-        .map(|m| m.to_string())
-        .unwrap_or_else(|| format!("unknown tag {}", s.method_tag));
-    let kernel = hc2l_graph::KernelKind::from_tag(s.kernel_tag)
-        .map(|k| k.name().to_string())
-        .unwrap_or_else(|| format!("unknown tag {}", s.kernel_tag));
-    let mut out = String::new();
-    let mut section = |title: &str, rows: &[(&str, String)]| {
-        out.push_str(title);
-        out.push('\n');
-        for (k, v) in rows {
-            out.push_str(&format!("  {k:<22} {v}\n"));
-        }
-    };
-    section(
-        "index",
-        &[
-            ("method", method),
-            ("kernel", kernel),
-            ("num_vertices", s.num_vertices.to_string()),
-            ("index_bytes", s.index_bytes.to_string()),
-            ("mapped", s.mapped.to_string()),
-            ("epoch", s.epoch.to_string()),
-        ],
-    );
-    section(
-        "traffic",
-        &[
-            ("threads", s.threads.to_string()),
-            ("distance_queries", s.distance_queries.to_string()),
-            ("one_to_many_queries", s.one_to_many_queries.to_string()),
-            ("one_to_many_targets", s.one_to_many_targets.to_string()),
-            ("update_batches", s.update_batches.to_string()),
-        ],
-    );
-    section(
-        "cache",
-        &[
-            ("cache_hits", s.cache_hits.to_string()),
-            ("cache_misses", s.cache_misses.to_string()),
-            ("cache_hit_rate", format!("{:.4}", s.cache_hit_rate())),
-            ("cache_len", s.cache_len.to_string()),
-            ("cache_capacity", s.cache_capacity.to_string()),
-        ],
-    );
-    let ns = hc2l_obs::histogram::fmt_ns;
-    section(
-        "latency",
-        &[
-            ("distance_p50", ns(s.distance_p50_ns)),
-            ("distance_p90", ns(s.distance_p90_ns)),
-            ("distance_p99", ns(s.distance_p99_ns)),
-            ("distance_p99.9", ns(s.distance_p999_ns)),
-            ("distance_max", ns(s.distance_max_ns)),
-            ("one_to_many_p50", ns(s.one_to_many_p50_ns)),
-            ("one_to_many_p99", ns(s.one_to_many_p99_ns)),
-            ("update_p50", ns(s.update_p50_ns)),
-            ("update_p99", ns(s.update_p99_ns)),
-        ],
-    );
-    section(
-        "faults",
-        &[
-            ("connections_accepted", s.connections_accepted.to_string()),
-            ("connections_reaped", s.connections_reaped.to_string()),
-            ("panics_caught", s.panics_caught.to_string()),
-            ("overload_rejections", s.overload_rejections.to_string()),
-            ("write_errors", s.write_errors.to_string()),
-        ],
-    );
-    out
-}
-
-fn print_stats(s: &hc2l_serve::ServerStats) {
-    print!("{}", format_stats(s));
+/// The served index's vertex count, read off the `hc2l_index_vertices`
+/// line of a `Metrics` scrape.
+fn fetch_num_vertices(
+    addr: &str,
+    policy: &mut RetryPolicy,
+    session: &mut Option<Session>,
+) -> usize {
+    let doc = fetch_metrics(addr, policy, session);
+    doc.lines()
+        .find_map(|l| l.strip_prefix("hc2l_index_vertices ")?.parse().ok())
+        .unwrap_or_else(|| {
+            eprintln!("the Metrics document has no hc2l_index_vertices line");
+            exit(1);
+        })
 }
 
 fn main() {
@@ -869,7 +809,6 @@ fn main() {
     let modes = [
         args.distance.is_some(),
         args.replay.is_some(),
-        args.stats,
         args.metrics,
         args.shutdown,
         args.update.is_some(),
@@ -877,8 +816,8 @@ fn main() {
     ];
     if modes.iter().filter(|&&m| m).count() != 1 {
         eprintln!(
-            "pick exactly one mode: --distance, --replay, --stats, --metrics, \
-             --shutdown, --update or --update-file"
+            "pick exactly one mode: --distance, --replay, --metrics, --shutdown, \
+             --update or --update-file"
         );
         exit(2);
     }
@@ -913,23 +852,14 @@ fn main() {
         // Validate the whole batch client-side before any byte goes out:
         // a malformed batch (empty, out-of-range endpoint, duplicate edge)
         // must fail typed with no partial apply visible to queries.
-        let n = fetch_stats(&addr, &mut policy, &mut session).num_vertices;
-        if let Err(e) = hc2l_roadnet::validate_update_batch(&updates, n as usize) {
+        let n = fetch_num_vertices(&addr, &mut policy, &mut session);
+        if let Err(e) = hc2l_roadnet::validate_update_batch(&updates, n) {
             eprintln!("invalid update batch in {file}: {e}; nothing was sent (no partial apply)");
             exit(1);
         }
         send_updates(&addr, &mut policy, &mut session, updates);
-    } else if args.stats {
-        let s = fetch_stats(&addr, &mut policy, &mut session);
-        print_stats(&s);
     } else if args.metrics {
-        match ask_resilient(&addr, &mut policy, &mut session, &Request::Metrics) {
-            Response::Metrics(doc) => print!("{doc}"),
-            other => {
-                eprintln!("unexpected response to Metrics: {other:?}");
-                exit(1);
-            }
-        }
+        print!("{}", fetch_metrics(&addr, &mut policy, &mut session));
     } else if args.shutdown {
         match ask_resilient(&addr, &mut policy, &mut session, &Request::Shutdown) {
             Response::ShuttingDown => eprintln!("server acknowledged shutdown"),
@@ -937,83 +867,6 @@ fn main() {
                 eprintln!("unexpected response {other:?}");
                 exit(1);
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_table_has_every_section_and_field() {
-        let s = hc2l_serve::ServerStats {
-            method_tag: Method::Hc2l.tag(),
-            kernel_tag: hc2l_graph::KernelKind::Avx2.tag(),
-            num_vertices: 1_000_000,
-            index_bytes: 123_456_789,
-            threads: 8,
-            mapped: true,
-            distance_queries: 42,
-            one_to_many_queries: 3,
-            one_to_many_targets: 300,
-            cache_hits: 30,
-            cache_misses: 12,
-            cache_len: 12,
-            cache_capacity: 65_536,
-            update_batches: 2,
-            epoch: 2,
-            connections_accepted: 5,
-            connections_reaped: 1,
-            panics_caught: 0,
-            overload_rejections: 7,
-            write_errors: 0,
-            distance_p50_ns: 85,
-            distance_p90_ns: 120,
-            distance_p99_ns: 950,
-            distance_p999_ns: 12_300,
-            distance_max_ns: 4_560_000,
-            one_to_many_p50_ns: 5_000,
-            one_to_many_p99_ns: 11_000,
-            update_p50_ns: 2_000_000,
-            update_p99_ns: 30_000_000,
-        };
-        let table = format_stats(&s);
-        for header in ["index\n", "traffic\n", "cache\n", "latency\n", "faults\n"] {
-            assert!(table.contains(header), "missing section {header:?}");
-        }
-        // Identity rows carry the kernel (PR 8) and method names.
-        assert!(table.contains("  method                 HC2L\n"), "{table}");
-        assert!(table.contains("  kernel                 avx2\n"), "{table}");
-        // Latency rows render with adaptive units.
-        assert!(table.contains("  distance_p50           85ns\n"), "{table}");
-        assert!(
-            table.contains("  distance_p99.9         12.3µs\n"),
-            "{table}"
-        );
-        assert!(
-            table.contains("  distance_max           4.56ms\n"),
-            "{table}"
-        );
-        assert!(
-            table.contains("  update_p99             30.00ms\n"),
-            "{table}"
-        );
-        // Fault counters (PR 7) are all present.
-        assert!(table.contains("  connections_reaped     1\n"), "{table}");
-        assert!(table.contains("  panics_caught          0\n"), "{table}");
-        assert!(table.contains("  overload_rejections    7\n"), "{table}");
-        assert!(table.contains("  write_errors           0\n"), "{table}");
-        assert!(
-            table.contains("  cache_hit_rate         0.7143\n"),
-            "{table}"
-        );
-        // Every non-header line is two-space indented and key-aligned.
-        for line in table.lines() {
-            assert!(
-                !line.starts_with("  ") || line.len() > 25,
-                "misaligned row: {line:?}"
-            );
         }
     }
 }

@@ -38,9 +38,9 @@
 //! `hc2l_serve::cache::MAX_CAPACITY` (2^24 entries) are usage errors.
 //!
 //! Observability: every request is recorded into per-opcode latency
-//! histograms (cache hit/miss split for distance) — scrape them as
-//! Prometheus text with `hc2l-query --metrics`, and read the counters with
-//! `hc2l-query --stats`. Driving and gating traffic is `hc2l-query`'s job
+//! histograms (cache hit/miss split for distance) — scrape them, together
+//! with every server counter, as Prometheus text with `hc2l-query
+//! --metrics`. Driving and gating traffic is `hc2l-query`'s job
 //! (`--replay FILE --clients N --idle M`); serving throughput is measured
 //! by `sysbench`.
 

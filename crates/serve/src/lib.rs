@@ -27,7 +27,7 @@
 //!   (the epoll model offloads absorption to a worker thread).
 //! * **a wire protocol and daemon** — a length-prefixed binary protocol
 //!   ([`protocol`]) carrying `Distance`, batched `OneToMany`,
-//!   `UpdateWeights`, `Stats` and `Shutdown` over TCP, decodable both
+//!   `UpdateWeights`, `Metrics` and `Shutdown` over TCP, decodable both
 //!   blockingly and incrementally
 //!   ([`FrameDecoder`] accepts frames in arbitrary fragments). Two
 //!   connection models serve it through one execution path
@@ -68,9 +68,9 @@ pub use cache::{CacheStats, QueryCache};
 pub use metrics::OpLatencies;
 pub use protocol::{
     read_request, read_response, write_request, write_response, FrameDecoder, Request, Response,
-    ServerStats, UpdateOutcome, MAX_FRAME_BYTES, MAX_ONE_TO_MANY_TARGETS, MAX_UPDATE_BATCH,
+    UpdateOutcome, MAX_FRAME_BYTES, MAX_ONE_TO_MANY_TARGETS, MAX_UPDATE_BATCH,
 };
 pub use server::{
     serve_with_model, Generation, ServeConfig, ServeModel, ServeState, ServedOracle, ServerHandle,
-    UpdateError,
+    ServerStats, UpdateError,
 };

@@ -19,12 +19,12 @@
 //!
 //! `render` turns a counter snapshot plus the live histograms into the
 //! Prometheus text exposition document answered to a `Metrics` frame
-//! (scrape with `hc2l-query --metrics`).
+//! (scrape with `hc2l-query --metrics`) — the daemon's one read-out.
 
 use hc2l_obs::prom;
 use hc2l_obs::{Histogram, Snapshot};
 
-use crate::protocol::ServerStats;
+use crate::server::ServerStats;
 
 /// The serve-side histograms: latency per opcode (distance split by cache
 /// outcome) plus hubs scanned per sampled index query. Shared freely:
@@ -42,8 +42,8 @@ pub struct OpLatencies {
 }
 
 impl OpLatencies {
-    /// Hit and miss folded together: the whole-opcode distance view the
-    /// `Stats` percentile fields report.
+    /// Hit and miss folded together: the whole-opcode distance view,
+    /// rendered as the `{op="distance",cache="all"}` latency series.
     pub fn distance_merged(&self) -> Snapshot {
         let mut s = self.distance_hit.snapshot();
         s.merge(&self.distance_miss.snapshot());
@@ -57,19 +57,13 @@ impl OpLatencies {
 pub(crate) fn render(stats: &ServerStats, latency: &OpLatencies) -> String {
     let mut out = String::with_capacity(4096);
 
-    let method = hc2l_oracle::Method::from_tag(stats.method_tag)
-        .map(|m| m.name())
-        .unwrap_or("unknown");
-    let kernel = hc2l_graph::KernelKind::from_tag(stats.kernel_tag)
-        .map(|k| k.name())
-        .unwrap_or("unknown");
     prom::write_type(&mut out, "hc2l_index_info", "gauge");
     prom::write_sample(
         &mut out,
         "hc2l_index_info",
         &[
-            ("method", method),
-            ("kernel", kernel),
+            ("method", stats.method.name()),
+            ("kernel", stats.kernel.name()),
             ("mapped", if stats.mapped { "true" } else { "false" }),
         ],
         1,
@@ -128,10 +122,12 @@ pub(crate) fn render(stats: &ServerStats, latency: &OpLatencies) -> String {
 
     let hit = latency.distance_hit.snapshot();
     let miss = latency.distance_miss.snapshot();
+    let all = latency.distance_merged();
     let one_to_many = latency.one_to_many.snapshot();
     let updates = latency.update_weights.snapshot();
     let hit_labels: &[(&str, &str)] = &[("op", "distance"), ("cache", "hit")];
     let miss_labels: &[(&str, &str)] = &[("op", "distance"), ("cache", "miss")];
+    let all_labels: &[(&str, &str)] = &[("op", "distance"), ("cache", "all")];
     let otm_labels: &[(&str, &str)] = &[("op", "one_to_many")];
     let upd_labels: &[(&str, &str)] = &[("op", "update_weights")];
     prom::write_latency_block(
@@ -140,6 +136,7 @@ pub(crate) fn render(stats: &ServerStats, latency: &OpLatencies) -> String {
         &[
             (hit_labels, &hit),
             (miss_labels, &miss),
+            (all_labels, &all),
             (otm_labels, &one_to_many),
             (upd_labels, &updates),
         ],
@@ -163,37 +160,30 @@ pub(crate) fn render(stats: &ServerStats, latency: &OpLatencies) -> String {
 mod tests {
     use super::*;
 
+    /// Every counter distinct, so each rendered line below can only come
+    /// from its own field.
     fn stats_fixture() -> ServerStats {
         ServerStats {
-            method_tag: hc2l_oracle::Method::Hc2l.tag(),
-            kernel_tag: hc2l_graph::KernelKind::Scalar.tag(),
+            method: hc2l_oracle::Method::Hc2l,
+            kernel: hc2l_graph::KernelKind::Scalar,
             num_vertices: 256,
             index_bytes: 1 << 20,
-            threads: 4,
+            threads: 16,
             mapped: false,
             distance_queries: 10,
             one_to_many_queries: 2,
             one_to_many_targets: 64,
             cache_hits: 6,
             cache_misses: 4,
-            cache_len: 4,
+            cache_len: 5,
             cache_capacity: 1024,
             update_batches: 1,
-            epoch: 1,
+            epoch: 7,
             connections_accepted: 3,
-            connections_reaped: 0,
-            panics_caught: 0,
-            overload_rejections: 0,
-            write_errors: 0,
-            distance_p50_ns: 0,
-            distance_p90_ns: 0,
-            distance_p99_ns: 0,
-            distance_p999_ns: 0,
-            distance_max_ns: 0,
-            one_to_many_p50_ns: 0,
-            one_to_many_p99_ns: 0,
-            update_p50_ns: 0,
-            update_p99_ns: 0,
+            connections_reaped: 8,
+            panics_caught: 9,
+            overload_rejections: 11,
+            write_errors: 12,
         }
     }
 
@@ -206,13 +196,39 @@ mod tests {
         lat.distance_miss.record(900);
         lat.hubs_scanned.record(11);
         let doc = render(&stats_fixture(), &lat);
-        assert!(
-            doc.contains("hc2l_index_info{method=\"HC2L\",kernel=\"scalar\",mapped=\"false\"} 1")
-        );
-        assert!(doc.contains("hc2l_requests_total{op=\"distance\"} 10"));
-        assert!(doc.contains("hc2l_cache_hits_total 6"));
+        // Every field of `ServerStats` appears as its own sample line.
+        for line in [
+            "hc2l_index_info{method=\"HC2L\",kernel=\"scalar\",mapped=\"false\"} 1",
+            "hc2l_index_vertices 256",
+            "hc2l_index_bytes 1048576",
+            "hc2l_serve_threads 16",
+            "hc2l_index_epoch 7",
+            "hc2l_cache_entries 5",
+            "hc2l_cache_capacity 1024",
+            "hc2l_requests_total{op=\"distance\"} 10",
+            "hc2l_requests_total{op=\"one_to_many\"} 2",
+            "hc2l_requests_total{op=\"update_weights\"} 1",
+            "hc2l_one_to_many_targets_total 64",
+            "hc2l_cache_hits_total 6",
+            "hc2l_cache_misses_total 4",
+            "hc2l_connections_accepted_total 3",
+            "hc2l_connections_reaped_total 8",
+            "hc2l_panics_caught_total 9",
+            "hc2l_overload_rejections_total 11",
+            "hc2l_write_errors_total 12",
+        ] {
+            assert!(doc.lines().any(|l| l == line), "missing {line:?} in\n{doc}");
+        }
         assert!(doc.contains("hc2l_latency_count{op=\"distance\",cache=\"hit\"} 4"));
         assert!(doc.contains("hc2l_latency_count{op=\"distance\",cache=\"miss\"} 1"));
+        // The merged hit+miss series: all five samples, the miss's 900 ns
+        // and the hit's 5000 ns tail included.
+        assert!(doc.contains("hc2l_latency_count{op=\"distance\",cache=\"all\"} 5"));
+        let all = lat.distance_merged();
+        for (suffix, v) in [("p50_ns", all.p50()), ("max_ns", all.max())] {
+            let line = format!("hc2l_latency_{suffix}{{op=\"distance\",cache=\"all\"}} {v}");
+            assert!(doc.lines().any(|l| l == line), "missing {line:?}");
+        }
         assert!(doc.contains("# TYPE hc2l_latency_p99_ns gauge"));
         assert!(doc.contains("hc2l_index_hubs_scanned_count 1"));
         assert!(doc.contains("hc2l_index_hubs_scanned_max 11"));

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Requests: `Distance(s, t)`, `OneToMany(s, targets…)`,
-//! `UpdateWeights(batch…)`, `Stats`, `Shutdown`. Responses mirror them, plus
+//! `UpdateWeights(batch…)`, `Metrics`, `Shutdown`. Responses mirror them, plus
 //! two terminal variants with distinct retry semantics: `Error(message)` for
 //! malformed or out-of-range requests (not retryable as-is, but the
 //! connection stays usable — a bad query must not take down a worker) and
@@ -25,12 +25,15 @@
 //! error is a typed `io::Error`, so a garbage-spewing peer cannot make the
 //! server allocate unboundedly or panic.
 //!
+//! Opcode 3 carried a retired counters frame; it stays reserved, and a peer
+//! that sends it gets the same typed unknown-opcode error as any other.
+//!
 //! Two decoders share one payload grammar: the blocking
-//! [`read_request`]/[`read_response`] pair (used by the thread-per-connection
-//! model and the clients, where a partial frame simply blocks the reader)
-//! and the incremental [`FrameDecoder`] (used by the epoll reactor, where
-//! non-blocking reads deliver frames in arbitrary fragments and the decoder
-//! must carry state across calls).
+//! [`read_request`]/[`read_response`] pair (used by the clients, where a
+//! partial frame simply blocks the reader, and by the tests as the
+//! reference decoder) and the incremental [`FrameDecoder`] (used by both
+//! connection models on the server side, where reads deliver frames in
+//! arbitrary fragments and the decoder must carry state across calls).
 
 use std::io::{self, Read, Write};
 
@@ -83,7 +86,6 @@ const _: () = {
 mod op {
     pub const DISTANCE: u8 = 1;
     pub const ONE_TO_MANY: u8 = 2;
-    pub const STATS: u8 = 3;
     pub const SHUTDOWN: u8 = 4;
     pub const UPDATE_WEIGHTS: u8 = 5;
     pub const METRICS: u8 = 6;
@@ -106,10 +108,8 @@ pub enum Request {
     /// Apply a batch of edge re-weightings to the served index; subsequent
     /// queries (on any connection) answer on the re-weighted graph.
     UpdateWeights(Vec<WeightUpdate>),
-    /// Server counters and index identification.
-    Stats,
     /// The full metrics surface in Prometheus text exposition format
-    /// (every counter of [`ServerStats`] plus per-opcode latency
+    /// (every counter of [`crate::ServerStats`] plus per-opcode latency
     /// percentiles) — what `hc2l-query --metrics` scrapes.
     Metrics,
     /// Stop accepting connections and exit the serve loop.
@@ -123,8 +123,6 @@ pub enum Response {
     Distance(Distance),
     /// Answer to [`Request::OneToMany`], parallel to the request's targets.
     Distances(Vec<Distance>),
-    /// Answer to [`Request::Stats`].
-    Stats(ServerStats),
     /// Answer to [`Request::Metrics`]: the Prometheus text exposition
     /// document (UTF-8).
     Metrics(String),
@@ -158,87 +156,6 @@ pub struct UpdateOutcome {
     /// Index generation now being served; every query answered after this
     /// response was sent reflects at least this generation.
     pub epoch: u64,
-}
-
-/// Counters and identification reported by [`Request::Stats`] — which
-/// backend is loaded travels as the container method tag, so the client
-/// renders the proper display name via `Method::from_tag(..)` without
-/// string-matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// Container method tag of the served index (`Method::tag`).
-    pub method_tag: u32,
-    /// Active min-plus kernel of the serving process
-    /// (`hc2l_graph::KernelKind::tag`): 1 = scalar, 2 = avx2, 3 = neon.
-    pub kernel_tag: u32,
-    /// Vertices of the indexed graph.
-    pub num_vertices: u64,
-    /// Container file size in bytes.
-    pub index_bytes: u64,
-    /// Worker-thread cap of the serve loop.
-    pub threads: u32,
-    /// Whether the index is served from a file mapping.
-    pub mapped: bool,
-    /// Point-to-point queries answered.
-    pub distance_queries: u64,
-    /// One-to-many requests answered.
-    pub one_to_many_queries: u64,
-    /// Total targets across all one-to-many requests.
-    pub one_to_many_targets: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Result-cache occupied slots.
-    pub cache_len: u64,
-    /// Result-cache table slots (0 = disabled).
-    pub cache_capacity: u64,
-    /// `UpdateWeights` batches absorbed since startup.
-    pub update_batches: u64,
-    /// Index generation currently being served (0 until the first update).
-    pub epoch: u64,
-    /// Connections accepted since startup (both connection models).
-    pub connections_accepted: u64,
-    /// Connections the server closed for exceeding an idle or stall budget
-    /// (slow-loris clients, dead peers mid-frame, unread responses).
-    pub connections_reaped: u64,
-    /// Request-handler panics caught and converted into error responses
-    /// (the daemon keeps serving; a nonzero value deserves investigation).
-    pub panics_caught: u64,
-    /// Requests shed with [`Response::Overloaded`] before execution.
-    pub overload_rejections: u64,
-    /// Response writes that failed because the peer was gone (broken pipe /
-    /// connection reset); the worker survives and the connection is closed.
-    pub write_errors: u64,
-    /// Distance-query latency percentiles in nanoseconds (cache hits and
-    /// misses merged), from the server's per-opcode histograms, which time
-    /// 1 distance request in 64 per serving thread. Zero until the first
-    /// query. The full hit/miss split lives on the `Metrics`
-    /// frame; these headline numbers ride along on `Stats` so one frame
-    /// answers "is the tail healthy".
-    pub distance_p50_ns: u64,
-    pub distance_p90_ns: u64,
-    pub distance_p99_ns: u64,
-    pub distance_p999_ns: u64,
-    pub distance_max_ns: u64,
-    /// One-to-many request latency percentiles (whole batches) in ns.
-    pub one_to_many_p50_ns: u64,
-    pub one_to_many_p99_ns: u64,
-    /// Absorbed `UpdateWeights` batch latency percentiles in ns.
-    pub update_p50_ns: u64,
-    pub update_p99_ns: u64,
-}
-
-impl ServerStats {
-    /// Cache hits over total lookups, 0.0 when nothing was looked up.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 fn bad(what: impl Into<String>) -> io::Error {
@@ -461,7 +378,6 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
                 p.extend_from_slice(&up.new_weight.to_le_bytes());
             }
         }
-        Request::Stats => p.push(op::STATS),
         Request::Metrics => p.push(op::METRICS),
         Request::Shutdown => p.push(op::SHUTDOWN),
     }
@@ -520,10 +436,6 @@ fn decode_request_payload(payload: &[u8]) -> io::Result<Request> {
             f.finish()?;
             Request::UpdateWeights(updates)
         }
-        op::STATS => {
-            f.finish()?;
-            Request::Stats
-        }
         op::METRICS => {
             f.finish()?;
             Request::Metrics
@@ -546,42 +458,6 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
             p.extend_from_slice(&d.to_le_bytes());
         }
         Response::Distances(ds) => return write_distances(w, ds),
-        Response::Stats(s) => {
-            p.push(op::STATS);
-            p.extend_from_slice(&s.method_tag.to_le_bytes());
-            p.extend_from_slice(&s.kernel_tag.to_le_bytes());
-            p.extend_from_slice(&s.threads.to_le_bytes());
-            for v in [
-                s.num_vertices,
-                s.index_bytes,
-                s.mapped as u64,
-                s.distance_queries,
-                s.one_to_many_queries,
-                s.one_to_many_targets,
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_len,
-                s.cache_capacity,
-                s.update_batches,
-                s.epoch,
-                s.connections_accepted,
-                s.connections_reaped,
-                s.panics_caught,
-                s.overload_rejections,
-                s.write_errors,
-                s.distance_p50_ns,
-                s.distance_p90_ns,
-                s.distance_p99_ns,
-                s.distance_p999_ns,
-                s.distance_max_ns,
-                s.one_to_many_p50_ns,
-                s.one_to_many_p99_ns,
-                s.update_p50_ns,
-                s.update_p99_ns,
-            ] {
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-        }
         Response::Metrics(text) => {
             p.push(op::METRICS);
             p.extend_from_slice(text.as_bytes());
@@ -654,41 +530,6 @@ fn decode_response_payload(payload: &[u8]) -> io::Result<Response> {
             f.finish()?;
             Response::Distances(ds)
         }
-        op::STATS => {
-            let s = ServerStats {
-                method_tag: f.u32()?,
-                kernel_tag: f.u32()?,
-                threads: f.u32()?,
-                num_vertices: f.u64()?,
-                index_bytes: f.u64()?,
-                mapped: f.u64()? != 0,
-                distance_queries: f.u64()?,
-                one_to_many_queries: f.u64()?,
-                one_to_many_targets: f.u64()?,
-                cache_hits: f.u64()?,
-                cache_misses: f.u64()?,
-                cache_len: f.u64()?,
-                cache_capacity: f.u64()?,
-                update_batches: f.u64()?,
-                epoch: f.u64()?,
-                connections_accepted: f.u64()?,
-                connections_reaped: f.u64()?,
-                panics_caught: f.u64()?,
-                overload_rejections: f.u64()?,
-                write_errors: f.u64()?,
-                distance_p50_ns: f.u64()?,
-                distance_p90_ns: f.u64()?,
-                distance_p99_ns: f.u64()?,
-                distance_p999_ns: f.u64()?,
-                distance_max_ns: f.u64()?,
-                one_to_many_p50_ns: f.u64()?,
-                one_to_many_p99_ns: f.u64()?,
-                update_p50_ns: f.u64()?,
-                update_p99_ns: f.u64()?,
-            };
-            f.finish()?;
-            Response::Stats(s)
-        }
         op::METRICS => Response::Metrics(
             String::from_utf8(f.bytes.to_vec()).map_err(|_| bad("metrics text not UTF-8"))?,
         ),
@@ -749,7 +590,6 @@ mod tests {
             source: 7,
             targets: (0..100).collect(),
         });
-        round_trip_request(Request::Stats);
         round_trip_request(Request::Metrics);
         round_trip_request(Request::Shutdown);
         round_trip_request(Request::UpdateWeights(vec![]));
@@ -764,37 +604,6 @@ mod tests {
     fn responses_round_trip() {
         round_trip_response(Response::Distance(hc2l_graph::INFINITY));
         round_trip_response(Response::Distances(vec![1, 2, 3, u64::MAX]));
-        round_trip_response(Response::Stats(ServerStats {
-            method_tag: 3,
-            kernel_tag: 2,
-            num_vertices: 4096,
-            index_bytes: 123_456,
-            threads: 8,
-            mapped: true,
-            distance_queries: 10,
-            one_to_many_queries: 2,
-            one_to_many_targets: 64,
-            cache_hits: 5,
-            cache_misses: 5,
-            cache_len: 5,
-            cache_capacity: 100,
-            update_batches: 2,
-            epoch: 2,
-            connections_accepted: 17,
-            connections_reaped: 3,
-            panics_caught: 1,
-            overload_rejections: 4,
-            write_errors: 2,
-            distance_p50_ns: 80,
-            distance_p90_ns: 120,
-            distance_p99_ns: 900,
-            distance_p999_ns: 12_000,
-            distance_max_ns: 1_000_000,
-            one_to_many_p50_ns: 4_000,
-            one_to_many_p99_ns: 9_000,
-            update_p50_ns: 2_000_000,
-            update_p99_ns: 30_000_000,
-        }));
         round_trip_response(Response::Metrics(String::new()));
         round_trip_response(Response::Metrics(
             "# TYPE hc2l_latency_p99_ns gauge\nhc2l_latency_p99_ns{op=\"distance\"} 42\n".into(),
@@ -863,7 +672,7 @@ mod tests {
                 source: 7,
                 targets: (0..100).collect(),
             },
-            Request::Stats,
+            Request::Metrics,
             Request::Shutdown,
         ];
         let mut buf = Vec::new();
@@ -888,7 +697,7 @@ mod tests {
                 WeightUpdate::new(0, 1, 42),
                 WeightUpdate::new(5, 6, 7),
             ]),
-            Request::Stats,
+            Request::Metrics,
         ];
         let mut buf = Vec::new();
         for req in &reqs {
@@ -1066,33 +875,24 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_extended_stats_round_trip_through_frame_decoder() {
-        // A pipelined response stream — extended Stats (every latency field
+    fn metrics_and_update_responses_round_trip_through_frame_decoder() {
+        // A pipelined response stream — an update report (every field
         // populated) followed by a Metrics document — through the
         // incremental decoder at every split offset, mirroring the request
         // split-matrix test above.
-        let stats = Response::Stats(ServerStats {
-            method_tag: 1,
-            kernel_tag: 2,
-            threads: 8,
-            distance_queries: 1000,
-            distance_p50_ns: 75,
-            distance_p90_ns: 110,
-            distance_p99_ns: 2_048,
-            distance_p999_ns: 65_536,
-            distance_max_ns: 3_000_000,
-            one_to_many_p50_ns: 5_000,
-            one_to_many_p99_ns: 11_111,
-            update_p50_ns: 1,
-            update_p99_ns: u64::MAX,
-            ..Default::default()
+        let updated = Response::Updated(UpdateOutcome {
+            strategy_tag: 3,
+            applied: 1000,
+            rejected: 2,
+            micros: 65_536,
+            epoch: u64::MAX,
         });
         let metrics = Response::Metrics(
             "# TYPE hc2l_latency_count gauge\nhc2l_latency_count{op=\"distance\",cache=\"hit\"} 998\n"
                 .into(),
         );
         let mut buf = Vec::new();
-        write_response(&mut buf, &stats).unwrap();
+        write_response(&mut buf, &updated).unwrap();
         write_response(&mut buf, &metrics).unwrap();
         for split in 0..=buf.len() {
             let mut dec = FrameDecoder::new();
@@ -1105,7 +905,7 @@ mod tests {
             }
             assert_eq!(
                 got,
-                vec![stats.clone(), metrics.clone()],
+                vec![updated.clone(), metrics.clone()],
                 "split at {split}"
             );
             assert!(dec.is_idle());
@@ -1119,11 +919,34 @@ mod tests {
     }
 
     #[test]
-    fn stats_hit_rate() {
-        let mut s = ServerStats::default();
-        assert_eq!(s.cache_hit_rate(), 0.0);
-        s.cache_hits = 3;
-        s.cache_misses = 1;
-        assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
+    fn retired_opcode_3_fails_typed_on_both_decoders() {
+        // Opcode 3 once carried a counters frame; it is reserved now and
+        // reads as an unknown opcode, request and response side alike.
+        for payload in [&[3u8][..], &[3u8, 0, 0, 0, 0][..]] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, payload).unwrap();
+            for err in [
+                read_request(&mut buf.as_slice()).unwrap_err(),
+                incremental_requests(&buf).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(
+                    err.to_string().contains("unknown request opcode 3"),
+                    "{err}"
+                );
+            }
+            let mut dec = FrameDecoder::new();
+            dec.feed(&buf);
+            for err in [
+                read_response(&mut buf.as_slice()).unwrap_err(),
+                dec.next_response().unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(
+                    err.to_string().contains("unknown response opcode 3"),
+                    "{err}"
+                );
+            }
+        }
     }
 }

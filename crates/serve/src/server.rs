@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hc2l_graph::{failpoints, Distance, Graph, Vertex};
+use hc2l_graph::{failpoints, Distance, Graph, KernelKind, Vertex};
 use hc2l_oracle::{DistanceOracle, Method, Oracle, QueryStats, SharedOracle, WeightUpdate};
 
 use hc2l_obs::clock;
@@ -45,7 +45,7 @@ use crate::cache::QueryCache;
 use crate::lockfree::EpochMirror;
 use crate::metrics::OpLatencies;
 use crate::protocol::{
-    write_response, FrameDecoder, Request, Response, ServerStats, UpdateOutcome, MAX_UPDATE_BATCH,
+    write_response, FrameDecoder, Request, Response, UpdateOutcome, MAX_UPDATE_BATCH,
 };
 
 /// How the serve loop multiplexes client connections.
@@ -296,6 +296,69 @@ impl UpdateError {
     }
 }
 
+/// A point-in-time snapshot of a [`ServeState`]'s identity and counters —
+/// what the `Metrics` document renders, the daemon prints at shutdown and
+/// embedded callers read directly. Latency percentiles are not copied
+/// here: they live in [`ServeState::latency`]'s histograms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Backend of the served index.
+    pub method: Method,
+    /// Active min-plus kernel of the serving process.
+    pub kernel: KernelKind,
+    /// Vertices of the indexed graph.
+    pub num_vertices: u64,
+    /// Container file size in bytes.
+    pub index_bytes: u64,
+    /// Worker-thread cap of the serve loop.
+    pub threads: u32,
+    /// Whether the index is served from a file mapping.
+    pub mapped: bool,
+    /// Point-to-point queries answered.
+    pub distance_queries: u64,
+    /// One-to-many requests answered.
+    pub one_to_many_queries: u64,
+    /// Total targets across all one-to-many requests.
+    pub one_to_many_targets: u64,
+    /// Result-cache hits.
+    pub cache_hits: u64,
+    /// Result-cache misses.
+    pub cache_misses: u64,
+    /// Result-cache occupied slots.
+    pub cache_len: u64,
+    /// Result-cache table slots (0 = disabled).
+    pub cache_capacity: u64,
+    /// `UpdateWeights` batches absorbed since startup.
+    pub update_batches: u64,
+    /// Index generation currently being served (0 until the first update).
+    pub epoch: u64,
+    /// Connections accepted since startup (both connection models).
+    pub connections_accepted: u64,
+    /// Connections the server closed for exceeding an idle or stall budget
+    /// (slow-loris clients, dead peers mid-frame, unread responses).
+    pub connections_reaped: u64,
+    /// Request-handler panics caught and converted into error responses
+    /// (the daemon keeps serving; a nonzero value deserves investigation).
+    pub panics_caught: u64,
+    /// Requests shed with [`Response::Overloaded`] before execution.
+    pub overload_rejections: u64,
+    /// Response writes that failed because the peer was gone (broken pipe /
+    /// connection reset); the worker survives and the connection is closed.
+    pub write_errors: u64,
+}
+
+impl ServerStats {
+    /// Cache hits over total lookups, 0.0 when nothing was looked up.
+    pub fn cache_hit_rate(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
+        }
+    }
+}
+
 /// Everything a worker needs to answer queries: the current index
 /// generation, the result cache, and the served/shutdown counters.
 #[derive(Debug)]
@@ -445,7 +508,9 @@ impl ServeState {
 
     /// Absorbs a weight-update batch and publishes the re-weighted index as
     /// a new generation. Queries keep answering on the old generation
-    /// throughout and switch at the pointer swap.
+    /// throughout and switch at the pointer swap. A batch that applies no
+    /// update (every edge missing) publishes nothing: it reports the
+    /// current epoch, and every cached answer stays valid.
     ///
     /// Admission control: one batch absorbs at a time. A batch arriving
     /// while another holds the engine is shed with
@@ -536,7 +601,9 @@ impl ServeState {
         // *started* after this point sees the new one. Poisoning on this
         // lock is recovered like on the read side — the store is atomic
         // from any observer's point of view.
-        let epoch = {
+        let epoch = if report.applied == 0 {
+            self.epoch()
+        } else {
             let mut slot = self.generation.write().unwrap_or_else(|p| p.into_inner());
             let epoch = slot.epoch + 1;
             // Advance the probe mirror *before* the swap is visible: see
@@ -646,18 +713,14 @@ impl ServeState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Counter snapshot in wire form. `distance_queries` is the cache's
-    /// hit + miss total, exact; the distance percentiles come from the
-    /// 1-in-64 sample.
+    /// Counter snapshot. `distance_queries` is the cache's hit + miss
+    /// total, exact.
     pub fn stats(&self) -> ServerStats {
         let cache = self.cache.stats();
         let generation = self.oracle();
-        let distance = self.latency.distance_merged();
-        let one_to_many = self.latency.one_to_many.snapshot();
-        let updates = self.latency.update_weights.snapshot();
         ServerStats {
-            method_tag: generation.method().tag(),
-            kernel_tag: hc2l_graph::active_kernel().tag(),
+            method: generation.method(),
+            kernel: hc2l_graph::active_kernel(),
             num_vertices: generation.num_vertices() as u64,
             index_bytes: generation.index_bytes() as u64,
             threads: self.threads as u32,
@@ -676,15 +739,6 @@ impl ServeState {
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
             overload_rejections: self.overload_rejections.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
-            distance_p50_ns: distance.p50(),
-            distance_p90_ns: distance.p90(),
-            distance_p99_ns: distance.p99(),
-            distance_p999_ns: distance.p999(),
-            distance_max_ns: distance.max(),
-            one_to_many_p50_ns: one_to_many.p50(),
-            one_to_many_p99_ns: one_to_many.p99(),
-            update_p50_ns: updates.p50(),
-            update_p99_ns: updates.p99(),
         }
     }
 
@@ -700,8 +754,8 @@ impl ServeState {
         crate::metrics::render(&self.stats(), &self.latency)
     }
 
-    /// Records an accepted connection (both models report here, so `Stats`
-    /// counts honestly regardless of `--model`).
+    /// Records an accepted connection (both models report here, so the
+    /// counters are honest regardless of `--model`).
     pub(crate) fn note_accepted(&self) {
         self.connections_accepted.fetch_add(1, Ordering::Relaxed);
     }
@@ -752,8 +806,8 @@ impl ServeState {
     /// Validation runs **before** [`ServeState::distance`] so a rejected
     /// request never increments the served-query counter, never records a
     /// cache miss, and never inserts a garbage key into the result cache —
-    /// `Stats` and `cache_hit_rate` count only queries that were actually
-    /// answered.
+    /// the counters and `cache_hit_rate` count only queries that were
+    /// actually answered.
     fn check_distance(&self, s: Vertex, t: Vertex) -> Result<(), String> {
         let n = self.num_vertices as Vertex;
         if s >= n || t >= n {
@@ -826,7 +880,6 @@ impl ServeState {
                 Err(e) => e.into_response(),
                 Ok(outcome) => Response::Updated(outcome),
             },
-            Request::Stats => Response::Stats(self.stats()),
             Request::Metrics => Response::Metrics(self.metrics_text()),
             Request::Shutdown => {
                 self.request_shutdown();
@@ -949,7 +1002,7 @@ pub(crate) fn respond<W: Write>(
                 w,
                 &Response::Error(
                     "internal error: the request handler panicked; the daemon keeps serving \
-                     (Stats counts this under panics_caught)"
+                     (counted in hc2l_panics_caught_total)"
                         .into(),
                 ),
             )?;
@@ -1371,10 +1424,8 @@ mod tests {
             Response::Error(_)
         ));
 
-        let Response::Stats(stats) = ask(addr, &Request::Stats) else {
-            panic!("expected a Stats response");
-        };
-        assert_eq!(stats.method_tag, Method::Hl.tag());
+        let stats = server.state().stats();
+        assert_eq!(stats.method, Method::Hl);
         assert_eq!(stats.num_vertices, 16);
         assert_eq!(stats.distance_queries, 2, "{model}");
         assert_eq!(stats.one_to_many_queries, 1, "{model}");
@@ -1382,14 +1433,16 @@ mod tests {
         assert!(stats.cache_hits >= 1, "{model}");
         // Every serving thread times its first distance request, so the
         // queries above must have produced non-zero percentiles.
-        assert!(stats.distance_p50_ns > 0, "{model}");
-        assert!(stats.distance_max_ns >= stats.distance_p99_ns, "{model}");
-        assert!(stats.one_to_many_p50_ns > 0, "{model}");
+        let distance = state.latency().distance_merged();
+        assert!(distance.p50() > 0, "{model}");
+        assert!(distance.max() >= distance.p99(), "{model}");
+        assert!(state.latency().one_to_many.snapshot().p50() > 0, "{model}");
 
         // The Metrics frame answers a scrapeable Prometheus document with
-        // the same exact request counts the Stats frame reported. Which
-        // distance requests were timed depends on the thread that served
-        // them (one reactor thread may serve both), so only require one.
+        // the same exact request counts the in-process snapshot holds.
+        // Which distance requests were timed depends on the thread that
+        // served them (one reactor thread may serve both), so only require
+        // one.
         let Response::Metrics(doc) = ask(addr, &Request::Metrics) else {
             panic!("expected a Metrics response");
         };
@@ -1431,7 +1484,7 @@ mod tests {
         assert_eq!(stats.distance_queries, 193, "every request is counted");
         // Timed: calls 1, 65, 129 and 193.
         assert_eq!(state.latency().distance_merged().count(), 4);
-        assert!(stats.distance_p50_ns > 0);
+        assert!(state.latency().distance_merged().p50() > 0);
         assert_eq!(stats.one_to_many_queries, 3);
         assert_eq!(state.latency().one_to_many.count(), 3, "batches: all timed");
     }
@@ -1704,7 +1757,7 @@ mod tests {
     #[test]
     fn rejected_requests_leave_stats_and_cache_untouched() {
         // Out-of-range queries must not count as served work nor seed the
-        // cache with garbage keys — `Stats` and `cache_hit_rate` stay
+        // cache with garbage keys — the counters and `cache_hit_rate` stay
         // honest. Checked through `execute` and over the wire on both
         // models.
         let state = test_state(256);
@@ -1759,9 +1812,7 @@ mod tests {
                 ),
                 Response::Error(_)
             ));
-            let Response::Stats(stats) = ask(addr, &Request::Stats) else {
-                panic!("expected a Stats response");
-            };
+            let stats = server.state().stats();
             assert_eq!(stats.distance_queries, 0, "{model}");
             assert_eq!(stats.one_to_many_queries, 0, "{model}");
             assert_eq!(stats.cache_hits + stats.cache_misses, 0, "{model}");
@@ -1894,6 +1945,32 @@ mod tests {
                 assert_eq!(state.distance(s, t), dist[t as usize], "({s}, {t})");
             }
         }
+    }
+
+    #[test]
+    fn a_batch_that_applies_nothing_keeps_the_generation_and_the_cache() {
+        let (mut g, state) = updatable_state(Method::Hc2l, 2, 256);
+        let mut buf = Vec::new();
+        let batch = traffic_batch(&mut g);
+        assert!(matches!(
+            state.execute(&Request::UpdateWeights(batch), &mut buf),
+            Response::Updated(UpdateOutcome { epoch: 1, .. })
+        ));
+        let d = state.distance(0, 35); // cached at epoch 1
+        assert_eq!(state.distance(0, 35), d, "cache warm");
+        let hits = state.stats().cache_hits;
+        // (0, 35) are opposite corners of the grid, not an edge.
+        let Response::Updated(outcome) = state.execute(
+            &Request::UpdateWeights(vec![WeightUpdate::new(0, 35, 5)]),
+            &mut buf,
+        ) else {
+            panic!("expected an Updated response");
+        };
+        assert_eq!((outcome.applied, outcome.rejected), (0, 1));
+        assert_eq!(outcome.epoch, 1, "nothing applied, nothing published");
+        assert_eq!(state.epoch(), 1);
+        assert_eq!(state.distance(0, 35), d);
+        assert_eq!(state.stats().cache_hits, hits + 1, "the pair still hits");
     }
 
     #[test]
@@ -2093,12 +2170,21 @@ mod tests {
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     }
 
+    #[test]
+    fn stats_hit_rate() {
+        let state = test_state(64);
+        assert_eq!(state.stats().cache_hit_rate(), 0.0);
+        for _ in 0..4 {
+            state.distance(1, 2); // one miss, then three hits
+        }
+        let stats = state.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (3, 1));
+        assert!((stats.cache_hit_rate() - 0.75).abs() < 1e-12);
+    }
+
     /// Polls `stats()` until `pred` holds or ~5s pass; returns the last
     /// snapshot either way (the caller asserts on it for a clear failure).
-    fn wait_for_stats(
-        state: &ServeState,
-        pred: impl Fn(&crate::protocol::ServerStats) -> bool,
-    ) -> crate::protocol::ServerStats {
+    fn wait_for_stats(state: &ServeState, pred: impl Fn(&ServerStats) -> bool) -> ServerStats {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
             let s = state.stats();

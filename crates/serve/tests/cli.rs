@@ -1,8 +1,8 @@
 //! Command-line contract of the `hc2l-serve` daemon and the `hc2l-query`
-//! client: oversized `--cache` tables and grids, and removed flags, are
-//! rejected up front with exit status 2, never silently clamped to a
-//! default or turned into a panic or an abort deeper in the run; and the
-//! two binaries together serve and gate a replay end to end.
+//! client: oversized `--cache` tables and grids, zero counts and removed
+//! flags are rejected up front with exit status 2, never silently clamped
+//! to a default or turned into a panic or an abort deeper in the run; and
+//! the two binaries together serve and gate a replay end to end.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -85,6 +85,57 @@ fn oversized_generated_grids_are_usage_errors() {
         assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
         assert!(out.stdout.is_empty(), "{spec}");
         assert!(!out_file.exists(), "{spec} wrote {}", out_file.display());
+    }
+}
+
+#[test]
+fn zero_counts_and_removed_query_flags_are_usage_errors() {
+    // A flag that slipped through would run on into the missing workload
+    // or the connect and exit 1, not 2 at parse time.
+    let workload = scratch("zero-counts.q");
+    let workload_arg = workload.to_str().expect("utf-8 scratch path");
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &[
+                "--addr",
+                "127.0.0.1:1",
+                "--replay",
+                workload_arg,
+                "--reps",
+                "0",
+            ],
+            "--reps",
+        ),
+        (
+            &[
+                "--addr",
+                "127.0.0.1:1",
+                "--replay",
+                workload_arg,
+                "--clients",
+                "0",
+            ],
+            "--clients",
+        ),
+        (
+            &["--gen-grid", "4x4", "--count", "0", "--out", workload_arg],
+            "--count",
+        ),
+        (&["--addr", "127.0.0.1:1", "--stats"], "--stats"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_hc2l-query"))
+            .args(args)
+            .output()
+            .expect("failed to run hc2l-query");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} ran before rejecting its flags"
+        );
+        assert!(!workload.exists(), "{args:?} wrote {workload_arg}");
     }
 }
 

@@ -44,10 +44,9 @@ fn main() {
     let requests: Vec<Vertex> = (0..NUM_REQUESTS).map(|_| rng.random_range(0..n)).collect();
 
     // Per-request latency goes into the serving stack's shared histogram
-    // (hc2l_obs) instead of a sorted Vec of samples: same log-linear
-    // buckets, same percentile math and the same `summary()` line the
-    // daemon's metrics use, so numbers here read identically to a
-    // `hc2l-query --stats` table.
+    // (hc2l_obs) instead of a sorted Vec of samples: the same log-linear
+    // buckets and percentile math as the daemon's metrics, and the same
+    // `summary()` line `hc2l-query --replay` prints for request latency.
     clock::calibrate();
     let latency = Histogram::new();
     let start = Instant::now();

@@ -33,7 +33,7 @@ use hc2l_oracle::{DistanceOracle, Method, OracleBuilder, WeightUpdate};
 use hc2l_roadnet::seeded_grid;
 use hc2l_serve::{
     read_response, serve_with_model, write_request, Request, Response, ServeConfig, ServeModel,
-    ServeState, ServerStats,
+    ServeState,
 };
 
 // ---------------------------------------------------------------------------
@@ -107,13 +107,6 @@ fn assert_exact(addr: std::net::SocketAddr, truth: &[Vec<Distance>], context: &s
             ),
             other => panic!("{context}: distance({s}, {t}) got {other:?}"),
         }
-    }
-}
-
-fn fetch_stats(addr: std::net::SocketAddr) -> ServerStats {
-    match ask(addr, &Request::Stats) {
-        Ok(Response::Stats(s)) => s,
-        other => panic!("stats request got {other:?}"),
     }
 }
 
@@ -301,7 +294,7 @@ fn injected_request_panic_degrades_to_error_and_recovers() {
             }
         }
         assert_eq!(errors, 1, "{model}: exactly the faulted request errored");
-        let stats = fetch_stats(addr);
+        let stats = state.stats();
         assert_eq!(stats.panics_caught, 1, "{model}: panic counted honestly");
         assert_exact(addr, &truth, &format!("{model}: after injected panic"));
         ask(addr, &Request::Shutdown).expect("shutdown");
@@ -363,7 +356,7 @@ fn slow_loris_is_reaped_while_healthy_clients_stay_exact() {
             loop {
                 assert_exact(addr, &truth, &format!("{model}: alongside slow loris"));
                 rounds += 1;
-                let s = fetch_stats(addr);
+                let s = state.stats();
                 if s.connections_reaped >= 1 {
                     break s;
                 }
@@ -397,7 +390,7 @@ fn midbatch_update_panic_keeps_queries_exact_and_disables_engine() {
         }
         // No partial application: queries answer exactly on the old weights.
         assert_exact(addr, &truth, &format!("{model}: after mid-batch panic"));
-        let stats = fetch_stats(addr);
+        let stats = state.stats();
         assert_eq!(stats.epoch, 0, "{model}: no generation was published");
         assert_eq!(stats.panics_caught, 1, "{model}: absorb panic counted");
 
@@ -460,7 +453,7 @@ fn concurrent_update_batches_shed_exactly_one_with_overloaded() {
         // The shed batch was never partially applied: retrying it verbatim
         // is safe, and queries answer on the winner's weights.
         assert_exact(addr, &new_truth, &format!("{model}: after racing batches"));
-        let stats = fetch_stats(addr);
+        let stats = state.stats();
         assert_eq!(stats.update_batches, 1, "{model}: one batch absorbed");
         assert!(stats.overload_rejections >= 1, "{model}: shed counted");
         ask(addr, &Request::Shutdown).expect("shutdown");
@@ -551,7 +544,7 @@ fn query_admission_sheds_under_injected_slow_requests() {
             }
         }
         assert!(!shed.is_empty(), "{model}: the 1-slot cap never shed");
-        let stats = fetch_stats(addr);
+        let stats = state.stats();
         assert!(
             stats.overload_rejections >= shed.len() as u64,
             "{model}: sheds counted honestly"

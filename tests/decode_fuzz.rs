@@ -21,7 +21,7 @@ use hc2l_graph::container::{Container, ContainerWriter};
 use hc2l_oracle::WeightUpdate;
 use hc2l_serve::protocol::{
     read_request, read_response, write_request, write_response, FrameDecoder, Request, Response,
-    ServerStats, UpdateOutcome,
+    UpdateOutcome,
 };
 
 /// Mutations per decoder; the acceptance floor is 10k.
@@ -248,7 +248,6 @@ fn request_corpus() -> Vec<Vec<u8>> {
             WeightUpdate::new(0, 1, 42),
             WeightUpdate::new(5, 6, 7),
         ]),
-        Request::Stats,
         Request::Metrics,
         Request::Shutdown,
     ];
@@ -272,7 +271,6 @@ fn response_corpus() -> Vec<Vec<u8>> {
     let responses = [
         Response::Distance(12345),
         Response::Distances(vec![1, u64::MAX, 3]),
-        Response::Stats(ServerStats::default()),
         Response::Metrics("# HELP hc2l_up 1\nhc2l_up 1\n".into()),
         Response::Updated(UpdateOutcome::default()),
         Response::ShuttingDown,

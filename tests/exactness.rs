@@ -221,13 +221,14 @@ fn every_method_stays_exact_when_figure1_shortcuts_exceed_u32() {
 }
 
 /// One random re-weighting of an edge of weight `w`: an increase, a
-/// decrease, a weight near `u32::MAX` or a small weight.
+/// decrease, a weight near `u32::MAX` or a small weight (0 included, which
+/// the graph stores as 1).
 fn churned_weight(rng: &mut StdRng, w: Weight) -> Weight {
     match rng.random_range(0..4u32) {
         0 => w.saturating_mul(rng.random_range(2..=8u32)),
         1 => (w / 2).max(1),
         2 => u32::MAX - rng.random_range(0..16u32),
-        _ => rng.random_range(1..=20u32),
+        _ => rng.random_range(0..=20u32),
     }
 }
 
@@ -237,8 +238,9 @@ fn every_method_stays_exact_through_seeded_weight_churn() {
     // through small, huge and back-to-small weights, and re-weights 1-6
     // other distinct edges; after every batch each method must answer
     // every pair exactly on the re-weighted graph, whichever strategy
-    // (incremental or rebuild) absorbed the batch.
-    const FIXED_EDGE_WEIGHTS: [Weight; 5] = [1, 50, u32::MAX, 3, u32::MAX - 1];
+    // (incremental or rebuild) absorbed the batch. A weight of 0 is stored
+    // as 1, so it must answer like 1.
+    const FIXED_EDGE_WEIGHTS: [Weight; 6] = [1, 50, u32::MAX, 0, 3, u32::MAX - 1];
     for g0 in [paper_figure1(), seeded_grid(6, 6, 7), seeded_grid(5, 7, 9)] {
         let edges: Vec<(Vertex, Vertex)> = g0.edges().map(|(u, v, _)| (u, v)).collect();
         for seed in 0..3u64 {

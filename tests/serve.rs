@@ -10,8 +10,8 @@
 //! * serving through the [`ServeState`] result cache (on or off) changes
 //!   no answer, and the cache actually hits on a repeating workload;
 //! * the wire protocol carries exact answers end to end over TCP, the
-//!   `Stats` response identifies the loaded backend via its method tag,
-//!   and `Shutdown` drains the daemon cleanly.
+//!   served state identifies the loaded backend and counts every answered
+//!   query, and `Shutdown` drains the daemon cleanly.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -121,7 +121,7 @@ fn every_method_serves_concurrently_from_shared_arcs() {
         let state = Arc::new(ServeState::new(built, WORKERS, 4096));
         fan_out(&state, &truth, n);
         let stats = state.stats();
-        assert_eq!(stats.method_tag, method.tag(), "{method}");
+        assert_eq!(stats.method, method, "{method}");
         assert!(
             stats.cache_hits > 0,
             "{method}: repeating workload must hit the cache"
@@ -202,18 +202,16 @@ fn daemon_serves_over_tcp_with(model: ServeModel) {
         c.join().expect("client panicked");
     }
 
-    // Stats identify the backend by tag; shutdown drains cleanly.
+    // The served state identifies the backend and counted every query;
+    // shutdown drains cleanly.
     {
+        let stats = server.state().stats();
+        assert_eq!(stats.method, Method::H2h);
+        assert_eq!(stats.num_vertices, 64);
+        assert_eq!(stats.distance_queries, 4 * 200);
         let stream = std::net::TcpStream::connect(addr).unwrap();
         let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
         let mut writer = std::io::BufWriter::new(stream);
-        write_request(&mut writer, &Request::Stats).unwrap();
-        let Some(Response::Stats(stats)) = read_response(&mut reader).unwrap() else {
-            panic!("expected a Stats response");
-        };
-        assert_eq!(Method::from_tag(stats.method_tag), Some(Method::H2h));
-        assert_eq!(stats.num_vertices, 64);
-        assert_eq!(stats.distance_queries, 4 * 200);
         write_request(&mut writer, &Request::Shutdown).unwrap();
         assert_eq!(
             read_response(&mut reader).unwrap(),
