@@ -113,8 +113,8 @@ pub const HEADER_BYTES: usize = 64;
 pub const TOC_ENTRY_BYTES: usize = 24;
 
 /// Method tags stored in the container header. The `hc2l-oracle` crate maps
-/// its `Method` enum onto these; backends accept the tags that denote their
-/// own index layout (HC2L also accepts `HC2L_PARALLEL`).
+/// its `Method` enum onto these (`Method::from_tag` also reads the legacy
+/// `HC2L_PARALLEL` as HC2L).
 pub mod method_tag {
     /// Hierarchical Cut 2-Hop Labelling, built with any thread count.
     pub const HC2L: u32 = 1;
@@ -159,13 +159,6 @@ pub enum DecodeError {
         /// Tag found in the header.
         tag: u32,
     },
-    /// A backend was asked to load a container written by another method.
-    MethodMismatch {
-        /// The canonical tag of the loading backend.
-        expected: u32,
-        /// Tag found in the header.
-        found: u32,
-    },
     /// A section the backend's schema requires is absent.
     MissingSection {
         /// The missing section's tag.
@@ -198,10 +191,6 @@ impl fmt::Display for DecodeError {
                 "checksum mismatch: header says {stored:#018x}, contents hash to {computed:#018x}"
             ),
             DecodeError::UnknownMethod { tag } => write!(f, "unknown method tag {tag}"),
-            DecodeError::MethodMismatch { expected, found } => write!(
-                f,
-                "container was written by method tag {found}, expected {expected}"
-            ),
             DecodeError::MissingSection { tag } => write!(f, "required section {tag} missing"),
             DecodeError::BadSectionLen { tag } => {
                 write!(
@@ -981,18 +970,14 @@ impl Container {
 /// container file.
 ///
 /// Backends implement [`PersistentIndex::write_sections`] /
-/// [`PersistentIndex::read_sections`]; the save/load entry points, the
-/// section layout and the exact on-disk size derive from those, so the
-/// reported `index_bytes` can never drift from what `save_to` writes.
+/// [`PersistentIndex::read_sections`]; the section layout and the exact
+/// on-disk size derive from those, so the reported `index_bytes` can never
+/// drift from what is written. Files are written and read through the
+/// `hc2l-oracle` crate (`Oracle::save`, `Oracle::load`,
+/// `SharedOracle::open`), which stamps and checks the header's method tag.
 pub trait PersistentIndex: Sized {
     /// The canonical method tag written into the container header.
     const METHOD_TAG: u32;
-
-    /// Whether this backend can load a container carrying `tag` (HC2L also
-    /// accepts the legacy parallel-build tag).
-    fn accepts_tag(tag: u32) -> bool {
-        tag == Self::METHOD_TAG
-    }
 
     /// Serialises the index into container sections.
     fn write_sections(&self, w: &mut ContainerWriter);
@@ -1000,40 +985,19 @@ pub trait PersistentIndex: Sized {
     /// Reconstructs the index from a loaded container's sections.
     fn read_sections(c: &Container) -> Result<Self, DecodeError>;
 
-    /// The section layout `save_to` would write, derived from
-    /// [`PersistentIndex::write_sections`] itself so it can never drift
-    /// from the real serialisation — run against a *measuring* writer, so
-    /// no arena payload is actually encoded (only small metadata blobs
-    /// are).
+    /// The section layout [`PersistentIndex::write_sections`] produces,
+    /// derived from it against a *measuring* writer, so it can never drift
+    /// from the real serialisation and no arena payload is actually encoded
+    /// (only small metadata blobs are).
     fn section_layout(&self) -> Vec<SectionSpec> {
         let mut w = ContainerWriter::measuring(Self::METHOD_TAG);
         self.write_sections(&mut w);
         w.specs()
     }
 
-    /// Exact size in bytes of the container file `save_to` writes.
+    /// Exact size in bytes of the container file holding this index.
     fn serialized_bytes(&self) -> usize {
         file_size(&self.section_layout()) as usize
-    }
-
-    /// Saves the index to a container file.
-    fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        let mut w = ContainerWriter::new(Self::METHOD_TAG);
-        self.write_sections(&mut w);
-        w.write_to(path)
-    }
-
-    /// Loads an index from a container file, checking the method tag.
-    fn load_from(path: &Path) -> Result<Self, PersistError> {
-        let c = Container::open(path)?;
-        if !Self::accepts_tag(c.method_tag()) {
-            return Err(DecodeError::MethodMismatch {
-                expected: Self::METHOD_TAG,
-                found: c.method_tag(),
-            }
-            .into());
-        }
-        Ok(Self::read_sections(&c)?)
     }
 }
 

@@ -53,7 +53,7 @@ mod sec {
 ///
 /// Build it once with [`Hc2lIndex::build`], then answer any number of exact
 /// distance queries with [`Hc2lIndex::query`] — or persist it with
-/// `PersistentIndex::save_to` and reload it in milliseconds.
+/// `hc2l_oracle::Oracle::save` and reload it in milliseconds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Hc2lIndex {
     config: Hc2lConfig,
@@ -234,12 +234,6 @@ impl Hc2lIndex {
 
 impl PersistentIndex for Hc2lIndex {
     const METHOD_TAG: u32 = method_tag::HC2L;
-
-    /// Files written under the legacy parallel-build tag hold the same
-    /// layout and load into the same type.
-    fn accepts_tag(tag: u32) -> bool {
-        tag == method_tag::HC2L || tag == method_tag::HC2L_PARALLEL
-    }
 
     fn write_sections(&self, w: &mut ContainerWriter) {
         let mut meta = MetaWriter::new();

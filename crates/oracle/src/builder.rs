@@ -10,14 +10,12 @@ use crate::traits::DistanceOracle;
 
 /// Configuration shared by every oracle construction.
 ///
-/// Backends read the fields that apply to them: HC2L consumes
-/// [`OracleConfig::hc2l`] (thread count included); the baselines currently
-/// have no tunables and ignore everything except `method` (which only the
-/// [`Oracle`] enum dispatches on).
+/// [`Oracle::build`] dispatches on `method` and hands HC2L its
+/// [`OracleConfig::hc2l`] (thread count included); the baselines have no
+/// tunables.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct OracleConfig {
-    /// Which backend to construct (used by [`Oracle::build`]; ignored when
-    /// building a concrete backend type directly).
+    /// Which backend [`Oracle::build`] constructs.
     pub method: Method,
     /// Construction parameters of the HC2L index (β, leaf threshold, tail
     /// pruning, degree-one contraction, build thread count).

@@ -7,15 +7,18 @@
 //! spine the rest of the system (benchmarks, examples, future serving /
 //! persistence / sharding layers) plugs into:
 //!
-//! * [`DistanceOracle`] — the trait every backend implements:
+//! * [`DistanceOracle`] — the query contract callers program against:
 //!   `build(graph, &OracleConfig)`, `distance`, `distance_with_stats`
 //!   (returning the shared [`QueryStats`]), batched [`one_to_many`],
 //!   `index_bytes` and `name`, plus reporting extensions used by the
 //!   paper-table generators.
 //! * [`Method`] — runtime identification of the five backends.
-//! * [`Oracle`] — an enum holding any built backend, itself implementing
-//!   [`DistanceOracle`], so heterogeneous collections and runtime method
-//!   selection need no trait objects.
+//! * [`Oracle`] — an enum holding any built backend and the trait's one
+//!   implementor: it calls each backend's own API directly, so
+//!   heterogeneous collections and runtime method selection need no trait
+//!   objects. [`Oracle::save`] / [`Oracle::load`] (and
+//!   [`SharedOracle::open`] for serving) are the typed ways to write and
+//!   read an index file.
 //! * [`OracleBuilder`] / [`OracleConfig`] — fluent construction:
 //!
 //! ```
@@ -34,7 +37,6 @@
 //! [`one_to_many`]: DistanceOracle::one_to_many
 //! [`QueryStats`]: hc2l_graph::QueryStats
 
-pub mod backends;
 pub mod builder;
 pub mod method;
 pub mod oracle;
@@ -53,10 +55,3 @@ pub use hc2l_graph::QueryStats;
 /// Re-exports of the dynamic-update batch API, so serving and benchmark
 /// layers depend on one crate for both querying and updating.
 pub use hc2l_dynamic::{apply_batch, UpdateReport, UpdateStrategy, WeightUpdate};
-
-/// Canonical backend index types under the names the oracle layer uses.
-pub use hc2l::Hc2lIndex;
-pub use hc2l_ch::ContractionHierarchy as ChIndex;
-pub use hc2l_h2h::H2hIndex;
-pub use hc2l_hl::HubLabelIndex as HlIndex;
-pub use hc2l_phl::PhlIndex;

@@ -1,6 +1,9 @@
-//! The [`Oracle`] enum: any built backend behind one concrete type.
+//! The [`Oracle`] enum: any built backend behind one concrete type, and the
+//! one place that dispatches build, query, update, size and persistence
+//! calls to each backend's own API.
 
 use std::path::Path;
+use std::time::Instant;
 
 use hc2l::Hc2lIndex;
 use hc2l_ch::ContractionHierarchy;
@@ -10,7 +13,9 @@ use hc2l_h2h::H2hIndex;
 use hc2l_hl::HubLabelIndex;
 use hc2l_phl::PhlIndex;
 
-use hc2l_dynamic::{UpdateReport, WeightUpdate};
+use hc2l_dynamic::{
+    apply_batch, customize_ch, update_hc2l, UpdateReport, UpdateStrategy, WeightUpdate,
+};
 
 use crate::builder::OracleConfig;
 use crate::method::Method;
@@ -18,9 +23,10 @@ use crate::traits::DistanceOracle;
 
 /// A built distance oracle of any backend.
 ///
-/// `Oracle` implements [`DistanceOracle`] by delegating to the wrapped
-/// index, so experiment runners hold `Vec<Oracle>` (or build one from a CLI
-/// flag) without trait objects or per-backend match arms at call sites.
+/// `Oracle` is the one implementor of [`DistanceOracle`]: each method
+/// matches on the variant and calls the wrapped index's inherent API, so
+/// experiment runners hold `Vec<Oracle>` (or build one from a CLI flag)
+/// without trait objects or per-backend match arms at call sites.
 #[derive(Debug, Clone)]
 pub enum Oracle {
     /// Hierarchical Cut 2-Hop Labelling (sequential or parallel build).
@@ -35,7 +41,8 @@ pub enum Oracle {
     Phl(PhlIndex),
 }
 
-/// Delegates a method call to whichever backend the enum holds.
+/// Calls a method every backend has under the same name on whichever
+/// backend the enum holds.
 macro_rules! delegate {
     ($self:ident, $inner:ident => $body:expr) => {
         match $self {
@@ -46,6 +53,21 @@ macro_rules! delegate {
             Oracle::Phl($inner) => $body,
         }
     };
+}
+
+/// Splits a batch into updates that name a real edge of `graph` and the
+/// rejected remainder, mirroring [`hc2l_dynamic::apply_batch`]'s rules.
+fn partition_valid(graph: &Graph, updates: &[WeightUpdate]) -> (Vec<WeightUpdate>, usize) {
+    let n = graph.num_vertices();
+    let valid: Vec<WeightUpdate> = updates
+        .iter()
+        .filter(|up| {
+            (up.u as usize) < n && (up.v as usize) < n && up.u != up.v && graph.has_edge(up.u, up.v)
+        })
+        .copied()
+        .collect();
+    let rejected = updates.len() - valid.len();
+    (valid, rejected)
 }
 
 impl Oracle {
@@ -95,15 +117,16 @@ impl Oracle {
 }
 
 impl DistanceOracle for Oracle {
-    /// Builds the backend selected by `config.method`.
+    /// Builds the backend selected by `config.method`; HC2L reads
+    /// `config.hc2l`, the baselines have no tunables.
     fn build(g: &Graph, config: &OracleConfig) -> Self {
-        match config.method {
-            Method::Hc2l => Oracle::Hc2l(DistanceOracle::build(g, config)),
-            Method::Ch => Oracle::Ch(DistanceOracle::build(g, config)),
-            Method::H2h => Oracle::H2h(DistanceOracle::build(g, config)),
-            Method::Hl => Oracle::Hl(DistanceOracle::build(g, config)),
-            Method::Phl => Oracle::Phl(DistanceOracle::build(g, config)),
-        }
+        hc2l_obs::phase::time("build", || match config.method {
+            Method::Hc2l => Oracle::Hc2l(Hc2lIndex::build(g, config.hc2l)),
+            Method::Ch => Oracle::Ch(ContractionHierarchy::build(g)),
+            Method::H2h => Oracle::H2h(H2hIndex::build(g)),
+            Method::Hl => Oracle::Hl(HubLabelIndex::build(g)),
+            Method::Phl => Oracle::Phl(PhlIndex::build(g)),
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -114,27 +137,83 @@ impl DistanceOracle for Oracle {
         Oracle::method(self)
     }
 
-    /// Dispatches to the backend's incremental path (CH customization, the
-    /// HC2L relabel) or the uniform rebuild fallback; the report says which
-    /// strategy actually absorbed the batch.
+    /// Absorbs the batch with the backend's incremental path where it has
+    /// one; the report says which strategy actually absorbed it:
+    ///
+    /// * HC2L relabels over its fixed tree hierarchy, and rebuilds with the
+    ///   index's own configuration when the walk bounces the batch (loaded
+    ///   index, contracted endpoint, or a metric that needs new shortcut
+    ///   topology);
+    /// * CH re-contracts over its fixed contraction order, skipping all
+    ///   ordering work; a batch that would densify the replay past its
+    ///   fill-in or witness-search budget falls back to a rebuild;
+    /// * H2H, HL and PHL rebuild from scratch on the re-weighted graph.
     fn apply_updates(&mut self, graph: &mut Graph, updates: &[WeightUpdate]) -> UpdateReport {
-        delegate!(self, inner => inner.apply_updates(graph, updates))
+        let start = Instant::now();
+        let (strategy, applied, rejected) = match self {
+            Oracle::Hc2l(index) => {
+                let (valid, rejected) = partition_valid(graph, updates);
+                let relabelled = update_hc2l(index, graph, &valid).is_ok();
+                let (applied, _) = apply_batch(graph, &valid);
+                let strategy = if relabelled {
+                    UpdateStrategy::Hc2lRelabel
+                } else {
+                    *index = Hc2lIndex::build(graph, *index.config());
+                    UpdateStrategy::Rebuild
+                };
+                (strategy, applied, rejected)
+            }
+            Oracle::Ch(ch) => {
+                let (applied, rejected) = apply_batch(graph, updates);
+                let strategy = if customize_ch(ch, graph) {
+                    UpdateStrategy::ChCustomize
+                } else {
+                    *ch = ContractionHierarchy::build(graph);
+                    UpdateStrategy::Rebuild
+                };
+                (strategy, applied, rejected)
+            }
+            Oracle::H2h(_) | Oracle::Hl(_) | Oracle::Phl(_) => {
+                let (applied, rejected) = apply_batch(graph, updates);
+                *self = Oracle::build(graph, &OracleConfig::new(self.method()));
+                (UpdateStrategy::Rebuild, applied, rejected)
+            }
+        };
+        UpdateReport {
+            strategy,
+            applied,
+            rejected,
+            micros: start.elapsed().as_micros() as u64,
+        }
     }
 
     fn distance(&self, s: Vertex, t: Vertex) -> Distance {
-        delegate!(self, inner => inner.distance(s, t))
+        delegate!(self, inner => inner.query(s, t))
     }
 
     fn distance_with_stats(&self, s: Vertex, t: Vertex) -> (Distance, QueryStats) {
-        delegate!(self, inner => inner.distance_with_stats(s, t))
+        delegate!(self, inner => inner.query_with_stats(s, t))
     }
 
     fn one_to_many(&self, s: Vertex, targets: &[Vertex]) -> Vec<Distance> {
-        delegate!(self, inner => inner.one_to_many(s, targets))
+        let mut out = Vec::new();
+        self.one_to_many_into(s, targets, &mut out);
+        out
     }
 
+    /// The labelling backends amortise per-source work over the batch; CH
+    /// has no batched kernel and runs one upward search per target.
     fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>) {
-        delegate!(self, inner => inner.one_to_many_into(s, targets, out))
+        match self {
+            Oracle::Hc2l(index) => index.one_to_many_into(s, targets, out),
+            Oracle::H2h(index) => index.one_to_many_into(s, targets, out),
+            Oracle::Hl(index) => index.one_to_many_into(s, targets, out),
+            Oracle::Phl(index) => index.one_to_many_into(s, targets, out),
+            Oracle::Ch(ch) => {
+                out.clear();
+                out.extend(targets.iter().map(|&t| ch.query(s, t)));
+            }
+        }
     }
 
     fn save(&self, path: &Path) -> Result<(), PersistError> {
@@ -142,27 +221,51 @@ impl DistanceOracle for Oracle {
     }
 
     fn index_bytes(&self) -> usize {
-        delegate!(self, inner => inner.index_bytes())
+        delegate!(self, inner => PersistentIndex::serialized_bytes(inner))
     }
 
     fn label_bytes(&self) -> usize {
-        delegate!(self, inner => inner.label_bytes())
+        match self {
+            Oracle::Hc2l(index) => index.stats().label_bytes,
+            Oracle::Ch(ch) => ch.memory_bytes(),
+            Oracle::H2h(index) => index.stats().label_bytes,
+            Oracle::Hl(index) => index.stats().memory_bytes,
+            Oracle::Phl(index) => index.stats().memory_bytes,
+        }
     }
 
     fn lca_bytes(&self) -> usize {
-        delegate!(self, inner => inner.lca_bytes())
+        match self {
+            Oracle::Hc2l(index) => index.stats().lca_bytes,
+            Oracle::H2h(index) => index.stats().lca_bytes,
+            Oracle::Ch(_) | Oracle::Hl(_) | Oracle::Phl(_) => 0,
+        }
     }
 
     fn construction_seconds(&self) -> f64 {
-        delegate!(self, inner => inner.construction_seconds())
+        match self {
+            Oracle::Hc2l(index) => index.construction_stats().seconds,
+            Oracle::Ch(ch) => ch.construction_seconds,
+            Oracle::H2h(index) => index.construction_seconds,
+            Oracle::Hl(index) => index.construction_seconds,
+            Oracle::Phl(index) => index.construction_seconds,
+        }
     }
 
     fn tree_height(&self) -> Option<u32> {
-        delegate!(self, inner => inner.tree_height())
+        match self {
+            Oracle::Hc2l(index) => Some(index.stats().hierarchy.height),
+            Oracle::H2h(index) => Some(index.stats().tree_height),
+            Oracle::Ch(_) | Oracle::Hl(_) | Oracle::Phl(_) => None,
+        }
     }
 
     fn max_width(&self) -> Option<usize> {
-        delegate!(self, inner => inner.max_width())
+        match self {
+            Oracle::Hc2l(index) => Some(index.stats().hierarchy.max_cut_size),
+            Oracle::H2h(index) => Some(index.stats().max_bag_size),
+            Oracle::Ch(_) | Oracle::Hl(_) | Oracle::Phl(_) => None,
+        }
     }
 }
 
@@ -256,14 +359,7 @@ mod tests {
             assert_eq!(report.rejected, 1, "{method:?}");
             match method {
                 Method::Ch => assert_eq!(report.strategy, UpdateStrategy::ChCustomize),
-                Method::Hc2l => assert!(
-                    matches!(
-                        report.strategy,
-                        UpdateStrategy::Hc2lRelabel | UpdateStrategy::Rebuild
-                    ),
-                    "{method:?} reported {:?}",
-                    report.strategy
-                ),
+                Method::Hc2l => assert_eq!(report.strategy, UpdateStrategy::Hc2lRelabel),
                 _ => assert_eq!(report.strategy, UpdateStrategy::Rebuild, "{method:?}"),
             }
             // The graph carries the new weights and the oracle answers for
@@ -304,6 +400,40 @@ mod tests {
         for s in 0..9u32 {
             let dist = dijkstra(&g, s);
             for t in 0..9u32 {
+                assert_eq!(oracle.distance(s, t), dist[t as usize], "({s},{t})");
+            }
+        }
+    }
+
+    #[test]
+    fn loaded_hc2l_rebuilds_with_its_own_config() {
+        use hc2l_dynamic::WeightUpdate;
+        use hc2l_graph::dijkstra;
+        use hc2l_graph::toy::grid_graph;
+
+        // A loaded index has no hierarchy to relabel over, so the batch is
+        // absorbed by a rebuild, which must keep the saved β.
+        let g0 = grid_graph(6, 6);
+        let built = OracleBuilder::new(Method::Hc2l).beta(0.3).build(&g0);
+        let path = std::env::temp_dir().join(format!(
+            "hc2l-oracle-loaded-rebuild-{}.hc2l",
+            std::process::id()
+        ));
+        built.save(&path).unwrap();
+        let mut oracle = Oracle::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut g = g0.clone();
+        let (u, v, w) = g0.edges().next().unwrap();
+        let report = oracle.apply_updates(&mut g, &[WeightUpdate::new(u, v, w + 5)]);
+        assert_eq!(report.strategy, UpdateStrategy::Rebuild);
+        assert_eq!((report.applied, report.rejected), (1, 0));
+        let Oracle::Hc2l(index) = &oracle else {
+            panic!("HC2L update produced {}", oracle.name());
+        };
+        assert_eq!(index.config().beta, 0.3);
+        for s in 0..36u32 {
+            let dist = dijkstra(&g, s);
+            for t in 0..36u32 {
                 assert_eq!(oracle.distance(s, t), dist[t as usize], "({s},{t})");
             }
         }
@@ -361,6 +491,7 @@ mod tests {
         assert_eq!(par.method(), Method::Hc2l);
         assert_eq!(par.name(), "HC2L");
         assert_eq!(seq.label_bytes(), par.label_bytes());
+        assert_eq!(seq.index_bytes(), par.index_bytes());
         for s in 0..16u32 {
             for t in 0..16u32 {
                 assert_eq!(seq.distance(s, t), par.distance(s, t));

@@ -3,7 +3,7 @@
 
 use std::path::Path;
 
-use hc2l_dynamic::{apply_batch, UpdateReport, UpdateStrategy, WeightUpdate};
+use hc2l_dynamic::{UpdateReport, WeightUpdate};
 use hc2l_graph::{Distance, Graph, PersistError, QueryStats, Vertex};
 
 use crate::builder::OracleConfig;
@@ -11,9 +11,9 @@ use crate::method::Method;
 
 /// An exact shortest-path distance oracle over a weighted undirected graph.
 ///
-/// All five workspace backends implement this trait, as does the type-erasing
-/// [`Oracle`](crate::Oracle) enum, so callers can be generic over the method
-/// (`fn f(o: &impl DistanceOracle)`) or select one at runtime via
+/// The [`Oracle`](crate::Oracle) enum implements this trait over all five
+/// workspace backends, so callers can be generic over the oracle
+/// (`fn f(o: &impl DistanceOracle)`) and select the method at runtime via
 /// [`OracleBuilder`](crate::OracleBuilder).
 ///
 /// Semantics shared by every implementation:
@@ -40,29 +40,13 @@ pub trait DistanceOracle: Send + Sync {
 
     /// Absorbs a batch of edge re-weightings: applies it to `graph` (the
     /// graph this oracle currently answers for) and brings the index back
-    /// in sync with the new metric.
-    ///
-    /// Backends with an incremental path (CH customization, the HC2L
-    /// fixed-hierarchy relabel) override this; the default rebuilds from
-    /// scratch on the re-weighted graph so the API is uniform across all
-    /// backends. Updates naming a missing edge, a self loop or an
+    /// in sync with the new metric, incrementally where the backend can
+    /// (CH customization, the HC2L fixed-hierarchy relabel) and by a
+    /// rebuild otherwise. Updates naming a missing edge, a self loop or an
     /// out-of-range vertex are counted in [`UpdateReport::rejected`] and
     /// skipped; the rest of the batch still applies. Either way the oracle
     /// answers exactly for the re-weighted graph afterwards.
-    fn apply_updates(&mut self, graph: &mut Graph, updates: &[WeightUpdate]) -> UpdateReport
-    where
-        Self: Sized,
-    {
-        let start = std::time::Instant::now();
-        let (applied, rejected) = apply_batch(graph, updates);
-        *self = Self::build(graph, &OracleConfig::new(self.method()));
-        UpdateReport {
-            strategy: UpdateStrategy::Rebuild,
-            applied,
-            rejected,
-            micros: start.elapsed().as_micros() as u64,
-        }
-    }
+    fn apply_updates(&mut self, graph: &mut Graph, updates: &[WeightUpdate]) -> UpdateReport;
 
     /// Exact shortest-path distance between two vertices.
     fn distance(&self, s: Vertex, t: Vertex) -> Distance;
@@ -72,16 +56,9 @@ pub trait DistanceOracle: Send + Sync {
     fn distance_with_stats(&self, s: Vertex, t: Vertex) -> (Distance, QueryStats);
 
     /// Batched one-to-many query: distances from `s` to every vertex in
-    /// `targets`, in order.
-    ///
-    /// Implementations amortise per-source work (label lookups, contraction
-    /// root resolution) over the batch; the default allocates a fresh vector
-    /// and delegates to [`DistanceOracle::one_to_many_into`].
-    fn one_to_many(&self, s: Vertex, targets: &[Vertex]) -> Vec<Distance> {
-        let mut out = Vec::new();
-        self.one_to_many_into(s, targets, &mut out);
-        out
-    }
+    /// `targets`, in order, with per-source work (label lookups,
+    /// contraction root resolution) amortised over the batch.
+    fn one_to_many(&self, s: Vertex, targets: &[Vertex]) -> Vec<Distance>;
 
     /// Buffer-reusing variant of [`DistanceOracle::one_to_many`]: clears
     /// `out` and fills it with the distances from `s` to every vertex in
@@ -89,12 +66,8 @@ pub trait DistanceOracle: Send + Sync {
     ///
     /// Batch callers (benchmark loops, POI/dispatch services) call this in a
     /// loop with one long-lived buffer so steady-state batched querying does
-    /// no per-batch allocation. The default falls back to pointwise
-    /// [`DistanceOracle::distance`] calls.
-    fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>) {
-        out.clear();
-        out.extend(targets.iter().map(|&t| self.distance(s, t)));
-    }
+    /// no per-batch allocation.
+    fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>);
 
     /// Saves the built index to a sectioned container file
     /// (`hc2l_graph::container`); reload it with
@@ -104,14 +77,10 @@ pub trait DistanceOracle: Send + Sync {
 
     /// Total index footprint in bytes: the **exact size of the container
     /// file** that [`DistanceOracle::save`] writes (header, section table
-    /// and 64-byte-aligned sections) — so bench output and the paper's
-    /// index-size tables agree with what lands on disk. Implementations
-    /// derive it from the same serialisation path as `save`; the default
-    /// (in-memory labels + LCA structures) only stands in for oracles
-    /// without a persistent form.
-    fn index_bytes(&self) -> usize {
-        self.label_bytes() + self.lca_bytes()
-    }
+    /// and 64-byte-aligned sections), derived from the same serialisation
+    /// path — so bench output and the paper's index-size tables agree with
+    /// what lands on disk.
+    fn index_bytes(&self) -> usize;
 
     /// Bytes of distance-label storage (Table 2's "Labelling Size"; the
     /// upward-graph size for search-based CH).
@@ -119,20 +88,14 @@ pub trait DistanceOracle: Send + Sync {
 
     /// Bytes of auxiliary LCA structures (Table 3's "LCA Storage"; 0 when
     /// the method has none).
-    fn lca_bytes(&self) -> usize {
-        0
-    }
+    fn lca_bytes(&self) -> usize;
 
     /// Wall-clock seconds the construction took.
     fn construction_seconds(&self) -> f64;
 
     /// Height of the method's tree hierarchy (Table 5), when it has one.
-    fn tree_height(&self) -> Option<u32> {
-        None
-    }
+    fn tree_height(&self) -> Option<u32>;
 
     /// Maximum cut size / bag width (Table 5), when applicable.
-    fn max_width(&self) -> Option<usize> {
-        None
-    }
+    fn max_width(&self) -> Option<usize>;
 }

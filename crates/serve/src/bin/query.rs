@@ -259,8 +259,10 @@ impl RetryPolicy {
             .unwrap_or(0);
         RetryPolicy {
             retries: args.retries,
+            // A deadline past what `Instant` can represent is no bound.
             deadline: (args.deadline_secs > 0)
-                .then(|| Instant::now() + Duration::from_secs(args.deadline_secs)),
+                .then(|| Instant::now().checked_add(Duration::from_secs(args.deadline_secs)))
+                .flatten(),
             rng: (std::process::id() as u64) << 32 | nanos | 1,
         }
     }
@@ -378,7 +380,7 @@ fn resolve_addr(args: &Args) -> String {
         eprintln!("--addr HOST:PORT or --addr-file FILE is required");
         exit(2);
     };
-    let deadline = Instant::now() + Duration::from_secs(args.wait_secs);
+    let deadline = Instant::now().checked_add(Duration::from_secs(args.wait_secs));
     loop {
         if let Ok(text) = std::fs::read_to_string(file) {
             let addr = text.trim().to_string();
@@ -386,7 +388,7 @@ fn resolve_addr(args: &Args) -> String {
                 return addr;
             }
         }
-        if Instant::now() >= deadline {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             eprintln!("timed out waiting for {file}");
             exit(1);
         }

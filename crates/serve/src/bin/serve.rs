@@ -153,7 +153,13 @@ fn parse_args() -> Args {
                 })
             }
             "--port" => args.port = parse!(&mut i, "--port"),
-            "--threads" => args.threads = parse!(&mut i, "--threads"),
+            "--threads" => {
+                args.threads = parse!(&mut i, "--threads");
+                if args.threads == 0 {
+                    eprintln!("invalid --threads 0: must be at least 1");
+                    exit(2);
+                }
+            }
             "--cache" => {
                 args.cache = parse!(&mut i, "--cache");
                 if args.cache > MAX_CAPACITY {
@@ -192,7 +198,6 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let threads = args.threads.max(1);
     let state = if let Some((rows, cols)) = args.grid {
         let g = hc2l_roadnet::seeded_grid(rows, cols, args.grid_seed);
         let n = g.num_vertices();
@@ -203,7 +208,7 @@ fn main() {
             args.method
         );
         Arc::new(
-            ServeState::with_updates(g, oracle, threads, args.cache)
+            ServeState::with_updates(g, oracle, args.threads, args.cache)
                 .with_config(args.serve_config()),
         )
     } else {
@@ -223,7 +228,7 @@ fn main() {
                 "heap-buffered"
             }
         );
-        Arc::new(ServeState::new(oracle, threads, args.cache).with_config(args.serve_config()))
+        Arc::new(ServeState::new(oracle, args.threads, args.cache).with_config(args.serve_config()))
     };
 
     let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", args.port), args.model)
@@ -245,7 +250,7 @@ fn main() {
     eprintln!(
         "serving on {addr} with the {} model, {} threads (cache: {} slots, kernel: {})",
         args.model.effective(),
-        threads,
+        args.threads,
         state.cache().stats().capacity,
         hc2l_graph::active_kernel()
     );

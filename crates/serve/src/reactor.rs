@@ -634,6 +634,8 @@ fn reactor_loop(
     let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut next_target = id;
+    // When the drain began; `elapsed` cannot overflow, so even a
+    // `Duration::MAX` drain window is simply unbounded.
     let mut draining: Option<Instant> = None;
     let mut last_sweep = Instant::now();
     let mut result: io::Result<()> = Ok(());
@@ -642,7 +644,7 @@ fn reactor_loop(
         if state.is_shutting_down() && draining.is_none() {
             // Enter the drain: stop accepting, close everything that owes
             // the peer nothing, give the rest a bounded flush window.
-            draining = Some(Instant::now() + state.config().drain);
+            draining = Some(Instant::now());
             if let Some(l) = &listener {
                 let _ = epoll.del(l.as_raw_fd());
             }
@@ -666,8 +668,8 @@ fn reactor_loop(
                 true
             });
         }
-        if let Some(deadline) = draining {
-            if conns.is_empty() || Instant::now() >= deadline {
+        if let Some(started) = draining {
+            if conns.is_empty() || started.elapsed() >= state.config().drain {
                 break;
             }
         }

@@ -127,7 +127,8 @@ pub struct ServeConfig {
     /// the connection last made progress. `None` never reaps stalled peers.
     pub stall_timeout: Option<Duration>,
     /// How long shutdown waits for live connections to drain before closing
-    /// them (`--drain-secs`; the default is 3 seconds).
+    /// them (`--drain-secs`; the default is 3 seconds). A window too long
+    /// to add to an `Instant`, such as `Duration::MAX`, is unbounded.
     pub drain: Duration,
     /// Queries (`Distance` / `OneToMany`) allowed to execute concurrently
     /// before further ones are shed with [`Response::Overloaded`];
@@ -1654,6 +1655,27 @@ mod tests {
             start.elapsed()
         );
         drop(stuck);
+    }
+
+    #[test]
+    fn unbounded_drain_window_shuts_down_cleanly() {
+        // `Duration::MAX` is past what `Instant` can add: the drain must
+        // treat it as no bound rather than panic the reactor, and still
+        // close an idle connection that owes its peer nothing.
+        let state = Arc::new(
+            ServeState::new(OracleBuilder::new(Method::Hl).build(&paper_figure1()), 2, 0)
+                .with_config(ServeConfig {
+                    drain: Duration::MAX,
+                    ..ServeConfig::default()
+                }),
+        );
+        let server =
+            serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), ServeModel::Epoll).unwrap();
+        let addr = server.addr();
+        let idle = TcpStream::connect(addr).unwrap();
+        assert_eq!(ask(addr, &Request::Shutdown), Response::ShuttingDown);
+        server.wait().unwrap();
+        drop(idle);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Command-line contract of the `hc2l-serve` daemon and the `hc2l-query`
 //! client: oversized `--cache` tables and grids, zero counts and removed
 //! flags are rejected up front with exit status 2, never silently clamped
-//! to a default or turned into a panic or an abort deeper in the run; and
-//! the two binaries together serve and gate a replay end to end.
+//! to a default or turned into a panic or an abort deeper in the run;
+//! second counts too large to add to an `Instant` mean "no bound"; and the
+//! two binaries together serve and gate a replay end to end.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -17,8 +18,13 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn oversized_tables_and_removed_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["--grid", "4x4", "--bench"], "--bench"),
+        // The trailing unknown flag stops the run if 0 were accepted.
+        (
+            &["--grid", "4x4", "--threads", "0", "--no-such-flag"],
+            "--threads",
+        ),
         (
             &["--grid", "4x4", "--bench-scaling", "8"],
             "--bench-scaling",
@@ -197,5 +203,57 @@ fn daemon_serves_a_gated_replay_over_mostly_idle_connections() {
     assert!(
         daemon_status.success(),
         "daemon exited with {daemon_status}"
+    );
+}
+
+#[test]
+fn second_counts_past_the_instant_range_are_unbounded() {
+    const MAX: &str = "18446744073709551615";
+    let addr_file = scratch("unbounded.addr");
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_hc2l-serve"))
+        .args([
+            "--grid",
+            "4x4",
+            "--port",
+            "0",
+            "--threads",
+            "1",
+            "--drain-secs",
+            MAX,
+            "--addr-file",
+        ])
+        .arg(&addr_file)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("failed to start hc2l-serve");
+    let query = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_hc2l-query"))
+            .arg("--addr-file")
+            .arg(&addr_file)
+            .args(args)
+            .output()
+            .expect("failed to run hc2l-query")
+    };
+
+    // Rendezvous under the default --wait first, so an unbounded wait below
+    // never polls for a daemon that failed to start.
+    let ready = query(&["--metrics"]);
+    let waited = query(&["--wait", MAX, "--metrics"]);
+    let shutdown = query(&["--deadline", MAX, "--shutdown"]);
+    if !shutdown.status.success() {
+        daemon.kill().ok();
+    }
+    let daemon_status = daemon.wait().expect("daemon did not exit");
+    assert!(ready.status.success(), "{ready:?}");
+    assert_eq!(waited.status.code(), Some(0), "--wait {MAX}: {waited:?}");
+    assert_eq!(
+        shutdown.status.code(),
+        Some(0),
+        "--deadline {MAX}: {shutdown:?}"
+    );
+    assert!(
+        daemon_status.success(),
+        "daemon with --drain-secs {MAX} exited with {daemon_status}"
     );
 }

@@ -8,8 +8,9 @@
 //!
 //! # Quick start: the unified oracle API
 //!
-//! Every backend is built and queried through the [`DistanceOracle`] trait;
-//! [`OracleBuilder`] selects the method at runtime:
+//! Every backend is built and queried through the [`DistanceOracle`] trait,
+//! which the [`Oracle`] enum implements; [`OracleBuilder`] selects the
+//! method at runtime:
 //!
 //! ```
 //! use hc2l_repro::{DistanceOracle, Method, OracleBuilder};
@@ -67,10 +68,12 @@
 //! build, borrowed zero-copy slices of a loaded file) and persists it
 //! through the sectioned container format of `hc2l_graph::container`
 //! (magic/version header, per-section table of contents with 64-byte
-//! alignment, checksum). [`DistanceOracle::save`] writes the file —
-//! `index_bytes()` reports its exact size — and [`OracleBuilder::load`]
-//! restores any method in milliseconds, dispatching on the method tag
-//! stored in the header:
+//! alignment, checksum). [`Oracle::save`] writes the file —
+//! `index_bytes()` reports its exact size — and [`Oracle::load`] (also
+//! reached as [`OracleBuilder::load`]) restores any method in milliseconds,
+//! dispatching on the method tag stored in the header. These, with
+//! [`SharedOracle::open`] for serving, are the only typed ways to write and
+//! read an index file:
 //!
 //! ```
 //! use hc2l_repro::{DistanceOracle, Method, OracleBuilder};
@@ -169,5 +172,6 @@ pub use hc2l_oracle::SharedOracle;
 pub use hc2l_graph::QueryStats;
 
 /// Re-exports of the persistence layer: the error types `save`/`load`
-/// return and the trait backends implement for container files.
+/// return and the trait through which each backend writes and reads its
+/// container sections.
 pub use hc2l_graph::{DecodeError, PersistError, PersistentIndex};

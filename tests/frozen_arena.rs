@@ -122,20 +122,19 @@ fn cached_size_totals_equal_a_full_recount() {
             (labels.avg_entries() - recount as f64 / labels.num_vertices() as f64).abs() < 1e-12
         );
 
-        // HL: stats equal the recount of arena rows, and index_bytes through
-        // the trait (the exact on-disk container size since PR 3) covers at
-        // least the arena bytes.
+        // HL: stats equal the recount of arena rows, and the exact on-disk
+        // container size covers at least the arena bytes.
         let hl = HubLabelIndex::build(&g);
         let recount: usize = (0..n).map(|v| hl.label_len(v)).sum();
         assert_eq!(hl.stats().total_entries, recount);
-        assert!(DistanceOracle::index_bytes(&hl) >= hl.stats().memory_bytes);
+        assert!(PersistentIndex::serialized_bytes(&hl) >= hl.stats().memory_bytes);
         assert_eq!(hl.stats().memory_bytes, hl.labels().memory_bytes());
 
         // PHL: same contract.
         let phl = PhlIndex::build(&g);
         let recount: usize = (0..n).map(|v| phl.label_len(v)).sum();
         assert_eq!(phl.stats().total_entries, recount);
-        assert!(DistanceOracle::index_bytes(&phl) >= phl.stats().memory_bytes);
+        assert!(PersistentIndex::serialized_bytes(&phl) >= phl.stats().memory_bytes);
 
         // H2H: entry total equals the recount of ancestor rows.
         let h2h = H2hIndex::build(&g);

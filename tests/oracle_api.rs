@@ -90,7 +90,7 @@ fn reporting_surface_is_populated_per_method() {
             "{}: no index bytes",
             oracle.name()
         );
-        assert!(oracle.index_bytes() >= oracle.label_bytes());
+        assert!(oracle.index_bytes() >= oracle.label_bytes() + oracle.lca_bytes());
         assert!(oracle.construction_seconds() >= 0.0);
         match method {
             Method::Hc2l | Method::H2h => {

@@ -8,7 +8,7 @@
 //!   degree-one contraction and disconnected components;
 //! * `index_bytes()` equals the exact byte size of the file `save` writes;
 //! * corrupted files (truncation, bad magic, wrong version, flipped
-//!   checksum/payload bytes, foreign method tags) surface as typed
+//!   checksum/payload bytes, unknown method tags) surface as typed
 //!   [`PersistError`]s, never panics;
 //! * the zero-copy `Frozen*Ref` views over a loaded container answer
 //!   identically to the owned indexes they were saved from.
@@ -181,7 +181,7 @@ fn corrupted_files_yield_clean_errors_not_panics() {
 }
 
 #[test]
-fn foreign_and_unknown_method_tags_are_rejected() {
+fn unknown_method_tags_are_rejected() {
     // A container written under a tag no backend claims.
     let mut w = ContainerWriter::new(0xDEAD);
     w.push_pods::<u32>(0, &[1, 2, 3]);
@@ -194,19 +194,15 @@ fn foreign_and_unknown_method_tags_are_rejected() {
         }))
     ));
 
-    // A valid CH container refused by the HL backend (method mismatch), and
-    // accepted with identical answers by the CH backend.
+    // A valid CH container loads back as CH with identical answers.
     let g = grid_graph(4, 4);
-    let ch = hc2l_ch::ContractionHierarchy::build(&g);
-    ch.save_to(&path).expect("save CH");
-    assert!(matches!(
-        hc2l_hl::HubLabelIndex::load_from(&path),
-        Err(PersistError::Decode(DecodeError::MethodMismatch { .. }))
-    ));
-    let ch_back = hc2l_ch::ContractionHierarchy::load_from(&path).expect("load CH");
+    let ch = OracleBuilder::new(Method::Ch).build(&g);
+    ch.save(&path).expect("save CH");
+    let ch_back = Oracle::load(&path).expect("load CH");
+    assert_eq!(ch_back.method(), Method::Ch);
     for s in 0..16u32 {
         for t in 0..16u32 {
-            assert_eq!(ch_back.query(s, t), ch.query(s, t));
+            assert_eq!(ch_back.distance(s, t), ch.distance(s, t));
         }
     }
     std::fs::remove_file(&path).ok();
