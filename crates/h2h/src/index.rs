@@ -414,14 +414,6 @@ impl H2hIndex {
         self.frozen.one_to_many_into(s, targets, out)
     }
 
-    /// Batched one-to-many query: allocating variant of
-    /// [`H2hIndex::one_to_many_into`].
-    pub fn one_to_many(&self, s: Vertex, targets: &[Vertex]) -> Vec<Distance> {
-        let mut out = Vec::new();
-        self.one_to_many_into(s, targets, &mut out);
-        out
-    }
-
     /// Size statistics (Tables 2, 3 and 5; O(1), totals are fixed by the
     /// freeze step).
     pub fn stats(&self) -> H2hStats {
@@ -645,7 +637,10 @@ mod tests {
         let targets: Vec<Vertex> = (0..12).collect();
         let mut buf = Vec::new();
         for s in 0..12u32 {
-            let batch = index.one_to_many(s, &targets);
+            // `buf` still holds the previous source's row: reuse must
+            // overwrite it, not append to it.
+            let mut batch = Vec::new();
+            index.one_to_many_into(s, &targets, &mut batch);
             index.one_to_many_into(s, &targets, &mut buf);
             assert_eq!(batch, buf);
             for (t, &d) in targets.iter().zip(batch.iter()) {

@@ -197,14 +197,6 @@ impl Hc2lIndex {
         self.frozen.one_to_many_into(s, targets, out)
     }
 
-    /// Batched one-to-many query: allocating variant of
-    /// [`Hc2lIndex::one_to_many_into`].
-    pub fn one_to_many(&self, s: Vertex, targets: &[Vertex]) -> Vec<Distance> {
-        let mut out = Vec::new();
-        self.one_to_many_into(s, targets, &mut out);
-        out
-    }
-
     /// Index size and shape statistics (Tables 2, 3 and 5).
     pub fn stats(&self) -> IndexStats {
         let n = self.frozen.num_vertices();
@@ -491,8 +483,9 @@ mod tests {
             Hc2lConfig::default().without_contraction(),
         ] {
             let index = Hc2lIndex::build(&g, cfg);
+            let mut batch = Vec::new();
             for s in 0..n {
-                let batch = index.one_to_many(s, &targets);
+                index.one_to_many_into(s, &targets, &mut batch);
                 for (t, &d) in targets.iter().zip(batch.iter()) {
                     assert_eq!(d, index.query(s, *t), "one_to_many({s}, {t}) diverges");
                 }

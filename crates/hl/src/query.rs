@@ -72,14 +72,6 @@ impl HubLabelIndex {
     pub fn one_to_many_into(&self, s: Vertex, targets: &[Vertex], out: &mut Vec<Distance>) {
         self.frozen().one_to_many_into(s, targets, out)
     }
-
-    /// Batched one-to-many query: allocating variant of
-    /// [`HubLabelIndex::one_to_many_into`].
-    pub fn one_to_many(&self, s: Vertex, targets: &[Vertex]) -> Vec<Distance> {
-        let mut out = Vec::new();
-        self.one_to_many_into(s, targets, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +138,10 @@ mod tests {
         let targets: Vec<Vertex> = (0..20).collect();
         let mut buf = Vec::new();
         for s in 0..20u32 {
-            let batch = index.one_to_many(s, &targets);
+            // `buf` still holds the previous source's row: reuse must
+            // overwrite it, not append to it.
+            let mut batch = Vec::new();
+            index.one_to_many_into(s, &targets, &mut batch);
             index.one_to_many_into(s, &targets, &mut buf);
             assert_eq!(batch, buf);
             for (t, &d) in targets.iter().zip(batch.iter()) {

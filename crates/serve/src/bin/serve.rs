@@ -2,22 +2,22 @@
 //!
 //! ```text
 //! hc2l-serve --index paris.hc2l [--port 7171] [--threads N] [--cache N]
-//!            [--model epoll|threads] [--addr-file FILE]
-//!            [--idle-timeout SECS] [--stall-timeout SECS]
+//!            [--addr-file FILE] [--idle-timeout SECS] [--stall-timeout SECS]
 //!            [--drain-secs SECS] [--max-inflight N]
 //! hc2l-serve --grid ROWSxCOLS [--grid-seed S] [--method hc2l|ch|...] [...]
 //! ```
 //!
 //! Loads one saved index container (memory-mapped, with a heap read where
 //! mapping is unavailable) and serves the binary wire protocol on
-//! `127.0.0.1:PORT` until a client sends `Shutdown`. `--model` picks the
-//! connection model: `epoll` (the default where it exists) multiplexes any
-//! number of connections over `--threads` reactor threads; `threads` is the
-//! buffered thread-per-connection loop of at most `--threads` workers.
-//! `epoll` is Linux-only and silently degrades to `threads` elsewhere —
-//! the effective model is printed at startup. `--port 0` picks an
-//! ephemeral port; `--addr-file` writes the resolved `host:port` to a
-//! file once listening, which is how scripted callers (CI) rendezvous.
+//! `127.0.0.1:PORT` until a client sends `Shutdown`. An epoll reactor
+//! multiplexes any number of connections over `--threads` reactor threads
+//! (default: the available parallelism, at most
+//! `hc2l_serve::server::MAX_REACTORS` = 16; more is a usage error), and the
+//! startup line prints the reactor count. epoll is Linux-only: elsewhere
+//! the daemon reports that it cannot serve and exits with status 1.
+//! `--port 0` picks an ephemeral port; `--addr-file` writes the resolved
+//! `host:port` to a file once listening, which is how scripted callers
+//! (CI) rendezvous.
 //!
 //! `--grid ROWSxCOLS` serves a seeded synthetic grid instead of a saved
 //! container: the daemon builds a `--method` index (default `ch`) over the
@@ -49,6 +49,7 @@ use std::sync::Arc;
 
 use hc2l_oracle::OracleBuilder;
 use hc2l_serve::cache::MAX_CAPACITY;
+use hc2l_serve::server::MAX_REACTORS;
 use hc2l_serve::{serve_with_model, ServeConfig, ServeModel, ServeState};
 
 struct Args {
@@ -59,7 +60,6 @@ struct Args {
     port: u16,
     threads: usize,
     cache: usize,
-    model: ServeModel,
     addr_file: Option<String>,
     idle_timeout_secs: u64,
     stall_timeout_secs: u64,
@@ -94,10 +94,9 @@ fn parse_args() -> Args {
         method: hc2l_oracle::Method::Ch,
         port: 7171,
         threads: std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4),
+            .map_or(4, |p| p.get())
+            .min(MAX_REACTORS),
         cache: 1 << 16,
-        model: ServeModel::platform_default(),
         addr_file: None,
         idle_timeout_secs: 300,
         stall_timeout_secs: 30,
@@ -155,8 +154,11 @@ fn parse_args() -> Args {
             "--port" => args.port = parse!(&mut i, "--port"),
             "--threads" => {
                 args.threads = parse!(&mut i, "--threads");
-                if args.threads == 0 {
-                    eprintln!("invalid --threads 0: must be at least 1");
+                if !(1..=MAX_REACTORS).contains(&args.threads) {
+                    eprintln!(
+                        "invalid --threads {}: must be 1 to {MAX_REACTORS}",
+                        args.threads
+                    );
                     exit(2);
                 }
             }
@@ -169,12 +171,6 @@ fn parse_args() -> Args {
                     );
                     exit(2);
                 }
-            }
-            "--model" => {
-                args.model = read_value(&mut i).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    exit(2);
-                })
             }
             "--addr-file" => args.addr_file = Some(read_value(&mut i)),
             "--idle-timeout" => args.idle_timeout_secs = parse!(&mut i, "--idle-timeout"),
@@ -231,11 +227,15 @@ fn main() {
         Arc::new(ServeState::new(oracle, args.threads, args.cache).with_config(args.serve_config()))
     };
 
-    let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", args.port), args.model)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot bind 127.0.0.1:{}: {e}", args.port);
-            exit(1);
-        });
+    let server = serve_with_model(
+        Arc::clone(&state),
+        ("127.0.0.1", args.port),
+        ServeModel::Epoll,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("cannot serve on 127.0.0.1:{}: {e}", args.port);
+        exit(1);
+    });
     let addr = server.addr();
     if let Some(file) = &args.addr_file {
         // Write-then-rename so a polling client never reads a partial file.
@@ -248,9 +248,8 @@ fn main() {
             });
     }
     eprintln!(
-        "serving on {addr} with the {} model, {} threads (cache: {} slots, kernel: {})",
-        args.model.effective(),
-        args.threads,
+        "serving on {addr} with {} epoll reactor threads (cache: {} slots, kernel: {})",
+        state.threads(),
         state.cache().stats().capacity,
         hc2l_graph::active_kernel()
     );

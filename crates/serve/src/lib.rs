@@ -14,7 +14,7 @@
 //!   host.
 //! * **shared read-only oracles** — [`ServeState`] bundles the oracle (a
 //!   `SharedOracle` view or an owned `Oracle`), a lock-free epoch-tagged
-//!   result cache ([`QueryCache`]) and relaxed-atomic counters; worker
+//!   result cache ([`QueryCache`]) and relaxed-atomic counters; serving
 //!   threads query it behind one `Arc` with no locks on the oracle path.
 //! * **live weight updates** — `UpdateWeights` frames carry edge
 //!   re-weighting batches (live traffic) to a daemon started from an owned
@@ -24,20 +24,19 @@
 //!   refreshed index is published as a new epoch-tagged generation with one
 //!   pointer swap — in-flight queries finish on the old generation, cache
 //!   entries from it read as misses, and no query ever blocks on an update
-//!   (the epoll model offloads absorption to a worker thread).
+//!   (the reactor offloads absorption to a worker thread).
 //! * **a wire protocol and daemon** — a length-prefixed binary protocol
 //!   ([`protocol`]) carrying `Distance`, batched `OneToMany`,
 //!   `UpdateWeights`, `Metrics` and `Shutdown` over TCP, decodable both
 //!   blockingly and incrementally
-//!   ([`FrameDecoder`] accepts frames in arbitrary fragments). Two
-//!   connection models serve it through one execution path
-//!   ([`serve_with_model`]): the event-driven epoll reactor
-//!   ([`ServeModel::Epoll`], the Linux default — N reactor threads,
-//!   per-connection state tables, write backpressure, 512+ mostly-idle
-//!   connections with no thread per client) and the blocking
-//!   thread-per-connection loop ([`ServeModel::Threads`], the portable
-//!   fallback). The `hc2l-serve` binary is the daemon (`--model
-//!   epoll|threads`); `hc2l-query` is the matching client, able to replay
+//!   ([`FrameDecoder`] accepts frames in arbitrary fragments). One
+//!   event-driven epoll reactor serves it ([`serve_with_model`]): N reactor
+//!   threads, per-connection state tables, write backpressure, 512+
+//!   mostly-idle connections with no thread per client. The server is
+//!   Linux-only (elsewhere `serve_with_model` returns
+//!   `io::ErrorKind::Unsupported`); the state, cache, protocol and client
+//!   build everywhere. The `hc2l-serve` binary is the daemon;
+//!   `hc2l-query` is the matching client, able to replay
 //!   `hc2l_roadnet` workload files over `--clients N` concurrent
 //!   connections (`--idle M` more held open and quiet) and gate exactness.
 //!   Serving throughput and latency are measured by `sysbench`, not by
@@ -50,11 +49,14 @@
 //!
 //! let oracle = OracleBuilder::open(std::path::Path::new("paris.hc2l")).unwrap();
 //! let state = Arc::new(ServeState::new(oracle, 8, 1 << 20));
-//! let model = ServeModel::platform_default();
-//! let server = serve_with_model(state, ("0.0.0.0", 7171), model).unwrap();
+//! let server = serve_with_model(state, ("0.0.0.0", 7171), ServeModel::Epoll).unwrap();
 //! println!("serving on {}", server.addr());
 //! server.wait().unwrap();
 //! ```
+
+// Off Linux the reactor, the only caller of the connection-side helpers in
+// `server`, is compiled out.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 pub mod cache;
 pub mod lockfree;

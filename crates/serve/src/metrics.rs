@@ -3,8 +3,8 @@
 //! One [`OpLatencies`] lives inside [`crate::ServeState`]: a lock-free
 //! histogram per opcode (`Distance` split by cache hit/miss, `OneToMany`,
 //! `UpdateWeights`), recorded at the `ServeState` entry points — the single
-//! execution path both connection models funnel through, so Threads and
-//! Epoll daemons measure identically. Recording is always on. Batches and
+//! execution path the reactor and embedded callers funnel through, so both
+//! measure identically. Recording is always on. Batches and
 //! updates cost µs to ms, so every one is timed. A cached distance answer
 //! costs ~20 ns, less than the two TSC reads that would time it, so each
 //! thread times only its first distance request and then every 64th. The

@@ -31,8 +31,8 @@
 //! Two decoders share one payload grammar: the blocking
 //! [`read_request`]/[`read_response`] pair (used by the clients, where a
 //! partial frame simply blocks the reader, and by the tests as the
-//! reference decoder) and the incremental [`FrameDecoder`] (used by both
-//! connection models on the server side, where reads deliver frames in
+//! reference decoder) and the incremental [`FrameDecoder`] (used by the
+//! reactor on the server side, where reads deliver frames in
 //! arbitrary fragments and the decoder must carry state across calls).
 
 use std::io::{self, Read, Write};
@@ -275,7 +275,7 @@ impl FrameDecoder {
 
     /// Pops the next complete frame payload, `Ok(None)` while more bytes
     /// are needed. Errors are sticky in practice: the caller drops the
-    /// connection, exactly as the blocking model does.
+    /// connection.
     pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
         let pending = &self.buf[self.pos..];
         if pending.len() < 4 {

@@ -1,21 +1,21 @@
-//! The event-driven connection model: N reactor threads, each owning an
-//! epoll instance and a table of non-blocking connections.
+//! The daemon's server: N reactor threads, each owning an epoll instance
+//! and a table of non-blocking connections.
 //!
-//! The blocking model (`crate::server::serve`) spends one OS thread per
-//! connection — fine for a dozen clients, hopeless for the hundreds of
-//! mostly-idle connections a deployed query daemon holds. Here,
-//! [`run`] spawns `ServeState::threads` reactors; reactor 0 additionally
-//! owns the (non-blocking) listener and deals accepted connections out
-//! round-robin, handing a connection to a sibling through a mutex inbox
-//! plus an `eventfd` wake. Each reactor then multiplexes its connections
-//! with level-triggered `epoll_wait`:
+//! One OS thread per connection would be fine for a dozen clients and
+//! hopeless for the hundreds of mostly-idle connections a deployed query
+//! daemon holds; [`crate::server::serve_with_model`] runs this reactor
+//! instead. [`run`] spawns `ServeState::threads` reactors; reactor 0
+//! additionally owns the (non-blocking) listener and deals accepted
+//! connections out round-robin, handing a connection to a sibling through
+//! a mutex inbox plus an `eventfd` wake. Each reactor then multiplexes its
+//! connections with level-triggered `epoll_wait`:
 //!
 //! * **reads** pull whatever the socket has into an incremental
 //!   [`FrameDecoder`](crate::protocol::FrameDecoder) — partial frames are
 //!   carried across events, so a peer dribbling one byte per segment
 //!   decodes exactly like one writing whole frames;
-//! * **execution** goes through the same `respond` path as the blocking
-//!   model (validation, counters, cache, streamed batch responses), with
+//! * **execution** goes through `respond`, the one request-execution path
+//!   (validation, counters, cache, streamed batch responses), with
 //!   responses encoded into a per-connection write buffer;
 //! * **writes** flush opportunistically and fall back to `EPOLLOUT`
 //!   interest when the socket is full, with **backpressure**: while a
@@ -47,8 +47,9 @@
 //!
 //! The epoll/eventfd bindings are direct `extern "C"` declarations,
 //! mirroring the `mmap` precedent in `hc2l_graph::container` — no new
-//! dependencies, and the whole module is `target_os = "linux"`; other
-//! platforms fall back to the blocking model via `ServeModel::effective`.
+//! dependencies, and the whole module is `target_os = "linux"`; on other
+//! platforms the daemon has no server and `serve_with_model` reports
+//! `io::ErrorKind::Unsupported`.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -123,10 +124,6 @@ const READ_CHUNK: usize = 64 << 10;
 
 /// Events fetched per `epoll_wait`.
 const MAX_EVENTS: usize = 256;
-
-/// Reactors above this count stop paying for themselves — each one is a
-/// full query-executing thread.
-const MAX_REACTORS: usize = 16;
 
 /// `epoll_event.data` sentinel for the wake eventfd.
 const DATA_WAKE: u64 = u64::MAX;
@@ -282,8 +279,7 @@ struct ReactorCtx<'a> {
 
 /// Per-connection state: socket, incremental decoder, write buffer with
 /// flush cursor, and the reused batch buffer (so steady-state one-to-many
-/// serving allocates nothing per request — same property as the blocking
-/// model's per-thread buffer).
+/// serving allocates nothing per request).
 struct Conn {
     stream: TcpStream,
     /// Distinguishes this connection from any later one recycled onto the
@@ -385,8 +381,7 @@ fn flush(conn: &mut Conn) -> io::Result<usize> {
 /// Decodes and executes buffered requests until input runs dry, the
 /// connection is closing, an offloaded update pauses it, or backpressure
 /// pauses it. A decode error is a protocol error: the connection stops
-/// reading and will be dropped (after a best-effort flush), exactly like
-/// the blocking model.
+/// reading and will be dropped (after a best-effort flush).
 fn process_frames(conn: &mut Conn, ctx: &ReactorCtx, shutdown_seen: &mut bool) -> io::Result<()> {
     while !conn.closing && !conn.awaiting_update && conn.pending_write() < HIGH_WATER {
         let Some(req) = conn.decoder.next_request()? else {
@@ -517,8 +512,7 @@ fn drive_conn(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 // An abrupt reset (not a clean FIN): the peer vanished with
-                // I/O outstanding — same event the threads model surfaces
-                // as a broken-pipe write, counted the same way.
+                // I/O outstanding — counted like a broken-pipe write.
                 ctx.state.note_write_error();
                 return false;
             }
@@ -829,12 +823,13 @@ fn reactor_loop(
     result
 }
 
-/// Runs the epoll connection model on `listener` until shutdown: spawns
-/// `state.threads() - 1` sibling reactors (capped at [`MAX_REACTORS`]) and
+/// Runs the reactors on `listener` until shutdown: spawns
+/// `state.threads() - 1` sibling reactors (at most
+/// [`MAX_REACTORS`](crate::server::MAX_REACTORS) in all) and
 /// runs reactor 0 — listener owner — on the calling thread. Returns after
 /// every reactor has drained; the first error (if any) wins.
 pub(crate) fn run(listener: TcpListener, state: Arc<ServeState>) -> io::Result<()> {
-    let n = state.threads().clamp(1, MAX_REACTORS);
+    let n = state.threads();
     let handles: Vec<ReactorHandle> = (0..n)
         .map(|_| ReactorHandle::new())
         .collect::<io::Result<_>>()?;

@@ -18,13 +18,21 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn oversized_tables_and_removed_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["--grid", "4x4", "--bench"], "--bench"),
-        // The trailing unknown flag stops the run if 0 were accepted.
+        // The trailing unknown flag stops the run if the count were accepted.
         (
             &["--grid", "4x4", "--threads", "0", "--no-such-flag"],
             "--threads",
         ),
+        // More reactors than `MAX_REACTORS` would be silently clamped.
+        (
+            &["--grid", "4x4", "--threads", "17", "--no-such-flag"],
+            "--threads",
+        ),
+        // The epoll reactor is the only connection model.
+        (&["--grid", "4x4", "--model", "epoll"], "--model"),
+        (&["--grid", "4x4", "--model", "threads"], "--model"),
         (
             &["--grid", "4x4", "--bench-scaling", "8"],
             "--bench-scaling",

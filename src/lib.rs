@@ -126,17 +126,16 @@
 //!
 //! The [`hc2l_serve`] crate turns this into a deployable daemon: a
 //! lock-free result cache, a length-prefixed TCP wire protocol
-//! (`Distance` / batched `OneToMany` / `Stats` / `Shutdown`) with both a
-//! blocking and an incremental frame decoder, two connection models behind
-//! one execution path — an event-driven epoll reactor (the Linux default:
-//! N reactor threads multiplexing hundreds of mostly-idle non-blocking
-//! connections with write backpressure) and a blocking
-//! thread-per-connection fallback — the `hc2l-serve` daemon (`--model
-//! epoll|threads`) and the `hc2l-query` client (point queries,
-//! workload-file replay over `--clients N` concurrent connections plus
-//! `--idle M` quiet ones with exactness gating, workload generation). See `examples/serve_demo.rs`
-//! for the full build → save → mmap-open → serve walkthrough and
-//! `crates/serve/src/bin/README.md` for the model table.
+//! (`Distance` / batched `OneToMany` / `UpdateWeights` / `Metrics` /
+//! `Shutdown`) with both a blocking and an incremental frame decoder, an
+//! event-driven epoll reactor behind one execution path (N reactor threads
+//! multiplexing hundreds of mostly-idle non-blocking connections with write
+//! backpressure; Linux-only), the `hc2l-serve` daemon and the `hc2l-query`
+//! client (point queries, workload-file replay over `--clients N`
+//! concurrent connections plus `--idle M` quiet ones with exactness gating,
+//! workload generation). See `examples/serve_demo.rs` for the full build →
+//! save → mmap-open → serve walkthrough and `crates/serve/src/bin/README.md`
+//! for the daemon's flags.
 //!
 //! # Crate map
 //!

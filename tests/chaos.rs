@@ -14,9 +14,6 @@
 //!   faults and `SIGKILL`-during-save agrees bit-identically with
 //!   single-threaded Dijkstra on the weights the server had published.
 //!
-//! Server-side tests iterate over every available connection model
-//! ([`ServeModel::available`]): both `threads` and `epoll` on Linux.
-//!
 //! The failpoint registry is process-global, so the whole suite serialises
 //! on one mutex; a guard clears all failpoints on entry and exit (panic
 //! included), so no test inherits another's armed faults.
@@ -74,10 +71,6 @@ fn ground_truth(g: &Graph) -> Vec<Vec<Distance>> {
     (0..g.num_vertices() as Vertex)
         .map(|s| dijkstra(g, s))
         .collect()
-}
-
-fn models() -> &'static [ServeModel] {
-    ServeModel::available()
 }
 
 /// One-shot wire exchange on a fresh connection.
@@ -260,7 +253,7 @@ fn injected_save_failure_leaves_previous_index_loadable() {
 }
 
 // ---------------------------------------------------------------------------
-// Serving under injected faults, on both connection models.
+// Serving under injected faults.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -269,37 +262,33 @@ fn injected_request_panic_degrades_to_error_and_recovers() {
     let g = chaos_graph();
     let truth = ground_truth(&g);
     let oracle = OracleBuilder::new(Method::Hl).threads(2).build(&g);
-    for &model in models() {
-        let state = Arc::new(ServeState::new(oracle.clone(), 4, 0));
-        let server = serve_with_model(Arc::clone(&state), "127.0.0.1:0", model).expect("serve");
-        let addr = server.addr();
+    let state = Arc::new(ServeState::new(oracle, 4, 0));
+    let server =
+        serve_with_model(Arc::clone(&state), "127.0.0.1:0", ServeModel::Epoll).expect("serve");
+    let addr = server.addr();
 
-        // The third query panics; everything around it stays exact.
-        failpoints::configure_window("serve.request", FailAction::Panic, 2, 1);
-        let mut errors = 0;
-        for (i, (s, t)) in sample_pairs(g.num_vertices()).into_iter().enumerate() {
-            match ask(addr, &Request::Distance(s, t)) {
-                Ok(Response::Distance(d)) => assert_eq!(
-                    d, truth[s as usize][t as usize],
-                    "{model}: query {i} mismatch around injected panic"
-                ),
-                Ok(Response::Error(msg)) => {
-                    assert!(
-                        msg.contains("panicked"),
-                        "{model}: unexpected error text: {msg}"
-                    );
-                    errors += 1;
-                }
-                other => panic!("{model}: query {i} got {other:?}"),
+    // The third query panics; everything around it stays exact.
+    failpoints::configure_window("serve.request", FailAction::Panic, 2, 1);
+    let mut errors = 0;
+    for (i, (s, t)) in sample_pairs(g.num_vertices()).into_iter().enumerate() {
+        match ask(addr, &Request::Distance(s, t)) {
+            Ok(Response::Distance(d)) => assert_eq!(
+                d, truth[s as usize][t as usize],
+                "query {i} mismatch around injected panic"
+            ),
+            Ok(Response::Error(msg)) => {
+                assert!(msg.contains("panicked"), "unexpected error text: {msg}");
+                errors += 1;
             }
+            other => panic!("query {i} got {other:?}"),
         }
-        assert_eq!(errors, 1, "{model}: exactly the faulted request errored");
-        let stats = state.stats();
-        assert_eq!(stats.panics_caught, 1, "{model}: panic counted honestly");
-        assert_exact(addr, &truth, &format!("{model}: after injected panic"));
-        ask(addr, &Request::Shutdown).expect("shutdown");
-        server.shutdown().expect("drain");
     }
+    assert_eq!(errors, 1, "exactly the faulted request errored");
+    let stats = state.stats();
+    assert_eq!(stats.panics_caught, 1, "panic counted honestly");
+    assert_exact(addr, &truth, "after injected panic");
+    ask(addr, &Request::Shutdown).expect("shutdown");
+    server.shutdown().expect("drain");
 }
 
 #[test]
@@ -308,23 +297,22 @@ fn torn_response_frame_fails_one_connection_not_the_daemon() {
     let g = chaos_graph();
     let truth = ground_truth(&g);
     let oracle = OracleBuilder::new(Method::Hl).threads(2).build(&g);
-    for &model in models() {
-        let state = Arc::new(ServeState::new(oracle.clone(), 4, 0));
-        let server = serve_with_model(Arc::clone(&state), "127.0.0.1:0", model).expect("serve");
-        let addr = server.addr();
+    let state = Arc::new(ServeState::new(oracle, 4, 0));
+    let server =
+        serve_with_model(Arc::clone(&state), "127.0.0.1:0", ServeModel::Epoll).expect("serve");
+    let addr = server.addr();
 
-        // The next response is cut off three bytes in: the client must see
-        // a decode failure (truncated frame), not a wrong answer.
-        failpoints::configure_window("serve.torn_response", FailAction::Torn(3), 0, 1);
-        match ask(addr, &Request::Distance(0, 5)) {
-            Err(_) => {}
-            Ok(other) => panic!("{model}: torn frame decoded as {other:?}"),
-        }
-        // Only that connection died; the daemon keeps answering exactly.
-        assert_exact(addr, &truth, &format!("{model}: after torn frame"));
-        ask(addr, &Request::Shutdown).expect("shutdown");
-        server.shutdown().expect("drain");
+    // The next response is cut off three bytes in: the client must see
+    // a decode failure (truncated frame), not a wrong answer.
+    failpoints::configure_window("serve.torn_response", FailAction::Torn(3), 0, 1);
+    match ask(addr, &Request::Distance(0, 5)) {
+        Err(_) => {}
+        Ok(other) => panic!("torn frame decoded as {other:?}"),
     }
+    // Only that connection died; the daemon keeps answering exactly.
+    assert_exact(addr, &truth, "after torn frame");
+    ask(addr, &Request::Shutdown).expect("shutdown");
+    server.shutdown().expect("drain");
 }
 
 #[test]
@@ -333,164 +321,160 @@ fn slow_loris_is_reaped_while_healthy_clients_stay_exact() {
     let g = chaos_graph();
     let truth = ground_truth(&g);
     let oracle = OracleBuilder::new(Method::Hl).threads(2).build(&g);
-    for &model in models() {
-        let config = ServeConfig {
-            idle_timeout: Some(Duration::from_millis(800)),
-            stall_timeout: Some(Duration::from_millis(250)),
-            ..ServeConfig::default()
-        };
-        let state = Arc::new(ServeState::new(oracle.clone(), 4, 0).with_config(config));
-        let server = serve_with_model(Arc::clone(&state), "127.0.0.1:0", model).expect("serve");
-        let addr = server.addr();
+    let config = ServeConfig {
+        idle_timeout: Some(Duration::from_millis(800)),
+        stall_timeout: Some(Duration::from_millis(250)),
+        ..ServeConfig::default()
+    };
+    let state = Arc::new(ServeState::new(oracle, 4, 0).with_config(config));
+    let server =
+        serve_with_model(Arc::clone(&state), "127.0.0.1:0", ServeModel::Epoll).expect("serve");
+    let addr = server.addr();
 
-        // The loris sends a frame header promising 100 bytes, then stalls.
-        let mut loris = TcpStream::connect(addr).expect("loris connect");
-        loris
-            .write_all(&100u32.to_le_bytes())
-            .expect("loris header");
-        loris.flush().expect("loris flush");
+    // The loris sends a frame header promising 100 bytes, then stalls.
+    let mut loris = TcpStream::connect(addr).expect("loris connect");
+    loris
+        .write_all(&100u32.to_le_bytes())
+        .expect("loris header");
+    loris.flush().expect("loris flush");
 
-        // Healthy traffic keeps flowing, bit-exact, while the loris ages out.
-        let stats = {
-            let mut rounds = 0;
-            loop {
-                assert_exact(addr, &truth, &format!("{model}: alongside slow loris"));
-                rounds += 1;
-                let s = state.stats();
-                if s.connections_reaped >= 1 {
-                    break s;
-                }
-                assert!(rounds < 100, "{model}: loris never reaped: {s:?}");
-                std::thread::sleep(Duration::from_millis(50));
+    // Healthy traffic keeps flowing, bit-exact, while the loris ages out.
+    let stats = {
+        let mut rounds = 0;
+        loop {
+            assert_exact(addr, &truth, "alongside slow loris");
+            rounds += 1;
+            let s = state.stats();
+            if s.connections_reaped >= 1 {
+                break s;
             }
-        };
-        assert!(stats.connections_accepted >= 2, "{model}: accepts counted");
-        drop(loris);
-        ask(addr, &Request::Shutdown).expect("shutdown");
-        server.shutdown().expect("drain");
-    }
+            assert!(rounds < 100, "loris never reaped: {s:?}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    };
+    assert!(stats.connections_accepted >= 2, "accepts counted");
+    drop(loris);
+    ask(addr, &Request::Shutdown).expect("shutdown");
+    server.shutdown().expect("drain");
 }
 
 #[test]
 fn midbatch_update_panic_keeps_queries_exact_and_disables_engine() {
     let _guard = chaos_guard();
-    for &model in models() {
-        let (state, truth) = updatable_state(Method::Ch);
-        let batch = chaos_batch(&chaos_graph());
-        let server = serve_with_model(Arc::clone(&state), "127.0.0.1:0", model).expect("serve");
-        let addr = server.addr();
+    let (state, truth) = updatable_state(Method::Ch);
+    let batch = chaos_batch(&chaos_graph());
+    let server =
+        serve_with_model(Arc::clone(&state), "127.0.0.1:0", ServeModel::Epoll).expect("serve");
+    let addr = server.addr();
 
-        failpoints::configure_window("serve.update.absorb", FailAction::Panic, 0, 1);
-        match ask(addr, &Request::UpdateWeights(batch.clone())) {
-            Ok(Response::Error(msg)) => assert!(
-                msg.contains("mid-apply"),
-                "{model}: unexpected mid-apply error text: {msg}"
-            ),
-            other => panic!("{model}: faulted update got {other:?}"),
-        }
-        // No partial application: queries answer exactly on the old weights.
-        assert_exact(addr, &truth, &format!("{model}: after mid-batch panic"));
-        let stats = state.stats();
-        assert_eq!(stats.epoch, 0, "{model}: no generation was published");
-        assert_eq!(stats.panics_caught, 1, "{model}: absorb panic counted");
-
-        // The damaged engine refuses further batches with a typed error.
-        match ask(addr, &Request::UpdateWeights(batch)) {
-            Ok(Response::Error(msg)) => assert!(
-                msg.contains("disabled"),
-                "{model}: unexpected disabled-engine text: {msg}"
-            ),
-            other => panic!("{model}: post-fault update got {other:?}"),
-        }
-        assert_exact(addr, &truth, &format!("{model}: engine disabled"));
-        ask(addr, &Request::Shutdown).expect("shutdown");
-        server.shutdown().expect("drain");
+    failpoints::configure_window("serve.update.absorb", FailAction::Panic, 0, 1);
+    match ask(addr, &Request::UpdateWeights(batch.clone())) {
+        Ok(Response::Error(msg)) => assert!(
+            msg.contains("mid-apply"),
+            "unexpected mid-apply error text: {msg}"
+        ),
+        other => panic!("faulted update got {other:?}"),
     }
+    // No partial application: queries answer exactly on the old weights.
+    assert_exact(addr, &truth, "after mid-batch panic");
+    let stats = state.stats();
+    assert_eq!(stats.epoch, 0, "no generation was published");
+    assert_eq!(stats.panics_caught, 1, "absorb panic counted");
+
+    // The damaged engine refuses further batches with a typed error.
+    match ask(addr, &Request::UpdateWeights(batch)) {
+        Ok(Response::Error(msg)) => assert!(
+            msg.contains("disabled"),
+            "unexpected disabled-engine text: {msg}"
+        ),
+        other => panic!("post-fault update got {other:?}"),
+    }
+    assert_exact(addr, &truth, "engine disabled");
+    ask(addr, &Request::Shutdown).expect("shutdown");
+    server.shutdown().expect("drain");
 }
 
 #[test]
 fn concurrent_update_batches_shed_exactly_one_with_overloaded() {
     let _guard = chaos_guard();
-    for &model in models() {
-        let (state, _) = updatable_state(Method::Ch);
-        let mut g = chaos_graph();
-        let batch = chaos_batch(&g);
-        // Both racing clients carry the same batch, so whichever one wins
-        // the engine, the published weights are the same.
-        hc2l_dynamic::apply_batch(&mut g, &batch);
-        let new_truth = ground_truth(&g);
-        let server = serve_with_model(Arc::clone(&state), "127.0.0.1:0", model).expect("serve");
-        let addr = server.addr();
+    let (state, _) = updatable_state(Method::Ch);
+    let mut g = chaos_graph();
+    let batch = chaos_batch(&g);
+    // Both racing clients carry the same batch, so whichever one wins
+    // the engine, the published weights are the same.
+    hc2l_dynamic::apply_batch(&mut g, &batch);
+    let new_truth = ground_truth(&g);
+    let server =
+        serve_with_model(Arc::clone(&state), "127.0.0.1:0", ServeModel::Epoll).expect("serve");
+    let addr = server.addr();
 
-        // Hold the absorb window open long enough for the second batch to
-        // collide with the first.
-        failpoints::configure_window("serve.update.absorb", FailAction::DelayMs(400), 0, 1);
-        let responses: Vec<Response> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let batch = batch.clone();
-                    scope.spawn(move || ask(addr, &Request::UpdateWeights(batch)).expect("ask"))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("join"))
-                .collect()
-        });
-        let updated = responses
-            .iter()
-            .filter(|r| matches!(r, Response::Updated(_)))
-            .count();
-        let shed = responses
-            .iter()
-            .filter(|r| matches!(r, Response::Overloaded(_)))
-            .count();
-        assert_eq!(
-            (updated, shed),
-            (1, 1),
-            "{model}: expected one absorbed and one shed, got {responses:?}"
-        );
-        // The shed batch was never partially applied: retrying it verbatim
-        // is safe, and queries answer on the winner's weights.
-        assert_exact(addr, &new_truth, &format!("{model}: after racing batches"));
-        let stats = state.stats();
-        assert_eq!(stats.update_batches, 1, "{model}: one batch absorbed");
-        assert!(stats.overload_rejections >= 1, "{model}: shed counted");
-        ask(addr, &Request::Shutdown).expect("shutdown");
-        server.shutdown().expect("drain");
-    }
+    // Hold the absorb window open long enough for the second batch to
+    // collide with the first.
+    failpoints::configure_window("serve.update.absorb", FailAction::DelayMs(400), 0, 1);
+    let responses: Vec<Response> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let batch = batch.clone();
+                scope.spawn(move || ask(addr, &Request::UpdateWeights(batch)).expect("ask"))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("join"))
+            .collect()
+    });
+    let updated = responses
+        .iter()
+        .filter(|r| matches!(r, Response::Updated(_)))
+        .count();
+    let shed = responses
+        .iter()
+        .filter(|r| matches!(r, Response::Overloaded(_)))
+        .count();
+    assert_eq!(
+        (updated, shed),
+        (1, 1),
+        "expected one absorbed and one shed, got {responses:?}"
+    );
+    // The shed batch was never partially applied: retrying it verbatim
+    // is safe, and queries answer on the winner's weights.
+    assert_exact(addr, &new_truth, "after racing batches");
+    let stats = state.stats();
+    assert_eq!(stats.update_batches, 1, "one batch absorbed");
+    assert!(stats.overload_rejections >= 1, "shed counted");
+    ask(addr, &Request::Shutdown).expect("shutdown");
+    server.shutdown().expect("drain");
 }
 
 #[test]
 fn forced_recontract_abort_falls_back_to_rebuild_exactly() {
     let _guard = chaos_guard();
-    for &model in models() {
-        let (state, _) = updatable_state(Method::Ch);
-        let mut g = chaos_graph();
-        let batch = chaos_batch(&g);
-        hc2l_dynamic::apply_batch(&mut g, &batch);
-        let new_truth = ground_truth(&g);
-        let server = serve_with_model(Arc::clone(&state), "127.0.0.1:0", model).expect("serve");
-        let addr = server.addr();
+    let (state, _) = updatable_state(Method::Ch);
+    let mut g = chaos_graph();
+    let batch = chaos_batch(&g);
+    hc2l_dynamic::apply_batch(&mut g, &batch);
+    let new_truth = ground_truth(&g);
+    let server =
+        serve_with_model(Arc::clone(&state), "127.0.0.1:0", ServeModel::Epoll).expect("serve");
+    let addr = server.addr();
 
-        // The CH incremental path reports failure; the engine must fall
-        // back to a full rebuild and stay exact.
-        failpoints::configure_window("dynamic.recontract.abort", FailAction::Trigger, 0, 1);
-        match ask(addr, &Request::UpdateWeights(batch)) {
-            Ok(Response::Updated(outcome)) => {
-                assert_eq!(
-                    outcome.strategy_tag,
-                    hc2l_dynamic::UpdateStrategy::Rebuild.tag(),
-                    "{model}: aborted recontraction must fall back to rebuild"
-                );
-                assert_eq!(outcome.epoch, 1, "{model}: new generation published");
-            }
-            other => panic!("{model}: update got {other:?}"),
+    // The CH incremental path reports failure; the engine must fall
+    // back to a full rebuild and stay exact.
+    failpoints::configure_window("dynamic.recontract.abort", FailAction::Trigger, 0, 1);
+    match ask(addr, &Request::UpdateWeights(batch)) {
+        Ok(Response::Updated(outcome)) => {
+            assert_eq!(
+                outcome.strategy_tag,
+                hc2l_dynamic::UpdateStrategy::Rebuild.tag(),
+                "aborted recontraction must fall back to rebuild"
+            );
+            assert_eq!(outcome.epoch, 1, "new generation published");
         }
-        assert_exact(addr, &new_truth, &format!("{model}: after forced rebuild"));
-        ask(addr, &Request::Shutdown).expect("shutdown");
-        server.shutdown().expect("drain");
+        other => panic!("update got {other:?}"),
     }
+    assert_exact(addr, &new_truth, "after forced rebuild");
+    ask(addr, &Request::Shutdown).expect("shutdown");
+    server.shutdown().expect("drain");
 }
 
 #[test]
@@ -499,68 +483,66 @@ fn query_admission_sheds_under_injected_slow_requests() {
     let g = chaos_graph();
     let truth = ground_truth(&g);
     let oracle = OracleBuilder::new(Method::Hl).threads(2).build(&g);
-    for &model in models() {
-        let config = ServeConfig {
-            max_inflight: 1,
-            ..ServeConfig::default()
-        };
-        let state = Arc::new(ServeState::new(oracle.clone(), 4, 0).with_config(config));
-        let server = serve_with_model(Arc::clone(&state), "127.0.0.1:0", model).expect("serve");
-        let addr = server.addr();
+    let config = ServeConfig {
+        max_inflight: 1,
+        ..ServeConfig::default()
+    };
+    let state = Arc::new(ServeState::new(oracle, 4, 0).with_config(config));
+    let server =
+        serve_with_model(Arc::clone(&state), "127.0.0.1:0", ServeModel::Epoll).expect("serve");
+    let addr = server.addr();
 
-        // Every admitted query executes slowly; with a 1-slot cap, a burst
-        // of six concurrent clients must shed at least one.
-        failpoints::configure("serve.request", FailAction::DelayMs(300));
-        let pairs: Vec<(Vertex, Vertex)> =
-            sample_pairs(g.num_vertices()).into_iter().take(6).collect();
-        let responses: Vec<(Vertex, Vertex, Response)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .iter()
-                .map(|&(s, t)| {
-                    scope.spawn(move || (s, t, ask(addr, &Request::Distance(s, t)).expect("ask")))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("join"))
-                .collect()
-        });
-        failpoints::clear("serve.request");
+    // Every admitted query executes slowly; with a 1-slot cap, a burst
+    // of six concurrent clients must shed at least one.
+    failpoints::configure("serve.request", FailAction::DelayMs(300));
+    let pairs: Vec<(Vertex, Vertex)> = sample_pairs(g.num_vertices()).into_iter().take(6).collect();
+    let responses: Vec<(Vertex, Vertex, Response)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = pairs
+            .iter()
+            .map(|&(s, t)| {
+                scope.spawn(move || (s, t, ask(addr, &Request::Distance(s, t)).expect("ask")))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("join"))
+            .collect()
+    });
+    failpoints::clear("serve.request");
 
-        let mut shed = Vec::new();
-        for (s, t, resp) in responses {
-            match resp {
-                // Bounded degradation: an answered query is exact...
-                Response::Distance(d) => assert_eq!(
-                    d, truth[s as usize][t as usize],
-                    "{model}: admitted query ({s}, {t}) mismatch under overload"
-                ),
-                // ...and a shed one is typed, never a wrong answer.
-                Response::Overloaded(msg) => {
-                    assert!(!msg.is_empty(), "{model}: shed reason is populated");
-                    shed.push((s, t));
-                }
-                other => panic!("{model}: overload burst got {other:?}"),
+    let mut shed = Vec::new();
+    for (s, t, resp) in responses {
+        match resp {
+            // Bounded degradation: an answered query is exact...
+            Response::Distance(d) => assert_eq!(
+                d, truth[s as usize][t as usize],
+                "admitted query ({s}, {t}) mismatch under overload"
+            ),
+            // ...and a shed one is typed, never a wrong answer.
+            Response::Overloaded(msg) => {
+                assert!(!msg.is_empty(), "shed reason is populated");
+                shed.push((s, t));
             }
+            other => panic!("overload burst got {other:?}"),
         }
-        assert!(!shed.is_empty(), "{model}: the 1-slot cap never shed");
-        let stats = state.stats();
-        assert!(
-            stats.overload_rejections >= shed.len() as u64,
-            "{model}: sheds counted honestly"
-        );
-        // Overloaded is retry-safe: the same frames answer exactly once the
-        // injected slowness is gone.
-        for (s, t) in shed {
-            match ask(addr, &Request::Distance(s, t)) {
-                Ok(Response::Distance(d)) => assert_eq!(
-                    d, truth[s as usize][t as usize],
-                    "{model}: verbatim retry of shed query ({s}, {t})"
-                ),
-                other => panic!("{model}: retry of ({s}, {t}) got {other:?}"),
-            }
-        }
-        ask(addr, &Request::Shutdown).expect("shutdown");
-        server.shutdown().expect("drain");
     }
+    assert!(!shed.is_empty(), "the 1-slot cap never shed");
+    let stats = state.stats();
+    assert!(
+        stats.overload_rejections >= shed.len() as u64,
+        "sheds counted honestly"
+    );
+    // Overloaded is retry-safe: the same frames answer exactly once the
+    // injected slowness is gone.
+    for (s, t) in shed {
+        match ask(addr, &Request::Distance(s, t)) {
+            Ok(Response::Distance(d)) => assert_eq!(
+                d, truth[s as usize][t as usize],
+                "verbatim retry of shed query ({s}, {t})"
+            ),
+            other => panic!("retry of ({s}, {t}) got {other:?}"),
+        }
+    }
+    ask(addr, &Request::Shutdown).expect("shutdown");
+    server.shutdown().expect("drain");
 }

@@ -23,12 +23,6 @@ use hc2l_serve::{
     read_response, serve_with_model, write_request, Request, Response, ServeModel, ServeState,
 };
 
-/// The connection models that actually run on this host: both on Linux,
-/// only the blocking fallback elsewhere.
-fn models() -> &'static [ServeModel] {
-    ServeModel::available()
-}
-
 const WORKERS: usize = 8;
 const QUERIES_PER_WORKER: usize = 1000;
 
@@ -162,21 +156,16 @@ fn cache_on_and_off_agree_pair_by_pair() {
 
 #[test]
 fn daemon_serves_a_saved_index_over_tcp_with_exact_answers() {
-    for &model in models() {
-        daemon_serves_over_tcp_with(model);
-    }
-}
-
-fn daemon_serves_over_tcp_with(model: ServeModel) {
     let g = test_graph();
     let truth = ground_truth(&g);
     let built = OracleBuilder::new(Method::H2h).build(&g);
-    let path = scratch(&format!("tcp-h2h-{model}"));
+    let path = scratch("tcp-h2h");
     built.save(&path).expect("save");
 
     let shared = SharedOracle::open(&path).expect("open");
     let state = Arc::new(ServeState::new(shared, 4, 256));
-    let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), model).expect("bind");
+    let server =
+        serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), ServeModel::Epoll).expect("bind");
     let addr = server.addr();
 
     let clients: Vec<_> = (0..4usize)
@@ -291,34 +280,17 @@ fn daemon_holds_hundreds_of_mostly_idle_connections_with_exact_answers() {
         .iter()
         .map(|p| truth[p.source as usize][p.target as usize])
         .collect();
-    // The blocking fallback admits backlogged connections one worker-cap
-    // grace period at a time, so hold a count it can actually accept.
-    let connections = if ServeModel::platform_default() == ServeModel::Epoll {
-        256
-    } else {
-        32
-    };
     for method in Method::ALL {
         let built = OracleBuilder::new(method).build(&g);
         let path = scratch(&format!("scaling-{method}"));
         built.save(&path).expect("save");
         let shared = SharedOracle::open(&path).expect("open");
         let state = Arc::new(ServeState::new(shared, 4, 4096));
-        let server = serve_with_model(
-            Arc::clone(&state),
-            ("127.0.0.1", 0),
-            ServeModel::platform_default(),
-        )
-        .expect("bind");
+        let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), ServeModel::Epoll)
+            .expect("bind");
 
-        let (answers, mismatches) = replay_over_mostly_idle_connections(
-            server.addr(),
-            &pairs,
-            &expected,
-            connections,
-            8,
-            2,
-        );
+        let (answers, mismatches) =
+            replay_over_mostly_idle_connections(server.addr(), &pairs, &expected, 256, 8, 2);
         assert_eq!(
             mismatches, 0,
             "{method}: served answers diverged from Dijkstra"
@@ -340,55 +312,54 @@ fn daemon_holds_hundreds_of_mostly_idle_connections_with_exact_answers() {
 fn frames_split_at_every_offset_decode_identically_over_tcp() {
     // A valid Distance frame and a OneToMany frame, each delivered across
     // two `write` calls split at every possible offset (nodelay makes each
-    // write its own segment): both connection models must decode them
-    // exactly as whole-frame delivery — never erroring, never stalling.
+    // write its own segment): the reactor must decode them exactly as
+    // whole-frame delivery — never erroring, never stalling.
     use std::io::Write as _;
     let g = test_graph();
     let oracle = OracleBuilder::new(Method::Hl).build(&g);
     let expected_d = oracle.distance(5, 60);
     let targets: Vec<Vertex> = (0..6).collect();
     let expected_row = oracle.one_to_many(9, &targets);
-    for &model in models() {
-        let state = Arc::new(ServeState::new(Oracle::clone(&oracle), 4, 0));
-        let server = serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), model).expect("bind");
-        let addr = server.addr();
+    let state = Arc::new(ServeState::new(oracle, 4, 0));
+    let server =
+        serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), ServeModel::Epoll).expect("bind");
+    let addr = server.addr();
 
-        let mut frames = Vec::new();
-        write_request(&mut frames, &Request::Distance(5, 60)).unwrap();
-        let point_len = frames.len();
-        write_request(
-            &mut frames,
-            &Request::OneToMany {
-                source: 9,
-                targets: targets.clone(),
-            },
-        )
-        .unwrap();
+    let mut frames = Vec::new();
+    write_request(&mut frames, &Request::Distance(5, 60)).unwrap();
+    let point_len = frames.len();
+    write_request(
+        &mut frames,
+        &Request::OneToMany {
+            source: 9,
+            targets: targets.clone(),
+        },
+    )
+    .unwrap();
 
-        for split in 0..=frames.len() {
-            let stream = std::net::TcpStream::connect(addr).expect("connect");
-            stream.set_nodelay(true).ok();
-            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            writer.write_all(&frames[..split]).unwrap();
-            writer.flush().unwrap();
-            // Let the server chew on the partial frame before the rest.
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            writer.write_all(&frames[split..]).unwrap();
-            writer.flush().unwrap();
-            assert_eq!(
-                read_response(&mut reader).unwrap(),
-                Some(Response::Distance(expected_d)),
-                "{model}, split at {split} (point frame is {point_len} bytes)"
-            );
-            assert_eq!(
-                read_response(&mut reader).unwrap(),
-                Some(Response::Distances(expected_row.clone())),
-                "{model}, split at {split}"
-            );
-        }
-        server.shutdown().expect("clean shutdown");
+    for split in 0..=frames.len() {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).ok();
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        writer.write_all(&frames[..split]).unwrap();
+        writer.flush().unwrap();
+        // Let the server chew on the partial frame before the rest.
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        writer.write_all(&frames[split..]).unwrap();
+        writer.flush().unwrap();
+        assert_eq!(
+            read_response(&mut reader).unwrap(),
+            Some(Response::Distance(expected_d)),
+            "split at {split} (point frame is {point_len} bytes)"
+        );
+        assert_eq!(
+            read_response(&mut reader).unwrap(),
+            Some(Response::Distances(expected_row.clone())),
+            "split at {split}"
+        );
     }
+    server.shutdown().expect("clean shutdown");
 }
 
 #[test]
