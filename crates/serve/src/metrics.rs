@@ -120,6 +120,23 @@ pub(crate) fn render(stats: &ServerStats, latency: &OpLatencies) -> String {
         prom::write_sample(&mut out, name, &[], v);
     }
 
+    // Whether polling before parking pays: the share of windows that found
+    // work, and (times the window) what the parked ones cost.
+    let windows = "hc2l_reactor_poll_windows_total";
+    prom::write_type(&mut out, windows, "counter");
+    prom::write_sample(
+        &mut out,
+        windows,
+        &[("outcome", "work")],
+        stats.poll_windows_work,
+    );
+    prom::write_sample(
+        &mut out,
+        windows,
+        &[("outcome", "parked")],
+        stats.poll_windows_parked,
+    );
+
     let hit = latency.distance_hit.snapshot();
     let miss = latency.distance_miss.snapshot();
     let all = latency.distance_merged();
@@ -184,6 +201,8 @@ mod tests {
             panics_caught: 9,
             overload_rejections: 11,
             write_errors: 12,
+            poll_windows_work: 13,
+            poll_windows_parked: 14,
         }
     }
 
@@ -216,6 +235,8 @@ mod tests {
             "hc2l_panics_caught_total 9",
             "hc2l_overload_rejections_total 11",
             "hc2l_write_errors_total 12",
+            "hc2l_reactor_poll_windows_total{outcome=\"work\"} 13",
+            "hc2l_reactor_poll_windows_total{outcome=\"parked\"} 14",
         ] {
             assert!(doc.lines().any(|l| l == line), "missing {line:?} in\n{doc}");
         }

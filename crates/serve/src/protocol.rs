@@ -34,6 +34,23 @@
 //! reference decoder) and the incremental [`FrameDecoder`] (used by the
 //! reactor on the server side, where reads deliver frames in
 //! arbitrary fragments and the decoder must carry state across calls).
+//!
+//! The per-request path allocates nothing per frame:
+//!
+//! * **borrowed decode** — [`FrameDecoder::next_request`] and
+//!   [`FrameDecoder::next_response`] parse the payload in place, as a slice
+//!   of the decoder's own buffer, and only then mark the frame consumed. A
+//!   `Distance` frame decodes without touching the heap; a frame that
+//!   carries a list or a text allocates only the `Vec`/`String` its owned
+//!   [`Request`]/[`Response`] holds. The blocking readers keep one payload
+//!   `Vec` per frame: they serve `hc2l-query` and the tests, not the reactor.
+//! * **direct encode** — [`write_request`], [`write_response`] and
+//!   [`write_distances`] know each payload's length before the first byte,
+//!   gate it through the frame-length check (an oversized frame fails typed
+//!   with nothing written), and stage the frame in a stack buffer that goes
+//!   to the writer with one `write_all` per buffer-full. Every fixed-size
+//!   frame (`Distance`, `Updated`, `Metrics`/`Shutdown` requests, …) is one
+//!   `write_all`; no intermediate payload `Vec` exists at any size.
 
 use std::io::{self, Read, Write};
 
@@ -42,7 +59,7 @@ use hc2l_oracle::WeightUpdate;
 
 /// Upper bound on one frame's payload (compare: a one-to-many request of
 /// 1M targets is 4MB). Anything larger is rejected as malformed — by both
-/// decoders on the way in, and by `write_frame`'s typed error on the way
+/// decoders on the way in, and by the encoder's typed error on the way
 /// out, so an oversized frame can never even be produced.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
@@ -200,13 +217,63 @@ fn check_frame_len(len: usize) -> io::Result<()> {
     Ok(())
 }
 
-fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    // Enforced (not just debug-asserted): a peer that rejects oversized
-    // frames as malformed must never be handed one, release builds included.
-    check_frame_len(payload.len())?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+/// Stack staging buffer of a fixed-size frame: the largest is an `Updated`
+/// report, 4 (length) + 1 (opcode) + 4 + 4·8 = 41 bytes. A text frame
+/// stages its header here too; a message that does not fit follows it
+/// with a second `write_all`.
+const FIXED_STAGE: usize = 48;
+
+/// Stack staging buffer of a list frame: a 64-entry distance row (4 + 1 +
+/// 4 + 8·64 = 521 bytes) still goes out as one `write_all`.
+const LIST_STAGE: usize = 1024;
+
+/// One frame on its way into a writer, staged in an `N`-byte stack buffer
+/// that is handed over with one `write_all` whenever it fills and once at
+/// [`finish`](FrameOut::finish). Nothing is allocated at any frame size.
+struct FrameOut<'w, W: Write, const N: usize> {
+    w: &'w mut W,
+    stage: [u8; N],
+    len: usize,
+}
+
+impl<'w, W: Write, const N: usize> FrameOut<'w, W, N> {
+    /// Opens a frame whose payload is `payload_len` bytes, the first of
+    /// them `opcode`. The length is gated before anything is staged —
+    /// enforced, not debug-asserted: a peer that rejects oversized frames
+    /// as malformed must never be handed one, release builds included, and
+    /// a refused frame leaves the writer untouched.
+    fn open(w: &'w mut W, payload_len: usize, opcode: u8) -> io::Result<Self> {
+        check_frame_len(payload_len)?;
+        let mut out = FrameOut {
+            w,
+            stage: [0; N],
+            len: 0,
+        };
+        out.put(&(payload_len as u32).to_le_bytes())?;
+        out.put(&[opcode])?;
+        Ok(out)
+    }
+
+    /// Appends `bytes` to the frame; a run longer than the stage (a long
+    /// message text) goes to the writer directly after the staged prefix.
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if bytes.len() > N - self.len {
+            self.w.write_all(&self.stage[..self.len])?;
+            self.len = 0;
+            if bytes.len() > N {
+                return self.w.write_all(bytes);
+            }
+        }
+        self.stage[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        Ok(())
+    }
+
+    /// Hands the staged tail to the writer and flushes it.
+    fn finish(self) -> io::Result<()> {
+        self.w.write_all(&self.stage[..self.len])?;
+        self.w.flush()
+    }
 }
 
 /// Incremental frame decoder for non-blocking connections.
@@ -261,22 +328,13 @@ impl FrameDecoder {
     /// backpressure-paused frames without waiting for (possibly never
     /// arriving) socket readability.
     pub fn has_complete_frame(&self) -> bool {
-        let pending = &self.buf[self.pos..];
-        if pending.len() < 4 {
-            return false;
-        }
-        // lint:allow(no-panic): pending.len() >= 4 checked above, so the 4-byte try_into cannot fail
-        let len = u32::from_le_bytes(pending[..4].try_into().unwrap()) as usize;
-        if check_frame_len(len).is_err() {
-            return true; // the next decode call errors immediately
-        }
-        pending.len() >= 4 + len
+        !matches!(self.peek_frame(), Ok(None))
     }
 
-    /// Pops the next complete frame payload, `Ok(None)` while more bytes
-    /// are needed. Errors are sticky in practice: the caller drops the
-    /// connection.
-    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+    /// The next complete frame's payload, borrowed from the buffer, with
+    /// the bytes the whole frame spans; `Ok(None)` while more bytes are
+    /// needed.
+    fn peek_frame(&self) -> io::Result<Option<(&[u8], usize)>> {
         let pending = &self.buf[self.pos..];
         if pending.len() < 4 {
             return Ok(None);
@@ -286,34 +344,43 @@ impl FrameDecoder {
         // Validate the prefix as soon as it is readable — before waiting
         // for (or buffering) a payload that would bust the cap.
         check_frame_len(len)?;
-        if pending.len() < 4 + len {
-            return Ok(None);
+        match pending.get(4..4 + len) {
+            Some(payload) => Ok(Some((payload, 4 + len))),
+            None => Ok(None),
         }
-        let payload = pending[4..4 + len].to_vec();
-        self.pos += 4 + len;
+    }
+
+    /// Marks the `span` bytes of the frame just decoded as consumed.
+    fn consume(&mut self, span: usize) {
+        self.pos += span;
         if self.is_idle() {
             self.buf.clear();
             self.pos = 0;
         }
-        Ok(Some(payload))
     }
 
     /// Pops the next complete request, `Ok(None)` while more bytes are
-    /// needed.
+    /// needed. The payload is decoded in place; a frame that fails to
+    /// decode is consumed all the same. Errors are sticky in practice: the
+    /// caller drops the connection.
     pub fn next_request(&mut self) -> io::Result<Option<Request>> {
-        match self.next_frame()? {
-            None => Ok(None),
-            Some(payload) => decode_request_payload(&payload).map(Some),
-        }
+        let Some((payload, span)) = self.peek_frame()? else {
+            return Ok(None);
+        };
+        let req = decode_request_payload(payload);
+        self.consume(span);
+        req.map(Some)
     }
 
     /// Pops the next complete response, `Ok(None)` while more bytes are
-    /// needed.
+    /// needed; decoded in place, like [`next_request`](Self::next_request).
     pub fn next_response(&mut self) -> io::Result<Option<Response>> {
-        match self.next_frame()? {
-            None => Ok(None),
-            Some(payload) => decode_response_payload(&payload).map(Some),
-        }
+        let Some((payload, span)) = self.peek_frame()? else {
+            return Ok(None);
+        };
+        let resp = decode_response_payload(payload);
+        self.consume(span);
+        resp.map(Some)
     }
 }
 
@@ -352,36 +419,39 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Writes one request as a frame.
+/// Writes one request as a frame, straight into `w`.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
-    let mut p = Vec::new();
     match req {
         Request::Distance(s, t) => {
-            p.push(op::DISTANCE);
-            p.extend_from_slice(&s.to_le_bytes());
-            p.extend_from_slice(&t.to_le_bytes());
+            let mut f = FrameOut::<W, FIXED_STAGE>::open(w, 9, op::DISTANCE)?;
+            f.put(&s.to_le_bytes())?;
+            f.put(&t.to_le_bytes())?;
+            f.finish()
         }
         Request::OneToMany { source, targets } => {
-            p.push(op::ONE_TO_MANY);
-            p.extend_from_slice(&source.to_le_bytes());
-            p.extend_from_slice(&(targets.len() as u32).to_le_bytes());
+            let len = 9 + 4 * targets.len();
+            let mut f = FrameOut::<W, LIST_STAGE>::open(w, len, op::ONE_TO_MANY)?;
+            f.put(&source.to_le_bytes())?;
+            f.put(&(targets.len() as u32).to_le_bytes())?;
             for t in targets {
-                p.extend_from_slice(&t.to_le_bytes());
+                f.put(&t.to_le_bytes())?;
             }
+            f.finish()
         }
         Request::UpdateWeights(updates) => {
-            p.push(op::UPDATE_WEIGHTS);
-            p.extend_from_slice(&(updates.len() as u32).to_le_bytes());
+            let len = 5 + 12 * updates.len();
+            let mut f = FrameOut::<W, LIST_STAGE>::open(w, len, op::UPDATE_WEIGHTS)?;
+            f.put(&(updates.len() as u32).to_le_bytes())?;
             for up in updates {
-                p.extend_from_slice(&up.u.to_le_bytes());
-                p.extend_from_slice(&up.v.to_le_bytes());
-                p.extend_from_slice(&up.new_weight.to_le_bytes());
+                f.put(&up.u.to_le_bytes())?;
+                f.put(&up.v.to_le_bytes())?;
+                f.put(&up.new_weight.to_le_bytes())?;
             }
+            f.finish()
         }
-        Request::Metrics => p.push(op::METRICS),
-        Request::Shutdown => p.push(op::SHUTDOWN),
+        Request::Metrics => FrameOut::<W, FIXED_STAGE>::open(w, 1, op::METRICS)?.finish(),
+        Request::Shutdown => FrameOut::<W, FIXED_STAGE>::open(w, 1, op::SHUTDOWN)?.finish(),
     }
-    write_frame(w, &p)
 }
 
 /// Reads one request; `Ok(None)` on clean EOF between frames.
@@ -449,50 +519,46 @@ fn decode_request_payload(payload: &[u8]) -> io::Result<Request> {
     Ok(req)
 }
 
-/// Writes one response as a frame.
+/// Writes one response as a frame, straight into `w`.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
-    let mut p = Vec::new();
-    match resp {
+    let (opcode, text) = match resp {
         Response::Distance(d) => {
-            p.push(op::DISTANCE);
-            p.extend_from_slice(&d.to_le_bytes());
+            let mut f = FrameOut::<W, FIXED_STAGE>::open(w, 9, op::DISTANCE)?;
+            f.put(&d.to_le_bytes())?;
+            return f.finish();
         }
         Response::Distances(ds) => return write_distances(w, ds),
-        Response::Metrics(text) => {
-            p.push(op::METRICS);
-            p.extend_from_slice(text.as_bytes());
-        }
         Response::Updated(o) => {
-            p.push(op::UPDATE_WEIGHTS);
-            p.extend_from_slice(&o.strategy_tag.to_le_bytes());
+            let mut f = FrameOut::<W, FIXED_STAGE>::open(w, 37, op::UPDATE_WEIGHTS)?;
+            f.put(&o.strategy_tag.to_le_bytes())?;
             for v in [o.applied, o.rejected, o.micros, o.epoch] {
-                p.extend_from_slice(&v.to_le_bytes());
+                f.put(&v.to_le_bytes())?;
             }
+            return f.finish();
         }
-        Response::ShuttingDown => p.push(op::SHUTDOWN),
-        Response::Overloaded(msg) => {
-            p.push(op::OVERLOADED);
-            p.extend_from_slice(msg.as_bytes());
+        Response::ShuttingDown => {
+            return FrameOut::<W, FIXED_STAGE>::open(w, 1, op::SHUTDOWN)?.finish()
         }
-        Response::Error(msg) => {
-            p.push(op::ERROR);
-            p.extend_from_slice(msg.as_bytes());
-        }
-    }
-    write_frame(w, &p)
+        Response::Metrics(text) => (op::METRICS, text),
+        Response::Overloaded(msg) => (op::OVERLOADED, msg),
+        Response::Error(msg) => (op::ERROR, msg),
+    };
+    let mut f = FrameOut::<W, FIXED_STAGE>::open(w, 1 + text.len(), opcode)?;
+    f.put(text.as_bytes())?;
+    f.finish()
 }
 
 /// Writes a [`Response::Distances`] frame directly from a slice — the
 /// serving hot path encodes a reused batch buffer without first cloning it
 /// into an owned `Response`.
 pub fn write_distances<W: Write>(w: &mut W, ds: &[Distance]) -> io::Result<()> {
-    let mut p = Vec::with_capacity(5 + ds.len() * 8);
-    p.push(op::ONE_TO_MANY);
-    p.extend_from_slice(&(ds.len() as u32).to_le_bytes());
+    let len = 5 + 8 * ds.len();
+    let mut f = FrameOut::<W, LIST_STAGE>::open(w, len, op::ONE_TO_MANY)?;
+    f.put(&(ds.len() as u32).to_le_bytes())?;
     for d in ds {
-        p.extend_from_slice(&d.to_le_bytes());
+        f.put(&d.to_le_bytes())?;
     }
-    write_frame(w, &p)
+    f.finish()
 }
 
 /// Reads one response; `Ok(None)` on clean EOF between frames.
@@ -562,6 +628,17 @@ fn decode_response_payload(payload: &[u8]) -> io::Result<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Writes a raw payload (opcode included) as one frame: how these
+    /// tests hand-craft malformed frames the typed encoders never produce.
+    fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+        let Some((&opcode, body)) = payload.split_first() else {
+            return Err(bad("empty frame"));
+        };
+        let mut f = FrameOut::<W, FIXED_STAGE>::open(w, payload.len(), opcode)?;
+        f.put(body)?;
+        f.finish()
+    }
 
     fn round_trip_request(req: Request) {
         let mut buf = Vec::new();

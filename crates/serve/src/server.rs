@@ -299,6 +299,11 @@ pub struct ServerStats {
     /// Response writes that failed because the peer was gone (broken pipe /
     /// connection reset); the reactor survives and the connection is closed.
     pub write_errors: u64,
+    /// Reactor poll windows (the non-blocking polls a reactor makes after a
+    /// pass that found work, before it parks) that found an event.
+    pub poll_windows_work: u64,
+    /// Reactor poll windows that expired empty, so the reactor parked.
+    pub poll_windows_parked: u64,
 }
 
 impl ServerStats {
@@ -353,6 +358,8 @@ pub struct ServeState {
     panics_caught: AtomicU64,
     overload_rejections: AtomicU64,
     write_errors: AtomicU64,
+    poll_windows_work: AtomicU64,
+    poll_windows_parked: AtomicU64,
     /// Raised when an update batch panicked mid-absorb: the engine may be
     /// mid-mutation, so further updates are refused (queries keep answering
     /// on the last *published* generation, which the failed batch never
@@ -421,6 +428,8 @@ impl ServeState {
             panics_caught: AtomicU64::new(0),
             overload_rejections: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
+            poll_windows_work: AtomicU64::new(0),
+            poll_windows_parked: AtomicU64::new(0),
             engine_failed: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             bound_addr: OnceLock::new(),
@@ -692,6 +701,8 @@ impl ServeState {
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
             overload_rejections: self.overload_rejections.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
+            poll_windows_work: self.poll_windows_work.load(Ordering::Relaxed),
+            poll_windows_parked: self.poll_windows_parked.load(Ordering::Relaxed),
         }
     }
 
@@ -730,6 +741,17 @@ impl ServeState {
     /// Records a response write that failed because the peer was gone.
     pub(crate) fn note_write_error(&self) {
         self.write_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one closed reactor poll window: it found an event
+    /// (`found_work`) or expired and the reactor parked.
+    pub(crate) fn note_poll_window(&self, found_work: bool) {
+        let counter = if found_work {
+            &self.poll_windows_work
+        } else {
+            &self.poll_windows_parked
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Admission control for the query path: reserves an in-flight slot, or
@@ -1330,6 +1352,63 @@ mod tests {
             start.elapsed()
         );
         drop(stuck);
+    }
+
+    #[test]
+    fn an_idle_reactor_does_not_poll() {
+        let state = test_state(0);
+        let server =
+            serve_with_model(Arc::clone(&state), ("127.0.0.1", 0), ServeModel::Epoll).unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        let mut ask_held = |req: &Request| {
+            write_request(&mut writer, req).unwrap();
+            crate::protocol::read_response(&mut reader)
+                .unwrap()
+                .unwrap()
+        };
+        for i in 0..1_000u32 {
+            let (s, t) = (i % 16, (i * 7) % 16);
+            assert!(matches!(
+                ask_held(&Request::Distance(s, t)),
+                Response::Distance(_)
+            ));
+        }
+        let windows = |st: &ServerStats| (st.poll_windows_work, st.poll_windows_parked);
+        let (work, parked) = windows(&state.stats());
+        assert!(work + parked > 0, "a burst must open poll windows");
+
+        // Past the burst's last window and the one timed-out wait after it,
+        // the reactors park at once: an idle wait opens no window. Settled
+        // means two snapshots 50 ms apart agree (a loaded host may delay
+        // that last window); a reactor that polls while idle never settles.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut settled = windows(&state.stats());
+        while std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(50));
+            let now = windows(&state.stats());
+            if now == settled {
+                break;
+            }
+            settled = now;
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(windows(&state.stats()), settled, "an idle reactor polled");
+
+        // Parked reactors still wake for work, and for a shutdown.
+        assert_eq!(
+            ask_held(&Request::Distance(2, 9)),
+            Response::Distance(state.oracle().distance(2, 9))
+        );
+        assert_eq!(ask_held(&Request::Shutdown), Response::ShuttingDown);
+        let start = std::time::Instant::now();
+        server.shutdown().unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "drain took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]
