@@ -21,17 +21,19 @@
 //! [`QueryCache::get`]/[`QueryCache::insert`] are conveniences for
 //! single-generation users (epoch 0).
 //!
-//! Hits and misses are counted for the server's `Stats` response and the
-//! bench's cache-hit-rate column with one relaxed `fetch_add` on a
-//! thread-striped, cache-line-padded cell, so both counts are exact and
-//! concurrent workers do not share a counter line.
+//! Hits and misses are counted for the server's `Metrics` read-out and the
+//! bench's cache-hit-rate column on thread-striped, cache-line-padded
+//! [`Counters`]. The first 63 threads that count each own a stripe and
+//! bump it with a relaxed load and store — no `lock`-prefixed
+//! instruction on a hit; later threads share the last stripe and keep
+//! `fetch_add`. Both counts are exact either way.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hc2l_graph::{Distance, Vertex};
 
-use crate::lockfree::FrontCore;
+use crate::lockfree::{Counters, FrontCore, STRIPES};
 
 /// Counter snapshot of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,19 +60,10 @@ impl CacheStats {
     }
 }
 
-/// Number of hit/miss counter stripes. Stripes are handed to threads
-/// round-robin, so up to this many concurrent workers each count on a
-/// cache line of their own.
-const STRIPES: usize = 64;
-
-#[repr(align(64))]
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Thread-sticky stripe index, assigned round-robin on first use.
+/// This thread's counter stripe: claimed once, on first use, from one
+/// process-wide counter in claim order, and never released. The first
+/// `STRIPES - 1` threads each own a stripe, so each owned stripe has one
+/// writer in every cache; later threads all get the shared last stripe.
 #[inline]
 fn stripe() -> usize {
     thread_local! {
@@ -82,7 +75,7 @@ fn stripe() -> usize {
             return v;
         }
         static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let v = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+        let v = NEXT.fetch_add(1, Ordering::Relaxed).min(STRIPES - 1);
         s.set(v);
         v
     })
@@ -110,7 +103,7 @@ fn table_slots(capacity: usize) -> Option<usize> {
 pub struct QueryCache {
     /// `None` when the cache is disabled.
     table: Option<FrontCore>,
-    counters: Box<[Counters; STRIPES]>,
+    counters: Counters,
 }
 
 impl std::fmt::Debug for QueryCache {
@@ -131,7 +124,7 @@ impl QueryCache {
         // keys pack two in-range vertex ids, validated by the serving layer.
         QueryCache {
             table: table_slots(capacity).map(FrontCore::new),
-            counters: Box::new(std::array::from_fn(|_| Counters::default())),
+            counters: Counters::default(),
         }
     }
 
@@ -171,11 +164,7 @@ impl QueryCache {
             .table
             .as_ref()
             .and_then(|table| table.probe(QueryCache::key(s, t), epoch));
-        let cell = &self.counters[stripe()];
-        match got {
-            Some(_) => cell.hits.fetch_add(1, Ordering::Relaxed),
-            None => cell.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.counters.count(stripe(), got.is_some());
         got
     }
 
@@ -195,12 +184,7 @@ impl QueryCache {
     /// Counter snapshot. `len` scans the table for occupied slots, so it
     /// costs a pass over the whole table.
     pub fn stats(&self) -> CacheStats {
-        let (hits, misses) = self.counters.iter().fold((0, 0), |(h, m), c| {
-            (
-                h + c.hits.load(Ordering::Relaxed),
-                m + c.misses.load(Ordering::Relaxed),
-            )
-        });
+        let (hits, misses) = self.counters.totals();
         CacheStats {
             hits,
             misses,
@@ -258,8 +242,11 @@ mod tests {
 
     #[test]
     fn concurrent_use_keeps_counts_consistent() {
+        // 80 threads: more than the 63 owned stripes, so the shared
+        // `fetch_add` stripe counts alongside the plain load-store ones.
+        const THREADS: u32 = 80;
         let cache = std::sync::Arc::new(QueryCache::new(1024));
-        let threads: Vec<_> = (0..8u32)
+        let threads: Vec<_> = (0..THREADS)
             .map(|id| {
                 let cache = std::sync::Arc::clone(&cache);
                 std::thread::spawn(move || {
@@ -276,7 +263,7 @@ mod tests {
             t.join().unwrap();
         }
         let s = cache.stats();
-        assert_eq!(s.hits + s.misses, 8 * 1000);
+        assert_eq!(s.hits + s.misses, THREADS as u64 * 1000);
         assert!(s.len <= s.capacity);
         // Every cached answer is still the right one.
         for s_v in 0..97u32 {
@@ -299,8 +286,8 @@ mod tests {
 
     #[test]
     fn counts_stay_exact_with_more_threads_than_stripes() {
-        // More threads than counter stripes, so some stripes are shared;
-        // relaxed `fetch_add` must still lose no increment.
+        // More threads than counter stripes, so some threads share the
+        // last stripe; its `fetch_add` must still lose no increment.
         let cache = std::sync::Arc::new(QueryCache::new(64));
         cache.insert(1, 2, 3);
         let threads: Vec<_> = (0..STRIPES + 16)

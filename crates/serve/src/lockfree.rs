@@ -8,12 +8,16 @@
 //! thread interleavings of the protocols below — so the code that ships is
 //! the code that was checked, not a parallel "model" that can drift.
 //!
-//! Two protocols live here:
+//! Three protocols live here:
 //!
 //! * [`FrontCore`] — the direct-mapped seqlock table that is the whole
-//!   query cache (`cache.rs` adds key packing, sizing and striped hit/miss
-//!   counting). Invariant: a probe never returns a torn
+//!   query cache (`cache.rs` adds key packing, sizing and the per-thread
+//!   stripe claim). Invariant: a probe never returns a torn
 //!   `(key, epoch, value)` triple.
+//! * [`Counters`] — the cache's hit/miss counter stripes: single-writer
+//!   stripes bumped with a plain load and store, plus one shared stripe
+//!   that keeps `fetch_add`. Invariant: no increment is lost, and a
+//!   concurrent snapshot never reads more than the final total.
 //! * [`EpochMirror`] — the atomic mirror of the current index generation
 //!   that the serving layer reads before probing the cache (`server.rs`).
 //!   Invariant: after a swap publishes epoch `n`, no reader that loaded
@@ -135,6 +139,67 @@ impl<A: Atomics> FrontCore<A> {
         s.epoch.store(epoch, Ordering::Relaxed);
         s.value.store(value, Ordering::Relaxed);
         s.seq.store(s0 + 2, Ordering::Release);
+    }
+}
+
+/// Hit/miss counter stripes a production [`Counters`] holds.
+pub const STRIPES: usize = 64;
+
+/// One stripe's hit and miss cells, on a cache line of its own.
+#[repr(align(64))]
+struct Stripe<A: Atomics> {
+    hits: A::U64,
+    misses: A::U64,
+}
+
+/// Exact hit and miss counts, striped one cache line per stripe.
+///
+/// Stripes `0..N - 1` are *owned*: each must have at most one writer
+/// thread, which counts with a relaxed `load` then `store`. With one
+/// writer the load always reads that writer's own last store, so the
+/// count stays exact without a `lock`-prefixed instruction. Every index
+/// from `N - 1` up maps to the last, *shared* stripe, which any number of
+/// threads count on with `fetch_add`. A reader sums all stripes with
+/// relaxed loads: mid-count it may miss in-flight increments, never invent
+/// one. `cache.rs` hands each thread its index once, in claim order.
+pub struct Counters<A: Atomics = StdAtomics, const N: usize = STRIPES> {
+    stripes: Box<[Stripe<A>; N]>,
+}
+
+impl<A: Atomics, const N: usize> Default for Counters<A, N> {
+    fn default() -> Self {
+        Counters {
+            stripes: Box::new(std::array::from_fn(|_| Stripe {
+                hits: A::U64::new(0),
+                misses: A::U64::new(0),
+            })),
+        }
+    }
+}
+
+impl<A: Atomics, const N: usize> Counters<A, N> {
+    /// Counts one hit (`hit`) or miss on stripe `stripe`. An index below
+    /// `N - 1` must belong to the calling thread alone; any larger index
+    /// counts on the shared stripe.
+    #[inline]
+    pub fn count(&self, stripe: usize, hit: bool) {
+        let s = &self.stripes[stripe.min(N - 1)];
+        let cell = if hit { &s.hits } else { &s.misses };
+        if stripe < N - 1 {
+            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        } else {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// `(hits, misses)` summed over every stripe.
+    pub fn totals(&self) -> (u64, u64) {
+        self.stripes.iter().fold((0, 0), |(h, m), s| {
+            (
+                h + s.hits.load(Ordering::Relaxed),
+                m + s.misses.load(Ordering::Relaxed),
+            )
+        })
     }
 }
 

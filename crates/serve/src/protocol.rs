@@ -42,8 +42,9 @@
 //!   of the decoder's own buffer, and only then mark the frame consumed. A
 //!   `Distance` frame decodes without touching the heap; a frame that
 //!   carries a list or a text allocates only the `Vec`/`String` its owned
-//!   [`Request`]/[`Response`] holds. The blocking readers keep one payload
-//!   `Vec` per frame: they serve `hc2l-query` and the tests, not the reactor.
+//!   [`Request`]/[`Response`] holds. The blocking [`read_request`] and
+//!   [`read_response`] read a fixed-size frame's payload into a stack
+//!   buffer, and a longer list or text payload into one `Vec`.
 //! * **direct encode** — [`write_request`], [`write_response`] and
 //!   [`write_distances`] know each payload's length before the first byte,
 //!   gate it through the frame-length check (an oversized frame fails typed
@@ -179,12 +180,14 @@ fn bad(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-/// Reads one length-prefixed frame; `Ok(None)` on a clean EOF at a frame
-/// boundary (the peer hung up between requests). EOF anywhere *inside* a
-/// frame — including partway through the length prefix — is an error: the
-/// first prefix byte alone distinguishes "no next frame" from "truncated
-/// frame".
-fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
+/// Reads one length-prefixed frame and decodes its payload with `decode`;
+/// `Ok(None)` on a clean EOF at a frame boundary (the peer hung up between
+/// requests). EOF anywhere *inside* a frame — including partway through
+/// the length prefix — is an error: the first prefix byte alone
+/// distinguishes "no next frame" from "truncated frame". A payload of at
+/// most [`FIXED_STAGE`] bytes — every fixed-size frame — is read into a
+/// stack buffer; only a longer list or text payload is read into a `Vec`.
+fn read_frame<R: Read, T>(r: &mut R, decode: fn(&[u8]) -> io::Result<T>) -> io::Result<Option<T>> {
     let mut len = [0u8; 4];
     let mut got = 0usize;
     while got < len.len() {
@@ -198,9 +201,14 @@ fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     }
     let len = u32::from_le_bytes(len) as usize;
     check_frame_len(len)?;
+    if len <= FIXED_STAGE {
+        let mut stage = [0u8; FIXED_STAGE];
+        r.read_exact(&mut stage[..len])?;
+        return decode(&stage[..len]).map(Some);
+    }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    decode(&payload).map(Some)
 }
 
 /// The shared frame-length gate of both decoders (and, inverted, of the
@@ -220,7 +228,8 @@ fn check_frame_len(len: usize) -> io::Result<()> {
 /// Stack staging buffer of a fixed-size frame: the largest is an `Updated`
 /// report, 4 (length) + 1 (opcode) + 4 + 4·8 = 41 bytes. A text frame
 /// stages its header here too; a message that does not fit follows it
-/// with a second `write_all`.
+/// with a second `write_all`. The blocking readers stage payloads of up to
+/// this size on the stack as well.
 const FIXED_STAGE: usize = 48;
 
 /// Stack staging buffer of a list frame: a 64-entry distance row (4 + 1 +
@@ -456,10 +465,7 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
 
 /// Reads one request; `Ok(None)` on clean EOF between frames.
 pub fn read_request<R: Read>(r: &mut R) -> io::Result<Option<Request>> {
-    let Some(payload) = read_frame(r)? else {
-        return Ok(None);
-    };
-    decode_request_payload(&payload).map(Some)
+    read_frame(r, decode_request_payload)
 }
 
 /// Decodes one request frame payload — the grammar shared by the blocking
@@ -563,10 +569,7 @@ pub fn write_distances<W: Write>(w: &mut W, ds: &[Distance]) -> io::Result<()> {
 
 /// Reads one response; `Ok(None)` on clean EOF between frames.
 pub fn read_response<R: Read>(r: &mut R) -> io::Result<Option<Response>> {
-    let Some(payload) = read_frame(r)? else {
-        return Ok(None);
-    };
-    decode_response_payload(&payload).map(Some)
+    read_frame(r, decode_response_payload)
 }
 
 /// Decodes one response frame payload — shared with the incremental

@@ -574,10 +574,18 @@ impl ServeState {
             // the `cache_epoch` field docs for why this order is the safe
             // side of the race.
             self.cache_epoch.publish(epoch);
-            *slot = Arc::new(Generation {
-                oracle: served,
-                epoch,
-            });
+            let superseded = std::mem::replace(
+                &mut *slot,
+                Arc::new(Generation {
+                    oracle: served,
+                    epoch,
+                }),
+            );
+            drop(slot);
+            // The last reference frees (or unmaps) a whole index: do it
+            // after the write lock is released, so the misses of a cold
+            // cache right after the swap don't wait behind it.
+            drop(superseded);
             epoch
         };
         drop(guard);

@@ -1,6 +1,6 @@
 //! Model-check suite for the serve layer's lock-free cores.
 //!
-//! These tests run the PRODUCTION seqlock and epoch-mirror source
+//! These tests run the PRODUCTION seqlock, epoch-mirror and counter source
 //! (`hc2l_serve::lockfree`, instantiated with the checker's shim atomics
 //! instead of `std::sync::atomic`) under `hc2l_check`'s deterministic
 //! scheduler, which exhaustively explores thread interleavings at every
@@ -11,11 +11,15 @@
 use std::sync::Arc;
 
 use hc2l_check::shim::CheckAtomics;
-use hc2l_check::{model, thread};
-use hc2l_serve::lockfree::{EpochMirror, FrontCore};
+use hc2l_check::{model, model_with, thread, Mode, Options};
+use hc2l_serve::lockfree::{Counters, EpochMirror, FrontCore};
 
 type CheckedFront = FrontCore<CheckAtomics>;
 type CheckedMirror = EpochMirror<CheckAtomics>;
+/// Two owned stripes and the shared one: the production counter with a
+/// geometry small enough for the snapshot's loads to interleave
+/// exhaustively.
+type CheckedCounters = Counters<CheckAtomics, 3>;
 
 /// The value a correctly-published slot must carry, derived from its key
 /// and epoch so any torn mix of two fills is detectable.
@@ -138,5 +142,56 @@ fn swap_during_fill_is_always_consistent() {
         filler.join();
         swapper.join();
     });
+    assert!(report.schedules > 1, "degenerate exploration: {report:?}");
+}
+
+/// The hit/miss counters under every interleaving: an owner counts on its
+/// stripe with a plain load and store, two threads share the last stripe
+/// with `fetch_add`, and a snapshot runs while all three count. The
+/// snapshot may miss in-flight counts but never exceed the final total,
+/// and the final total is exact. With the snapshotter that is four
+/// threads, past `model`'s automatic switch to sampling, so the search is
+/// asked to exhaust every schedule of up to two preemptions (a lost
+/// update needs one).
+#[test]
+fn counter_stripes_stay_exact_and_snapshots_stay_bounded() {
+    let opts = Options {
+        mode: Mode::Exhaustive {
+            preemption_bound: 2,
+        },
+        ..Options::default()
+    };
+    let report = model_with(opts, || {
+        let counters = Arc::new(CheckedCounters::default());
+        let owner = {
+            let c = Arc::clone(&counters);
+            thread::spawn(move || {
+                c.count(0, true);
+                c.count(0, false);
+            })
+        };
+        // Every index from 2 up lands on the shared stripe.
+        let sharers: Vec<_> = [2, usize::MAX]
+            .into_iter()
+            .map(|stripe| {
+                let c = Arc::clone(&counters);
+                thread::spawn(move || c.count(stripe, true))
+            })
+            .collect();
+        let (hits, misses) = counters.totals();
+        assert!(
+            hits <= 3 && misses <= 1,
+            "snapshot ({hits}, {misses}) exceeds the final total"
+        );
+        owner.join();
+        for t in sharers {
+            t.join();
+        }
+        assert_eq!(counters.totals(), (3, 1), "a count was lost");
+    });
+    assert!(
+        report.exhaustive,
+        "schedule space not exhausted: {report:?}"
+    );
     assert!(report.schedules > 1, "degenerate exploration: {report:?}");
 }

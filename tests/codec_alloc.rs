@@ -4,12 +4,15 @@
 //! that run in parallel in this binary cannot add to each other's counts.
 //! Each case warms up once (the target `Vec` and the decoder's buffer
 //! reach their steady capacity), then encodes or decodes again and counts.
+//! The blocking readers have no buffer to warm: they read from a byte
+//! slice and are counted on their first frame.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hc2l_serve::protocol::{
-    write_distances, write_request, write_response, FrameDecoder, Request, Response,
+    read_request, read_response, write_distances, write_request, write_response, FrameDecoder,
+    Request, Response,
 };
 
 thread_local! {
@@ -160,4 +163,30 @@ fn decoding_a_64_entry_distance_row_allocates_only_its_answer() {
     let (n, got) = decode_allocations(&bytes, |d| d.next_response().unwrap());
     assert_eq!(got, Some(Response::Distances(ds)));
     assert_eq!(n, 1);
+}
+
+#[test]
+fn blocking_read_of_a_distance_request_allocates_nothing() {
+    let req = Request::Distance(3, 999_999);
+    let mut bytes = Vec::new();
+    write_request(&mut bytes, &req).unwrap();
+    let mut reader = bytes.as_slice();
+    let mut got = None;
+    let n = allocations_in(|| got = read_request(&mut reader).unwrap());
+    assert_eq!(got, Some(req));
+    assert!(reader.is_empty(), "the frame was not read whole");
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn blocking_read_of_a_distance_response_allocates_nothing() {
+    let resp = Response::Distance(42_424_242);
+    let mut bytes = Vec::new();
+    write_response(&mut bytes, &resp).unwrap();
+    let mut reader = bytes.as_slice();
+    let mut got = None;
+    let n = allocations_in(|| got = read_response(&mut reader).unwrap());
+    assert_eq!(got, Some(resp));
+    assert!(reader.is_empty(), "the frame was not read whole");
+    assert_eq!(n, 0);
 }
