@@ -30,7 +30,7 @@
 //! `update_strategy` that absorbed them and the `rebuild_ms` baseline they
 //! race — as JSON; it exits non-zero on any divergence, which is what
 //! the CI smoke-bench steps rely on. Each row records the active min-plus
-//! **`kernel`** (`scalar`/`avx2`/`neon`, forceable via `HC2L_KERNEL`), the
+//! **`kernel`** (`scalar`/`avx2`, forceable via `HC2L_KERNEL`), the
 //! observability columns — `query_p50_ns`/`query_p99_ns` tail latency from
 //! an individually-timed pass and a `build_phases` object (per-stage build
 //! nanoseconds from `hc2l_obs::phase`) — and

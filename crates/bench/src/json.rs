@@ -41,7 +41,7 @@
 //! columns).
 //!
 //! Since the SIMD-kernels PR each row also carries **`kernel`** — the
-//! min-plus kernel the timings ran under (`scalar`, `avx2` or `neon`; see
+//! min-plus kernel the timings ran under (`scalar` or `avx2`; see
 //! `hc2l_graph::kernels`). All kernels return bit-identical answers, so the
 //! column exists to make latency comparisons between bench files honest: a
 //! file produced under `HC2L_KERNEL=scalar` is not comparable to an `avx2`
@@ -152,7 +152,7 @@ pub struct JsonRow {
     /// Method display name.
     pub method: &'static str,
     /// Active min-plus kernel the timings ran under
-    /// (`hc2l_graph::active_kernel().name()`): `scalar`, `avx2` or `neon`.
+    /// (`hc2l_graph::active_kernel().name()`): `scalar` or `avx2`.
     /// Forceable via `HC2L_KERNEL`; all kernels are bit-identical, so this
     /// column only explains latency differences between bench files.
     pub kernel: &'static str,

@@ -181,8 +181,6 @@ pub struct ContractionHierarchy {
     frozen: FrozenCh,
     /// Number of shortcut edges inserted during contraction.
     pub num_shortcuts: usize,
-    /// Wall-clock construction time in seconds.
-    pub construction_seconds: f64,
 }
 
 /// [`ContractionHierarchy::recontract`] gave up: replaying the stored
@@ -386,7 +384,6 @@ impl DynamicGraph {
 impl ContractionHierarchy {
     /// Builds a contraction hierarchy with the lazy edge-difference ordering.
     pub fn build(g: &Graph) -> Self {
-        let start = std::time::Instant::now();
         let n = g.num_vertices();
         let mut dyn_graph = DynamicGraph::new(g);
         let mut rank = vec![0u32; n];
@@ -446,7 +443,6 @@ impl ContractionHierarchy {
             ordering,
             frozen,
             num_shortcuts,
-            construction_seconds: start.elapsed().as_secs_f64(),
         }
     }
 
@@ -642,8 +638,7 @@ impl PersistentIndex for ContractionHierarchy {
 
     fn write_sections(&self, w: &mut ContainerWriter) {
         let mut meta = MetaWriter::new();
-        meta.u64(self.num_shortcuts as u64)
-            .f64(self.construction_seconds);
+        meta.u64(self.num_shortcuts as u64).retired(1); // held the build time
         w.push_section(sec::META, meta.finish());
         let (targets, weights, offsets) = self.frozen.upward.parts();
         w.push_pods(sec::UP_TARGETS, targets);
@@ -655,7 +650,7 @@ impl PersistentIndex for ContractionHierarchy {
     fn read_sections(c: &Container) -> Result<Self, DecodeError> {
         let mut meta = MetaReader::new(c.section(sec::META)?);
         let num_shortcuts = meta.usize()?;
-        let construction_seconds = meta.f64()?;
+        meta.skip(1)?;
         meta.finish()?;
 
         let upward = FlatEntryLabels::from_parts(
@@ -684,7 +679,6 @@ impl PersistentIndex for ContractionHierarchy {
             ordering: NodeOrdering::from_ranks(rank),
             frozen,
             num_shortcuts,
-            construction_seconds,
         })
     }
 }

@@ -52,6 +52,23 @@
 //! section's (tag, length, payload); a flipped byte anywhere surfaces as
 //! [`DecodeError::ChecksumMismatch`] instead of a wrong distance.
 //!
+//! # Reproducibility
+//!
+//! A container is a pure function of the graph and the configuration that
+//! shapes the index (for HC2L: β, leaf threshold, tail pruning and
+//! degree-one contraction). It stores no wall-clock build time and no
+//! scheduling setting such as a thread count, so two builds of one graph
+//! save byte-identical files, and so do load → save round trips. The
+//! header checksum therefore works as a digest of build output: a change
+//! that alters any index shows up as a new checksum
+//! (`tests/persistence.rs` pins one per method).
+//!
+//! Metadata slots that older writers filled with the build time (and HC2L
+//! with its thread counts) are *retired*: writers zero them
+//! ([`MetaWriter::retired`]) and readers skip them ([`MetaReader::skip`]),
+//! so files written before the retirement still load, and re-saving one
+//! gives a fresh build's bytes.
+//!
 //! # Robustness contract
 //!
 //! *Corrupt* files (truncation, bit rot, partial writes) always fail with a
@@ -1030,6 +1047,15 @@ impl MetaWriter {
         self.u64(v as u64)
     }
 
+    /// Appends `slots` zero fields: retired slots that the format keeps so
+    /// older files still load (see [`MetaReader::skip`]).
+    pub fn retired(&mut self, slots: usize) -> &mut Self {
+        for _ in 0..slots {
+            self.u64(0);
+        }
+        self
+    }
+
     /// The encoded blob.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -1072,6 +1098,15 @@ impl<'a> MetaReader<'a> {
     /// Reads the next boolean field.
     pub fn bool(&mut self) -> Result<bool, DecodeError> {
         Ok(self.u64()? != 0)
+    }
+
+    /// Skips `slots` retired fields, whatever they hold: files written
+    /// before a field was retired carry real values there.
+    pub fn skip(&mut self, slots: usize) -> Result<(), DecodeError> {
+        for _ in 0..slots {
+            self.u64()?;
+        }
+        Ok(())
     }
 
     /// Asserts the whole blob was consumed.

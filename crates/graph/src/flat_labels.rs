@@ -45,7 +45,7 @@
 //!
 //! The query kernels that scan these arenas ([`min_plus_scan`],
 //! [`min_plus_merge`] and friends) live in [`crate::kernels`] — re-exported
-//! here for compatibility. The scan has scalar, AVX2 and NEON flavours
+//! here for compatibility. The scan has scalar and AVX2 flavours
 //! behind a one-time runtime dispatch; the merge-join is one scalar loop.
 //! No arena carries derived data such as the reference implementation's
 //! `CUT_BOUNDS` suffix minima: HC2L's level scans rarely reach the length

@@ -10,13 +10,12 @@
 //! * [`min_plus_gather`] — `min_p (ds[pos[p]] + dt[pos[p]])` over an index
 //!   list (H2H's bag scan).
 //!
-//! The scan and the gather come in three implementations — portable scalar
-//! (the branch-free code LLVM auto-vectorises at the baseline target), AVX2
-//! (x86-64) and NEON (aarch64; the gather has no NEON form) — behind a
-//! process-wide [`KernelKind`] selected **once**:
-//! `is_x86_feature_detected!("avx2")` at first use on x86-64, compile-time
-//! on aarch64 (NEON is baseline there). The
-//! environment variable `HC2L_KERNEL=scalar|avx2|neon` overrides detection
+//! The scan and the gather come in two implementations — portable scalar
+//! (the branch-free code LLVM auto-vectorises at the baseline target) and
+//! AVX2 (x86-64) — behind a process-wide [`KernelKind`] selected **once**,
+//! by `is_x86_feature_detected!("avx2")` at first use; every other host
+//! (aarch64 included) runs the scalar code. The
+//! environment variable `HC2L_KERNEL=scalar|avx2` overrides detection
 //! (unavailable requests fall back with a warning), and [`force_kernel`]
 //! switches at runtime for tests and benchmarks. Every kernel returns
 //! **bit-identical** results on every backend, so switching kernels — even
@@ -25,7 +24,7 @@
 //! # The merge is scalar only
 //!
 //! [`min_plus_merge`] runs one branch-free scalar loop on every kernel. A
-//! blocked 8x8 AVX2 merge-join (and its NEON 4x4 analogue) and per-16-entry
+//! blocked 8x8 AVX2 merge-join (and a NEON 4x4 analogue) and per-16-entry
 //! suffix cut bounds used to sit on top of it; on city road networks with
 //! travel-time weights (200k uniform pairs, 2-vCPU x86-64 guest, median of
 //! 12 alternating rounds, ns per HL query) both lost to the plain loop:
@@ -52,7 +51,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use crate::types::{Distance, Vertex, INFINITY};
 
 /// Chunk width of the branch-free scalar min-reductions. Eight 64-bit lanes
-/// span two AVX2 registers (or four NEON registers); the accumulators live
+/// span two AVX2 registers; the accumulators live
 /// in registers across the whole scan.
 pub const MIN_PLUS_LANES: usize = 8;
 
@@ -64,18 +63,15 @@ pub enum KernelKind {
     Scalar = 1,
     /// 256-bit AVX2 lanes (x86-64 with AVX2).
     Avx2 = 2,
-    /// 128-bit NEON lanes (aarch64, always available there).
-    Neon = 3,
 }
 
 impl KernelKind {
-    /// Stable lower-case name (`scalar`/`avx2`/`neon`) — the value accepted
+    /// Stable lower-case name (`scalar`/`avx2`) — the value accepted
     /// by the `HC2L_KERNEL` override and reported in bench and metrics output.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Avx2 => "avx2",
-            KernelKind::Neon => "neon",
         }
     }
 
@@ -84,7 +80,6 @@ impl KernelKind {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelKind::Scalar),
             "avx2" => Some(KernelKind::Avx2),
-            "neon" => Some(KernelKind::Neon),
             _ => None,
         }
     }
@@ -97,7 +92,6 @@ impl KernelKind {
             KernelKind::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             KernelKind::Avx2 => false,
-            KernelKind::Neon => cfg!(target_arch = "aarch64"),
         }
     }
 }
@@ -121,8 +115,7 @@ pub fn active_kernel() -> KernelKind {
     match ACTIVE.load(Ordering::Relaxed) {
         0 => init_kernel(),
         1 => KernelKind::Scalar,
-        2 => KernelKind::Avx2,
-        _ => KernelKind::Neon,
+        _ => KernelKind::Avx2,
     }
 }
 
@@ -130,8 +123,6 @@ pub fn active_kernel() -> KernelKind {
 pub fn detect_kernel() -> KernelKind {
     if KernelKind::Avx2.is_available() {
         KernelKind::Avx2
-    } else if KernelKind::Neon.is_available() {
-        KernelKind::Neon
     } else {
         KernelKind::Scalar
     }
@@ -139,7 +130,7 @@ pub fn detect_kernel() -> KernelKind {
 
 /// Every kernel the host can run (always contains [`KernelKind::Scalar`]).
 pub fn available_kernels() -> Vec<KernelKind> {
-    [KernelKind::Scalar, KernelKind::Avx2, KernelKind::Neon]
+    [KernelKind::Scalar, KernelKind::Avx2]
         .into_iter()
         .filter(|k| k.is_available())
         .collect()
@@ -168,9 +159,7 @@ fn init_kernel() -> KernelKind {
     let requested = std::env::var("HC2L_KERNEL").ok().and_then(|raw| {
         let parsed = KernelKind::from_name(&raw);
         if parsed.is_none() && !raw.trim().is_empty() {
-            eprintln!(
-                "warning: HC2L_KERNEL={raw:?} is not one of scalar|avx2|neon; auto-detecting"
-            );
+            eprintln!("warning: HC2L_KERNEL={raw:?} is not one of scalar|avx2; auto-detecting");
         }
         parsed
     });
@@ -214,8 +203,6 @@ pub fn min_plus_scan(a: &[Distance], b: &[Distance]) -> Distance {
         // SAFETY: `Avx2` is only ever installed after `is_available()`
         // confirmed the host supports it.
         KernelKind::Avx2 => unsafe { avx2::min_plus_scan(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => neon::min_plus_scan(a, b),
         _ => scalar::min_plus_scan(a, b),
     }
 }
@@ -469,57 +456,6 @@ mod avx2 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// NEON kernels (aarch64 — NEON is baseline there, no runtime detection)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{Distance, INFINITY};
-    use std::arch::aarch64::*;
-
-    /// Lane-wise unsigned 64-bit minimum (NEON has no `vminq_u64`; select
-    /// through the unsigned compare, which aarch64 does provide).
-    #[inline]
-    fn min_u64x2(x: uint64x2_t, y: uint64x2_t) -> uint64x2_t {
-        // SAFETY: NEON is baseline on aarch64.
-        unsafe { vbslq_u64(vcgtq_u64(x, y), y, x) }
-    }
-
-    /// NEON scan: two 2-lane accumulators (4 entries per iteration),
-    /// scalar tail.
-    pub fn min_plus_scan(a: &[Distance], b: &[Distance]) -> Distance {
-        let len = a.len().min(b.len());
-        let mut best = INFINITY;
-        let mut i = 0usize;
-        if len >= 4 {
-            // SAFETY: NEON is baseline on aarch64; all loads stay within
-            // `i + 4 <= len`.
-            unsafe {
-                let mut acc0 = vdupq_n_u64(INFINITY);
-                let mut acc1 = vdupq_n_u64(INFINITY);
-                while i + 4 <= len {
-                    let s0 = vaddq_u64(vld1q_u64(a.as_ptr().add(i)), vld1q_u64(b.as_ptr().add(i)));
-                    let s1 = vaddq_u64(
-                        vld1q_u64(a.as_ptr().add(i + 2)),
-                        vld1q_u64(b.as_ptr().add(i + 2)),
-                    );
-                    acc0 = min_u64x2(acc0, s0);
-                    acc1 = min_u64x2(acc1, s1);
-                    i += 4;
-                }
-                let acc = min_u64x2(acc0, acc1);
-                best = vgetq_lane_u64::<0>(acc).min(vgetq_lane_u64::<1>(acc));
-            }
-        }
-        while i < len {
-            best = best.min(a[i] + b[i]);
-            i += 1;
-        }
-        best.min(INFINITY)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,7 +519,7 @@ mod tests {
 
     #[test]
     fn kernel_kind_round_trips_names() {
-        for k in [KernelKind::Scalar, KernelKind::Avx2, KernelKind::Neon] {
+        for k in [KernelKind::Scalar, KernelKind::Avx2] {
             assert_eq!(KernelKind::from_name(k.name()), Some(k));
         }
         assert_eq!(KernelKind::from_name(" AVX2 "), Some(KernelKind::Avx2));
@@ -596,13 +532,8 @@ mod tests {
         assert!(avail.contains(&KernelKind::Scalar));
         assert!(avail.contains(&detect_kernel()));
         // Forcing an unavailable kernel falls back to detection.
-        let impossible = if cfg!(target_arch = "x86_64") {
-            KernelKind::Neon
-        } else {
-            KernelKind::Avx2
-        };
-        if !impossible.is_available() {
-            assert_eq!(force_kernel(impossible), detect_kernel());
+        if !KernelKind::Avx2.is_available() {
+            assert_eq!(force_kernel(KernelKind::Avx2), detect_kernel());
         }
         assert_eq!(force_kernel(KernelKind::Scalar), KernelKind::Scalar);
         restore_kernel();

@@ -27,10 +27,10 @@
 //!   [`Store`] parameter, so the same query kernels run on owned `Vec`
 //!   arenas or on borrowed slices of a loaded index file.
 //! * [`kernels`] — the min-reduction query kernels. [`min_plus_scan`] and
-//!   [`min_plus_gather`] come in scalar, AVX2 and NEON flavours behind a
+//!   [`min_plus_gather`] come in scalar and AVX2 flavours behind a
 //!   one-time runtime dispatch ([`KernelKind`], `HC2L_KERNEL` override);
 //!   every flavour is bit-identical, only speed differs. [`min_plus_merge`]
-//!   is one scalar loop: the AVX2/NEON merge-joins and HL's cut bounds were
+//!   is one scalar loop: the SIMD merge-joins and HL's cut bounds were
 //!   slower than it on city maps of 2k–65k vertices (see the table in
 //!   [`kernels`]).
 //! * [`container`] — the sectioned on-disk index format (magic/version

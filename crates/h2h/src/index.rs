@@ -4,8 +4,9 @@
 //! Post-build, the queryable state lives entirely in the [`FrozenH2h`] view:
 //! the ancestor-distance and bag-position arrays in two frozen [`FlatCsr`]
 //! arenas, the node depths and tree roots, and the flattened LCA structure.
-//! The construction-only tree decomposition is kept for diagnostics on built
-//! indexes and dropped by persistence (`None` after a load).
+//! [`H2hIndex`] holds exactly what its container holds, so a built index and
+//! a loaded one are the same value; the tree decomposition is construction
+//! scratch, dropped once the arrays are derived.
 
 use serde::{Deserialize, Serialize};
 
@@ -276,24 +277,17 @@ where
 /// The Hierarchical 2-Hop index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct H2hIndex {
-    /// The underlying tree decomposition — construction state kept for
-    /// diagnostics on built indexes; `None` after a load (queries only
-    /// touch the frozen state).
-    pub decomposition: Option<TreeDecomposition>,
     /// The frozen queryable state.
     frozen: FrozenH2h,
     /// Height of the tree decomposition (persisted; Table 5).
     tree_height: u32,
     /// Maximum bag size (persisted; Table 5).
     max_bag_size: usize,
-    /// Wall-clock construction time in seconds.
-    pub construction_seconds: f64,
 }
 
 impl H2hIndex {
     /// Builds the index for a weighted undirected graph.
     pub fn build(g: &Graph) -> Self {
-        let start = std::time::Instant::now();
         let n = g.num_vertices();
         let decomposition = TreeDecomposition::build(g);
         let lca = LcaStructure::build(decomposition.children_csr(), &decomposition.roots, n);
@@ -358,19 +352,16 @@ impl H2hIndex {
             pos[v as usize] = p;
         }
 
-        let frozen = FrozenH2h {
-            dist: FlatCsr::freeze(&dist),
-            pos: FlatCsr::freeze(&pos),
-            depth: decomposition.depth.clone(),
-            root_of,
-            lca,
-        };
         H2hIndex {
             tree_height: decomposition.height,
             max_bag_size: decomposition.max_bag_size,
-            decomposition: Some(decomposition),
-            frozen,
-            construction_seconds: start.elapsed().as_secs_f64(),
+            frozen: FrozenH2h {
+                dist: FlatCsr::freeze(&dist),
+                pos: FlatCsr::freeze(&pos),
+                depth: decomposition.depth,
+                root_of,
+                lca,
+            },
         }
     }
 
@@ -441,7 +432,7 @@ impl PersistentIndex for H2hIndex {
         let mut meta = MetaWriter::new();
         meta.u64(self.tree_height as u64)
             .u64(self.max_bag_size as u64)
-            .f64(self.construction_seconds);
+            .retired(1); // held the build time
         w.push_section(sec::META, meta.finish());
         let (dist_values, dist_offsets) = self.frozen.dist.parts();
         w.push_pods(sec::DIST_VALUES, dist_values);
@@ -464,7 +455,7 @@ impl PersistentIndex for H2hIndex {
         let tree_height = u32::try_from(meta.u64()?)
             .map_err(|_| DecodeError::Malformed("tree height overflow"))?;
         let max_bag_size = meta.usize()?;
-        let construction_seconds = meta.f64()?;
+        meta.skip(1)?;
         meta.finish()?;
 
         let dist = FlatCsr::from_parts(
@@ -490,11 +481,9 @@ impl PersistentIndex for H2hIndex {
             lca,
         )?;
         Ok(H2hIndex {
-            decomposition: None,
             frozen,
             tree_height,
             max_bag_size,
-            construction_seconds,
         })
     }
 }
@@ -584,7 +573,7 @@ mod tests {
     fn distance_arrays_cover_all_ancestors_exactly() {
         let g = paper_figure1();
         let index = H2hIndex::build(&g);
-        let td = index.decomposition.as_ref().expect("built index");
+        let td = TreeDecomposition::build(&g);
         for v in 0..16u32 {
             let path = td.root_path(v);
             assert_eq!(index.ancestor_dists(v).len(), path.len());
@@ -695,7 +684,6 @@ mod tests {
         index.write_sections(&mut w);
         let c = Container::from_bytes(&w.finish()).unwrap();
         let back = H2hIndex::read_sections(&c).unwrap();
-        assert!(back.decomposition.is_none());
         assert_eq!(back.stats().tree_height, index.stats().tree_height);
         assert_eq!(back.stats().max_bag_size, index.stats().max_bag_size);
         let view = FrozenH2h::from_container(&c).unwrap();

@@ -20,10 +20,13 @@ pub struct Hc2lConfig {
     /// vertices").
     pub contract_degree_one: bool,
     /// Number of worker threads. `1` is the sequential HC2L of the paper;
-    /// larger values give the parallel variant HC2Lp.
+    /// larger values give the parallel variant HC2Lp. Scheduling only: the
+    /// index is the same at every thread count, and containers do not store
+    /// it.
     pub threads: usize,
     /// Subtrees smaller than this are always processed on the current thread
     /// even when `threads > 1`, to avoid spawning threads for tiny work.
+    /// Scheduling only, like `threads`.
     pub parallel_grain: usize,
 }
 

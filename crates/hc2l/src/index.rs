@@ -1,11 +1,14 @@
 //! The queryable HC2L index.
 //!
 //! [`Hc2lIndex`] couples the frozen queryable state ([`FrozenHc2l`]) with
-//! the construction configuration and diagnostics. Every query delegates to
-//! the frozen view, so a loaded index (whose construction-only hierarchy is
-//! gone) answers bit-identically to a freshly built one.
-
-use std::time::Instant;
+//! its construction configuration and the hierarchy's summary statistics.
+//! Its container stores the frozen state, the output-affecting part of the
+//! configuration and the summary, so the file is a pure function of the
+//! graph and those settings: no build time, and no scheduling-only setting
+//! (`threads`, `parallel_grain`). A built index also keeps its balanced
+//! tree hierarchy, which the relabelling update walk needs; a loaded one
+//! has none. Every query delegates to the frozen view, so a loaded index
+//! answers bit-identically to a freshly built one.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,12 +22,14 @@ use crate::builder::build_hierarchy_and_labels;
 use crate::config::Hc2lConfig;
 use crate::frozen::{FrozenContraction, FrozenHc2l, NO_VERTEX};
 use crate::label::LabelSet;
-use crate::stats::{ConstructionStats, IndexStats};
+use crate::stats::IndexStats;
 
 /// Container section tags of the HC2L backend (sequential and parallel
 /// builds produce one index layout).
 mod sec {
-    /// Scalar metadata blob (config, hierarchy summary, timings).
+    /// Scalar metadata blob: the output-affecting config, four retired
+    /// zero slots (they held `threads`, `parallel_grain`, the build seconds
+    /// and the build's thread count), then the hierarchy summary.
     pub const META: u32 = 0;
     /// Label distance arena (`u64`).
     pub const LABEL_DISTS: u32 = 1;
@@ -60,21 +65,19 @@ pub struct Hc2lIndex {
     /// The frozen queryable state (labels, bitstrings, id maps, contraction
     /// columns) — everything a query touches, nothing it does not.
     frozen: FrozenHc2l,
-    /// The full balanced tree hierarchy — construction state kept for
-    /// diagnostics on built indexes; `None` after a load (queries only need
-    /// the per-vertex bitstrings inside `frozen`).
+    /// The full balanced tree hierarchy — construction state kept on built
+    /// indexes for the relabelling update walk; `None` after a load (queries
+    /// only need the per-vertex bitstrings inside `frozen`).
     hierarchy: Option<BalancedTreeHierarchy>,
     /// Summary statistics of the hierarchy, fixed at build time and
     /// persisted (Tables 3 and 5 stay available on loaded indexes).
     hier_stats: HierarchyStats,
-    construction: ConstructionStats,
 }
 
 impl Hc2lIndex {
     /// Builds the index for a weighted undirected graph.
     pub fn build(g: &Graph, config: Hc2lConfig) -> Self {
         config.validate();
-        let start = Instant::now();
         let n = g.num_vertices();
 
         // Step 1: degree-one contraction (Section 4.2).
@@ -112,18 +115,11 @@ impl Hc2lIndex {
                 .expect("freshly frozen state must validate")
         });
 
-        let hier_stats = hierarchy.stats();
-        let construction = ConstructionStats {
-            seconds: start.elapsed().as_secs_f64(),
-            threads: config.threads,
-        };
-
         Hc2lIndex {
             config,
             frozen,
+            hier_stats: hierarchy.stats(),
             hierarchy: Some(hierarchy),
-            hier_stats,
-            construction,
         }
     }
 
@@ -132,14 +128,11 @@ impl Hc2lIndex {
         self.frozen.num_vertices()
     }
 
-    /// The construction configuration.
+    /// The construction configuration. A loaded index carries the
+    /// persisted output-affecting fields and the default `threads` and
+    /// `parallel_grain`, which its container does not store.
     pub fn config(&self) -> &Hc2lConfig {
         &self.config
-    }
-
-    /// Construction timing information.
-    pub fn construction_stats(&self) -> ConstructionStats {
-        self.construction
     }
 
     /// The balanced tree hierarchy (over core vertex ids) — available on
@@ -233,10 +226,7 @@ impl PersistentIndex for Hc2lIndex {
             .u64(self.config.leaf_threshold as u64)
             .bool(self.config.tail_pruning)
             .bool(self.config.contract_degree_one)
-            .u64(self.config.threads as u64)
-            .u64(self.config.parallel_grain as u64)
-            .f64(self.construction.seconds)
-            .u64(self.construction.threads as u64)
+            .retired(4)
             .u64(self.hier_stats.num_nodes as u64)
             .u64(self.hier_stats.internal_nodes as u64)
             .u64(self.hier_stats.leaves as u64)
@@ -267,13 +257,9 @@ impl PersistentIndex for Hc2lIndex {
             leaf_threshold: meta.usize()?,
             tail_pruning: meta.bool()?,
             contract_degree_one: meta.bool()?,
-            threads: meta.usize()?,
-            parallel_grain: meta.usize()?,
+            ..Hc2lConfig::default()
         };
-        let construction = ConstructionStats {
-            seconds: meta.f64()?,
-            threads: meta.usize()?,
-        };
+        meta.skip(4)?;
         let hier_stats = HierarchyStats {
             num_nodes: meta.usize()?,
             internal_nodes: meta.usize()?,
@@ -310,7 +296,6 @@ impl PersistentIndex for Hc2lIndex {
             frozen,
             hierarchy: None,
             hier_stats,
-            construction,
         })
     }
 }
@@ -516,7 +501,6 @@ mod tests {
         );
         assert!(s.avg_label_entries > 0.0);
         assert!(s.hierarchy.height >= 1);
-        assert!(index.construction_stats().seconds >= 0.0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use config::Hc2lConfig;
 pub use frozen::{FrozenContraction, FrozenHc2l, FrozenHc2lRef};
 pub use index::Hc2lIndex;
 pub use label::{LabelSet, LevelLabelsBuilder};
-pub use stats::{ConstructionStats, IndexStats};
+pub use stats::IndexStats;
 
 /// Re-export of the workspace-wide per-query instrumentation record, which
 /// [`Hc2lIndex::query_with_stats`] returns alongside the distance.

@@ -28,12 +28,3 @@ pub struct IndexStats {
     /// Hierarchy shape statistics (Table 5).
     pub hierarchy: HierarchyStats,
 }
-
-/// Wall-clock construction statistics (Table 2's "Construction Time").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ConstructionStats {
-    /// Total wall-clock seconds spent building the index.
-    pub seconds: f64,
-    /// Number of threads used (1 = the paper's HC2L, >1 = HC2Lp).
-    pub threads: usize,
-}

@@ -166,8 +166,6 @@ where
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HubLabelIndex {
     frozen: FrozenHubLabels,
-    /// Wall-clock seconds spent building (ordering + labelling).
-    pub construction_seconds: f64,
 }
 
 impl HubLabelIndex {
@@ -175,13 +173,8 @@ impl HubLabelIndex {
     /// a contraction hierarchy; label construction is a pruned Dijkstra from
     /// each vertex in importance order (pruned landmark labelling).
     pub fn build(g: &Graph) -> Self {
-        let start = std::time::Instant::now();
         let ch = ContractionHierarchy::build(g);
-        let index = Self::build_with_order(g, &ch.ordering.most_important_first());
-        HubLabelIndex {
-            construction_seconds: start.elapsed().as_secs_f64(),
-            ..index
-        }
+        Self::build_with_order(g, &ch.ordering.most_important_first())
     }
 
     /// Builds the labelling with an explicit vertex order (most important
@@ -189,7 +182,6 @@ impl HubLabelIndex {
     pub fn build_with_order(g: &Graph, order: &[Vertex]) -> Self {
         let n = g.num_vertices();
         assert_eq!(order.len(), n, "order must cover every vertex exactly once");
-        let start = std::time::Instant::now();
         let mut order_of = vec![u32::MAX; n];
         for (i, &v) in order.iter().enumerate() {
             assert_eq!(
@@ -248,7 +240,6 @@ impl HubLabelIndex {
                 labels: FlatEntryLabels::freeze_pairs(&labels),
                 order_of,
             },
-            construction_seconds: start.elapsed().as_secs_f64(),
         }
     }
 
@@ -301,7 +292,7 @@ impl PersistentIndex for HubLabelIndex {
 
     fn write_sections(&self, w: &mut ContainerWriter) {
         let mut meta = MetaWriter::new();
-        meta.f64(self.construction_seconds);
+        meta.retired(1); // held the build time
         w.push_section(sec::META, meta.finish());
         let (hubs, dists, offsets) = self.frozen.labels.parts();
         w.push_pods(sec::HUBS, hubs);
@@ -312,7 +303,7 @@ impl PersistentIndex for HubLabelIndex {
 
     fn read_sections(c: &Container) -> Result<Self, DecodeError> {
         let mut meta = MetaReader::new(c.section(sec::META)?);
-        let construction_seconds = meta.f64()?;
+        meta.skip(1)?;
         meta.finish()?;
         let labels = FlatEntryLabels::from_parts(
             c.read_pod_vec::<u32>(sec::HUBS)?,
@@ -321,7 +312,6 @@ impl PersistentIndex for HubLabelIndex {
         )?;
         Ok(HubLabelIndex {
             frozen: FrozenHubLabels::from_parts(labels, c.read_pod_vec::<u32>(sec::ORDER)?)?,
-            construction_seconds,
         })
     }
 }

@@ -242,16 +242,6 @@ impl DistanceOracle for Oracle {
         }
     }
 
-    fn construction_seconds(&self) -> f64 {
-        match self {
-            Oracle::Hc2l(index) => index.construction_stats().seconds,
-            Oracle::Ch(ch) => ch.construction_seconds,
-            Oracle::H2h(index) => index.construction_seconds,
-            Oracle::Hl(index) => index.construction_seconds,
-            Oracle::Phl(index) => index.construction_seconds,
-        }
-    }
-
     fn tree_height(&self) -> Option<u32> {
         match self {
             Oracle::Hc2l(index) => Some(index.stats().hierarchy.height),
@@ -297,7 +287,6 @@ mod tests {
                 "{} reports no bytes",
                 oracle.name()
             );
-            assert!(oracle.construction_seconds() >= 0.0);
         }
     }
 

@@ -46,6 +46,9 @@ pub trait DistanceOracle: Send + Sync {
     /// out-of-range vertex are counted in [`UpdateReport::rejected`] and
     /// skipped; the rest of the batch still applies. Either way the oracle
     /// answers exactly for the re-weighted graph afterwards.
+    ///
+    /// A rebuild reuses the index's own configuration. A loaded HC2L index
+    /// has no stored thread count, so it rebuilds with the default one.
     fn apply_updates(&mut self, graph: &mut Graph, updates: &[WeightUpdate]) -> UpdateReport;
 
     /// Exact shortest-path distance between two vertices.
@@ -89,9 +92,6 @@ pub trait DistanceOracle: Send + Sync {
     /// Bytes of auxiliary LCA structures (Table 3's "LCA Storage"; 0 when
     /// the method has none).
     fn lca_bytes(&self) -> usize;
-
-    /// Wall-clock seconds the construction took.
-    fn construction_seconds(&self) -> f64;
 
     /// Height of the method's tree hierarchy (Table 5), when it has one.
     fn tree_height(&self) -> Option<u32>;

@@ -202,20 +202,13 @@ where
 pub struct PhlIndex {
     /// The frozen labels queries run on.
     frozen: FrozenPhlLabels,
-    /// The highway decomposition used — construction state kept for
-    /// diagnostics on built indexes; `None` after a load (queries never
-    /// touch it, every queried fact lives in the frozen labels).
-    pub decomposition: Option<HighwayDecomposition>,
     /// Number of highways the labelling was built from.
     num_paths: usize,
-    /// Wall-clock construction time in seconds.
-    pub construction_seconds: f64,
 }
 
 impl PhlIndex {
     /// Builds the index: highway decomposition followed by pruned labelling.
     pub fn build(g: &Graph) -> Self {
-        let start = std::time::Instant::now();
         let decomposition = HighwayDecomposition::build(g);
         let n = g.num_vertices();
         // Nested construction scratch; frozen into the flat arena at the end.
@@ -273,12 +266,9 @@ impl PhlIndex {
         for label in &mut labels {
             label.sort_unstable();
         }
-        let num_paths = decomposition.num_paths();
         PhlIndex {
             frozen: FrozenPhlLabels::new(FlatCsr::freeze(&labels)),
-            decomposition: Some(decomposition),
-            num_paths,
-            construction_seconds: start.elapsed().as_secs_f64(),
+            num_paths: decomposition.num_paths(),
         }
     }
 
@@ -330,8 +320,7 @@ impl PersistentIndex for PhlIndex {
 
     fn write_sections(&self, w: &mut ContainerWriter) {
         let mut meta = MetaWriter::new();
-        meta.u64(self.num_paths as u64)
-            .f64(self.construction_seconds);
+        meta.u64(self.num_paths as u64).retired(1); // held the build time
         w.push_section(sec::META, meta.finish());
         let (entries, offsets) = self.frozen.arena().parts();
         w.push_pods(sec::ENTRIES, entries);
@@ -341,7 +330,7 @@ impl PersistentIndex for PhlIndex {
     fn read_sections(c: &Container) -> Result<Self, DecodeError> {
         let mut meta = MetaReader::new(c.section(sec::META)?);
         let num_paths = meta.usize()?;
-        let construction_seconds = meta.f64()?;
+        meta.skip(1)?;
         meta.finish()?;
         let labels = FlatCsr::from_parts(
             c.read_pod_vec::<PhlEntry>(sec::ENTRIES)?,
@@ -349,9 +338,7 @@ impl PersistentIndex for PhlIndex {
         )?;
         Ok(PhlIndex {
             frozen: FrozenPhlLabels::from_sorted(labels)?,
-            decomposition: None,
             num_paths,
-            construction_seconds,
         })
     }
 }
@@ -504,7 +491,7 @@ mod tests {
     fn own_path_entry_has_zero_distance() {
         let g = paper_figure1();
         let index = PhlIndex::build(&g);
-        let decomposition = index.decomposition.as_ref().expect("built index");
+        let decomposition = HighwayDecomposition::build(&g);
         for v in 0..16u32 {
             let own_path = decomposition.path_of[v as usize];
             let own_offset = decomposition.offset_of[v as usize];
@@ -611,7 +598,6 @@ mod tests {
         index.write_sections(&mut w);
         let c = Container::from_bytes(&w.finish()).unwrap();
         let back = PhlIndex::read_sections(&c).unwrap();
-        assert!(back.decomposition.is_none());
         assert_eq!(back.stats().num_paths, index.stats().num_paths);
         let view = FrozenPhlLabels::from_container(&c).unwrap();
         for s in 0..16u32 {

@@ -48,7 +48,7 @@
 //! with branch-free min-kernels (`min_plus_scan`, `min_plus_merge`); all
 //! size totals are O(1) reads fixed at freeze time.
 //!
-//! The scan has AVX2 and NEON forms picked at runtime; HL's merge-join is
+//! The scan has an AVX2 form picked at runtime; HL's merge-join is
 //! one scalar loop on every host. On travel-time city maps (200k uniform
 //! pairs, 2-vCPU x86-64 guest, median ns per HL query) the plain scalar
 //! merge beat both the AVX2 blocked merge and per-block cut bounds:

@@ -11,24 +11,48 @@
 //!   checksum/payload bytes, unknown method tags) surface as typed
 //!   [`PersistError`]s, never panics;
 //! * the zero-copy `Frozen*Ref` views over a loaded container answer
-//!   identically to the owned indexes they were saved from.
+//!   identically to the owned indexes they were saved from;
+//! * a container is a pure function of the graph and the output-affecting
+//!   config: two builds give the same bytes, HC2L's thread count and
+//!   parallel grain change nothing, load → save is the identity, and a
+//!   table of golden checksums pins every method's output;
+//! * the containers under `tests/fixtures/`, written before the build time
+//!   and HC2L's thread counts were retired from META, still load, answer
+//!   exactly, and re-save to a fresh build's bytes.
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use common::random_connected_graph;
 use hc2l::{Hc2lConfig, Hc2lIndex};
 use hc2l_graph::container::{method_tag, Container, ContainerWriter, DecodeError};
-use hc2l_graph::toy::grid_graph;
+use hc2l_graph::toy::{grid_graph, paper_figure1};
 use hc2l_graph::{dijkstra, Distance, Graph, GraphBuilder, PersistError, PersistentIndex, Vertex};
 use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder, SharedOracle};
+use hc2l_roadnet::{RoadNetworkConfig, WeightMode};
 
 /// Scratch directory for this test binary's container files.
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("persistence");
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir.join(name)
+}
+
+/// The bytes `oracle.save` writes, via a scratch file named `name`.
+fn container_bytes(oracle: &Oracle, name: &str) -> Vec<u8> {
+    let path = scratch(name);
+    oracle.save(&path).expect("save");
+    let bytes = std::fs::read(&path).expect("read saved container");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+/// A seeded travel-time city map, the shape the benchmarks serve.
+fn seeded_city(side: usize) -> Graph {
+    RoadNetworkConfig::city(side, side, 36)
+        .generate()
+        .graph(WeightMode::TravelTime)
 }
 
 /// A grid with pendant trees and a second component: exercises the HC2L
@@ -437,8 +461,110 @@ fn loaded_indexes_report_consistent_diagnostics() {
         let path = scratch(&format!("diag-{}.hc2l", method.name()));
         built.save(&path).expect("save");
         let loaded = Oracle::load(&path).expect("load");
-        assert!((loaded.construction_seconds() - built.construction_seconds()).abs() < 1e-12);
+        let saved = std::fs::read(&path).expect("read saved container");
+        let resaved = container_bytes(&loaded, &format!("diag-{}-again.hc2l", method.name()));
+        assert!(saved == resaved, "{method}: load -> save changed the bytes");
+        assert_eq!(loaded.tree_height(), built.tree_height(), "{method}");
+        assert_eq!(loaded.max_width(), built.max_width(), "{method}");
         assert!(loaded.index_bytes() > 0);
         std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn two_builds_save_byte_identical_containers() {
+    let g = seeded_city(12);
+    for method in Method::ALL {
+        let first = OracleBuilder::new(method).build(&g);
+        let second = OracleBuilder::new(method).build(&g);
+        let name = method.name();
+        assert!(
+            container_bytes(&first, &format!("repro-{name}-1.hc2l"))
+                == container_bytes(&second, &format!("repro-{name}-2.hc2l")),
+            "{method}: two builds of one map differ"
+        );
+    }
+}
+
+#[test]
+fn hc2l_bytes_do_not_depend_on_threads_or_grain() {
+    // 24x24 has more vertices than the default grain, so the default-grain
+    // parallel build really spawns too.
+    let g = seeded_city(24);
+    let reference = container_bytes(
+        &OracleBuilder::new(Method::Hc2l).threads(1).build(&g),
+        "sched-1.hc2l",
+    );
+    for (threads, grain) in [(4, Hc2lConfig::default().parallel_grain), (4, 32), (1, 32)] {
+        let oracle = OracleBuilder::new(Method::Hc2l)
+            .hc2l_config(Hc2lConfig {
+                parallel_grain: grain,
+                ..Default::default()
+            })
+            .threads(threads)
+            .build(&g);
+        let bytes = container_bytes(&oracle, &format!("sched-{threads}-{grain}.hc2l"));
+        assert!(
+            bytes == reference,
+            "threads {threads}, grain {grain}: HC2L container differs"
+        );
+    }
+}
+
+/// Header checksum (bytes 24..32) and length of each method's container on
+/// `seeded_city(8)` with default settings. A change that alters build output
+/// fails here by name; one that means to must update this table and say why.
+const GOLDEN: [(Method, u64, usize); 5] = [
+    (Method::Hc2l, 0x86db22e9dd74cef0, 9536),
+    (Method::H2h, 0x78dc5317a5fb8d16, 13600),
+    (Method::Phl, 0x031f5f895b4f51d9, 13892),
+    (Method::Hl, 0xbe283b1db5c7a707, 6592),
+    (Method::Ch, 0xb0d6ee618edff9b3, 2752),
+];
+
+#[test]
+fn golden_container_checksums() {
+    let g = seeded_city(8);
+    let mut actual = Vec::new();
+    for (method, _, _) in GOLDEN {
+        let bytes = container_bytes(
+            &OracleBuilder::new(method).build(&g),
+            &format!("golden-{}.hc2l", method.name()),
+        );
+        let checksum = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+        actual.push((method, checksum, bytes.len()));
+    }
+    let table: Vec<String> = actual
+        .iter()
+        .map(|(m, sum, len)| format!("(Method::{m:?}, {sum:#018x}, {len})"))
+        .collect();
+    assert_eq!(actual, GOLDEN, "new table:\n{}", table.join(",\n"));
+}
+
+#[test]
+fn legacy_fixtures_load_answer_and_resave_to_fresh_bytes() {
+    // Written with `.threads(2)` by the v2 writer that still stored the
+    // build time (and HC2L's thread counts) in META.
+    let g = paper_figure1();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for method in Method::ALL {
+        let name = format!("figure1-{}.hc2l", method.name().to_ascii_lowercase());
+        let loaded = Oracle::load(&dir.join(&name)).expect("fixture loads");
+        assert_eq!(loaded.method(), method);
+        let fresh = OracleBuilder::new(method).threads(2).build(&g);
+        for s in 0..16 {
+            for t in 0..16 {
+                assert_eq!(
+                    loaded.distance(s, t),
+                    fresh.distance(s, t),
+                    "{name} ({s},{t})"
+                );
+            }
+        }
+        assert!(
+            container_bytes(&loaded, &format!("fixture-{name}"))
+                == container_bytes(&fresh, &format!("fresh-{name}")),
+            "{name}: re-saved fixture differs from a fresh build"
+        );
     }
 }

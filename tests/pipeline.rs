@@ -89,7 +89,7 @@ fn multi_city_network_with_parallel_build() {
     let Oracle::Hc2l(par_index) = &par else {
         panic!("Method::Hc2l built {}", par.name());
     };
-    assert_eq!(par_index.construction_stats().threads, 4);
+    assert_eq!(par_index.config().threads, 4);
     let pairs = random_pairs(g.num_vertices(), 400, 77);
     for p in &pairs {
         let expected = dijkstra_distance(&g, p.source, p.target);
