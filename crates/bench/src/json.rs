@@ -29,10 +29,9 @@
 //! Since the dynamic-updates PR each row also carries **`update_ms_1`**,
 //! **`update_ms_100`** and **`update_ms_10000`** — wall-clock milliseconds
 //! to absorb a seeded live-traffic batch (mostly weight increases) of that
-//! size into a clone of the built index (the updatable-daemon scenario; in
-//! `--load-index` mode the loaded clone is used and backends whose
-//! incremental path needs unpersisted construction state honestly fall
-//! back to `rebuild`) — plus **`update_strategy`** (how
+//! size into a clone of the loaded index (the updatable-daemon scenario; a
+//! loaded index holds everything the incremental paths need, so both modes
+//! absorb a batch the same way) — plus **`update_strategy`** (how
 //! the small batch was absorbed: `ch-customize`, `hc2l-relabel` or
 //! `rebuild`) and **`rebuild_ms`**, the from-scratch build on the
 //! re-weighted graph the incremental paths are racing. Every updated index
@@ -254,13 +253,11 @@ fn run_persisted(
             let path = IndexPersistence::index_path(dir, &w.name, method);
 
             // Obtain the oracle: build + save + reload, or load only. The
-            // built oracle is kept around (RoundTrip mode) because the
-            // live-update timings run on it — see below. The phase table is
-            // drained immediately before the build (discarding spans from
-            // earlier methods' update/rebuild timings in this process) and
-            // immediately after, so `build_phases` covers exactly this
-            // construction call.
-            let (oracle, built, build_seconds, load_seconds, build_phases) = match persist {
+            // phase table is drained immediately before the build
+            // (discarding spans from earlier methods' update/rebuild timings
+            // in this process) and immediately after, so `build_phases`
+            // covers exactly this construction call.
+            let (oracle, build_seconds, load_seconds, build_phases) = match persist {
                 IndexPersistence::RoundTrip { .. } => {
                     hc2l_obs::phase::drain();
                     let build = measure_build(method, &w.graph, 1);
@@ -302,19 +299,13 @@ fn run_persisted(
                             file_len
                         ));
                     }
-                    (
-                        loaded,
-                        Some(build.oracle),
-                        build.build_seconds,
-                        load_seconds,
-                        build_phases,
-                    )
+                    (loaded, build.build_seconds, load_seconds, build_phases)
                 }
                 IndexPersistence::LoadOnly { .. } => {
                     let start = Instant::now();
                     let loaded = Oracle::load(&path)
                         .map_err(|e| format!("loading {} failed: {e}", path.display()))?;
-                    (loaded, None, 0.0, start.elapsed().as_secs_f64(), Vec::new())
+                    (loaded, 0.0, start.elapsed().as_secs_f64(), Vec::new())
                 }
             };
 
@@ -403,16 +394,13 @@ fn run_persisted(
 
             // Live-update timings: seeded traffic batches (mostly weight
             // increases over existing edges) absorbed by a clone of the
-            // *built* index — the daemon's updatable mode (`--grid`) owns a
-            // built oracle, and HC2L's incremental relabel needs the
-            // construction-time hierarchy, which is not persisted. In
-            // `--load-index` mode only the loaded clone exists, so
-            // hierarchy-less backends honestly fall back to `rebuild`
-            // there. Each updated clone is re-gated against Dijkstra on the
+            // loaded index. A built and a loaded index absorb a batch the
+            // same way (HC2L relabels over its stored bitstrings), so the
+            // save and `--load-index` modes report the same strategies.
+            // Each updated clone is re-gated against Dijkstra on the
             // re-weighted graph on a sample of the workload pairs — an
             // inexact incremental path aborts the bench exactly like an
             // inexact query path would.
-            let update_base = built.as_ref().unwrap_or(&oracle);
             let updates = hc2l_roadnet::random_weight_updates(&w.graph, 10_000, 0x7AFF1C);
             let mut update_ms = [0.0f64; 3];
             let mut update_strategy = "";
@@ -421,7 +409,7 @@ fn run_persisted(
                 // the graph's edge count.
                 let count = count.min(updates.len());
                 let mut g = w.graph.clone();
-                let mut o = update_base.clone();
+                let mut o = oracle.clone();
                 let report = o.apply_updates(&mut g, &updates[..count]);
                 update_ms[slot] = report.micros as f64 / 1000.0;
                 if slot == 0 {
@@ -733,6 +721,7 @@ mod tests {
         for (s, l) in saved.iter().zip(loaded.iter()) {
             assert_eq!(s.method, l.method);
             assert_eq!(s.index_bytes, l.index_bytes);
+            assert_eq!(s.update_strategy, l.update_strategy, "{}", s.method);
             assert_eq!(l.build_seconds, 0.0);
         }
         let _ = std::fs::remove_dir_all(dir);

@@ -41,16 +41,22 @@
 //! the metric. Labels are only swapped in after the whole walk succeeds,
 //! so a bounced batch leaves the index untouched.
 //!
+//! The tree is read from the stored per-vertex bitstrings the query path
+//! takes its LCA levels from, so a loaded index relabels like a built one:
+//! a node's cut is the subgraph vertices whose bitstring *is* the node, a
+//! child's part the vertices below `node.child(side)`, and a node whose cut
+//! is its whole subgraph is a leaf.
+//!
 //! Preconditions (checked, reported as a typed error so callers can fall
-//! back to a rebuild): the construction hierarchy must still be present
-//! (built in-process, not loaded from a container) and every updated edge
-//! must connect two *core* vertices — an update under the degree-one
-//! contraction would change the contraction columns themselves.
+//! back to a rebuild): the graph must contract to the core the index was
+//! built on, and every updated edge must connect two *core* vertices — an
+//! update under the degree-one contraction would change the contraction
+//! columns themselves.
 
 use hc2l::frozen::NO_VERTEX;
 use hc2l::node_build::label_node;
-use hc2l::{Hc2lIndex, LevelLabelsBuilder};
-use hc2l_cut::{add_shortcuts, BalancedTreeHierarchy};
+use hc2l::{FrozenHc2l, Hc2lIndex, LevelLabelsBuilder};
+use hc2l_cut::{add_shortcuts, NodeId};
 use hc2l_graph::{contract_degree_one, dijkstra, Distance, Graph, InducedSubgraph, Vertex};
 
 use crate::update::WeightUpdate;
@@ -59,9 +65,10 @@ use crate::update::WeightUpdate;
 /// rebuild instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelabelUnsupported {
-    /// The index was loaded from a container: only the frozen state
-    /// survives persistence, the tree the recursion walks does not.
-    HierarchyUnavailable,
+    /// The graph's core (after the degree-one contraction) is not the one
+    /// the index's core-id column records: the index was built for another
+    /// graph.
+    CoreMismatch,
     /// An update endpoint was removed by the degree-one contraction.
     ContractedEndpoint,
     /// An update names an edge the core graph does not have.
@@ -78,9 +85,7 @@ pub enum RelabelUnsupported {
 impl std::fmt::Display for RelabelUnsupported {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            RelabelUnsupported::HierarchyUnavailable => {
-                "construction hierarchy unavailable (loaded index)"
-            }
+            RelabelUnsupported::CoreMismatch => "graph core differs from the index's core-id map",
             RelabelUnsupported::ContractedEndpoint => {
                 "update endpoint was contracted away (degree-one tree)"
             }
@@ -110,13 +115,9 @@ pub fn update_hc2l(
 ) -> Result<(), RelabelUnsupported> {
     let config = *index.config();
     let n = old_graph.num_vertices();
-    let hierarchy = match index.hierarchy() {
-        Some(h) => h,
-        None => return Err(RelabelUnsupported::HierarchyUnavailable),
-    };
 
     // Reconstruct the core subgraph exactly as `Hc2lIndex::build` does, so
-    // local/core ids line up with the stored hierarchy and labels.
+    // local/core ids line up with the stored bitstrings and labels.
     let contraction = if config.contract_degree_one {
         Some(contract_degree_one(old_graph))
     } else {
@@ -126,14 +127,25 @@ pub fn update_hc2l(
         Some(c) => (0..n as Vertex).filter(|&v| !c.is_contracted(v)).collect(),
         None => (0..n as Vertex).collect(),
     };
+
+    // The stored core-id column is authoritative: the recomputed core must
+    // be exactly the one it records, or the walk would index another
+    // graph's labels.
+    let frozen = index.frozen();
+    let core_id = frozen.id_parts().1;
+    let same_core = core_id.len() == n
+        && core_vertices.len() == frozen.num_core_vertices()
+        && (0..)
+            .zip(&core_vertices)
+            .all(|(c, &v)| core_id[v as usize] == c);
+    if !same_core {
+        return Err(RelabelUnsupported::CoreMismatch);
+    }
     let core_graph_source = contraction.as_ref().map(|c| &c.core).unwrap_or(old_graph);
-    let core_sub = InducedSubgraph::new(core_graph_source, &core_vertices);
-    let old_core = core_sub.graph;
+    let old_core = InducedSubgraph::new(core_graph_source, &core_vertices).graph;
 
     // Map the batch into core ids and bounce anything the incremental path
-    // cannot express. The stored core-id column is authoritative.
-    let core_id = index.frozen().id_parts().1;
-    debug_assert_eq!(core_id.len(), n);
+    // cannot express.
     let mut new_core = old_core.clone();
     for up in updates {
         let (cu, cv) = match (
@@ -151,79 +163,63 @@ pub fn update_hc2l(
         }
     }
 
-    debug_assert_eq!(hierarchy.num_vertices(), old_core.num_vertices());
-
     let mut relabel = Relabel {
-        hierarchy,
-        old_labels: index.labels(),
+        old: frozen,
         tail_pruning: config.tail_pruning,
         labels: LevelLabelsBuilder::new(old_core.num_vertices()),
     };
     let map: Vec<Vertex> = (0..old_core.num_vertices() as Vertex).collect();
-    relabel.recurse(hierarchy.root(), old_core, new_core, map)?;
+    relabel.recurse(NodeId::ROOT, old_core, new_core, map)?;
     let labels = relabel.labels.freeze();
     index.replace_labels(labels);
     Ok(())
 }
 
-/// State of the lockstep walk: the fixed hierarchy, the old label arena the
-/// clean-copy path reads, and the builder the new arena accumulates into.
+/// State of the lockstep walk: the old frozen index (its bitstrings are the
+/// fixed hierarchy, its label arena what the clean-copy path reads), and
+/// the builder the new arena accumulates into.
 struct Relabel<'a> {
-    hierarchy: &'a BalancedTreeHierarchy,
-    old_labels: &'a hc2l::LabelSet,
+    old: &'a FrozenHc2l,
     tail_pruning: bool,
     labels: LevelLabelsBuilder,
 }
 
 impl Relabel<'_> {
-    /// Walks node `node_idx`, whose subgraph under the old metric is
+    /// Walks tree node `node`, whose subgraph under the old metric is
     /// `old_sub` and under the new metric is `new_sub` (identical topology
     /// and local-id space; `map` translates local ids to core ids).
     fn recurse(
         &mut self,
-        node_idx: u32,
+        node: NodeId,
         old_sub: Graph,
         new_sub: Graph,
         map: Vec<Vertex>,
     ) -> Result<(), RelabelUnsupported> {
-        let n = old_sub.num_vertices();
-        if n == 0 {
-            return Ok(());
-        }
-        // Copy the shared reference out so recursing (`&mut self`) does not
-        // conflict with borrows of the tree.
-        let hierarchy = self.hierarchy;
-        let node = &hierarchy.nodes[node_idx as usize];
-
         // A subtree whose shortcut-enhanced subgraph is untouched keeps
         // every one of its label arrays: copy and stop descending.
         if graphs_equal(&old_sub, &new_sub) {
+            let old_labels = self.old.labels();
             for &core_v in &map {
-                let levels = self.old_labels.num_levels(core_v);
-                for level in node.level() as usize..levels {
+                for level in node.level() as usize..old_labels.num_levels(core_v) {
                     self.labels
-                        .push_level(core_v, self.old_labels.level_array(core_v, level));
+                        .push_level(core_v, old_labels.level_array(core_v, level));
                 }
             }
             return Ok(());
         }
 
-        // Dirty: re-label this node on the new metric. Leaves (including
-        // degenerate-cut pseudo-leaves) label all their vertices pairwise.
-        let cut_local: Vec<Vertex> = if node.is_leaf() {
-            (0..n as Vertex).collect()
-        } else {
-            let mut to_local = std::collections::HashMap::with_capacity(n);
-            for (local, &core_v) in map.iter().enumerate() {
-                to_local.insert(core_v, local as Vertex);
-            }
-            node.cut.iter().map(|&c| to_local[&c]).collect()
-        };
+        // Dirty: re-label this node on the new metric. Its cut is the
+        // vertices mapped to it; a leaf (including a degenerate-cut
+        // pseudo-leaf) holds every vertex of its subgraph.
+        let n = old_sub.num_vertices();
+        let cut_local: Vec<Vertex> = (0..n as Vertex)
+            .filter(|&l| self.old.bits_of(map[l as usize]) == node)
+            .collect();
         let labelling = label_node(&new_sub, &cut_local, self.tail_pruning, 1);
         for (local, array) in labelling.arrays.iter().enumerate() {
             self.labels.push_level(map[local], array);
         }
-        if node.is_leaf() {
+        if cut_local.len() == n {
             return Ok(());
         }
 
@@ -233,11 +229,13 @@ impl Relabel<'_> {
         let old_cut_dists: Vec<Vec<Distance>> =
             cut_local.iter().map(|&c| dijkstra(&old_sub, c)).collect();
 
-        for child_idx in node.children.into_iter().flatten() {
-            let child_id = hierarchy.nodes[child_idx as usize].id;
+        for child in [node.child(false), node.child(true)] {
             let part: Vec<Vertex> = (0..n as Vertex)
-                .filter(|&l| child_id.is_ancestor_of(hierarchy.bits_of(map[l as usize])))
+                .filter(|&l| child.is_ancestor_of(self.old.bits_of(map[l as usize])))
                 .collect();
+            if part.is_empty() {
+                continue;
+            }
             let (old_child, old_pairs) =
                 child_subgraph(&old_sub, &cut_local, &part, &old_cut_dists)?;
             let (new_child, new_pairs) = child_subgraph(
@@ -256,7 +254,7 @@ impl Relabel<'_> {
                 }
             }
             let child_map: Vec<Vertex> = part.iter().map(|&l| map[l as usize]).collect();
-            self.recurse(child_idx, old_child, new_child, child_map)?;
+            self.recurse(child, old_child, new_child, child_map)?;
         }
         Ok(())
     }
@@ -501,6 +499,24 @@ mod tests {
         assert_eq!(err, Err(RelabelUnsupported::ContractedEndpoint));
         // The index is untouched on failure.
         assert_eq!(index.query(0, 17), before);
+    }
+
+    #[test]
+    fn a_graph_with_another_core_is_reported_for_fallback() {
+        // An index asked to relabel for a graph it was not built on must
+        // bounce with the typed error, never index past its own columns.
+        for (built_rows, graph_rows) in [(6, 7), (7, 6)] {
+            let index0 = Hc2lIndex::build(&weighted_grid(built_rows, 7), Hc2lConfig::default());
+            let g = weighted_grid(graph_rows, 7);
+            let (u, v, w) = g.edges().next().unwrap();
+            let mut index = index0.clone();
+            assert_eq!(
+                update_hc2l(&mut index, &g, &[WeightUpdate::new(u, v, w + 5)]),
+                Err(RelabelUnsupported::CoreMismatch),
+                "{built_rows}x7 index, {graph_rows}x7 graph"
+            );
+            assert_eq!(format!("{index:?}"), format!("{index0:?}"));
+        }
     }
 
     #[test]

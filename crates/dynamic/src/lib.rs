@@ -18,10 +18,11 @@
 //!   fill-in/work budget and falls back to a rebuild.
 //! * **HC2L** ([`update_hc2l`]) — the balanced tree hierarchy stays fixed;
 //!   the recursion walks the old and the re-weighted graph *in lockstep*
-//!   down the stored tree, re-labelling only the nodes whose
-//!   shortcut-enhanced subgraph actually changed and copying every label
-//!   array of untouched subtrees verbatim. A single edge update dirties one
-//!   root-to-leaf spine; everything else is a memcpy.
+//!   down the tree the index's stored per-vertex bitstrings encode (so a
+//!   loaded index relabels exactly like a built one), re-labelling only the
+//!   nodes whose shortcut-enhanced subgraph actually changed and copying
+//!   every label array of untouched subtrees verbatim. A single edge update
+//!   dirties one root-to-leaf spine; everything else is a memcpy.
 //!
 //! Backends without such a separation (plain hub labelling, H2H, PHL) fall
 //! back to a full rebuild behind the same [`WeightUpdate`] batch API — the

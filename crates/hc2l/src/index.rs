@@ -5,14 +5,16 @@
 //! Its container stores the frozen state, the output-affecting part of the
 //! configuration and the summary, so the file is a pure function of the
 //! graph and those settings: no build time, and no scheduling-only setting
-//! (`threads`, `parallel_grain`). A built index also keeps its balanced
-//! tree hierarchy, which the relabelling update walk needs; a loaded one
-//! has none. Every query delegates to the frozen view, so a loaded index
-//! answers bit-identically to a freshly built one.
+//! (`threads`, `parallel_grain`). The balanced tree hierarchy is kept only
+//! as the per-vertex bitstrings inside the frozen state: they give queries
+//! their LCA levels and the relabelling update walk its tree, so a built
+//! and a loaded index hold the same state. Every query delegates to the
+//! frozen view, so a loaded index answers bit-identically to a freshly
+//! built one and relabels identically too.
 
 use serde::{Deserialize, Serialize};
 
-use hc2l_cut::{BalancedTreeHierarchy, HierarchyStats};
+use hc2l_cut::HierarchyStats;
 use hc2l_graph::container::{
     method_tag, Container, ContainerWriter, DecodeError, MetaReader, MetaWriter, PersistentIndex,
 };
@@ -65,10 +67,6 @@ pub struct Hc2lIndex {
     /// The frozen queryable state (labels, bitstrings, id maps, contraction
     /// columns) — everything a query touches, nothing it does not.
     frozen: FrozenHc2l,
-    /// The full balanced tree hierarchy — construction state kept on built
-    /// indexes for the relabelling update walk; `None` after a load (queries
-    /// only need the per-vertex bitstrings inside `frozen`).
-    hierarchy: Option<BalancedTreeHierarchy>,
     /// Summary statistics of the hierarchy, fixed at build time and
     /// persisted (Tables 3 and 5 stay available on loaded indexes).
     hier_stats: HierarchyStats,
@@ -101,8 +99,9 @@ impl Hc2lIndex {
         let (hierarchy, labels) = build_hierarchy_and_labels(&core_sub.graph, &config);
 
         // Step 3: freeze the queryable state — the label arena is already
-        // flat; denormalise the per-core-vertex bitstrings and flatten the
-        // contraction bookkeeping (dropping its core-graph copy).
+        // flat; the per-core-vertex bitstrings are all that is kept of the
+        // hierarchy, and the contraction bookkeeping is flattened (dropping
+        // its core-graph copy).
         let frozen = hc2l_obs::phase::time("freeze", || {
             let bits: Vec<u64> = (0..core_sub.graph.num_vertices() as Vertex)
                 .map(|cv| hierarchy.bits_of(cv).raw())
@@ -119,7 +118,6 @@ impl Hc2lIndex {
             config,
             frozen,
             hier_stats: hierarchy.stats(),
-            hierarchy: Some(hierarchy),
         }
     }
 
@@ -135,23 +133,17 @@ impl Hc2lIndex {
         &self.config
     }
 
-    /// The balanced tree hierarchy (over core vertex ids) — available on
-    /// built indexes, `None` after a load (only the per-vertex bitstrings
-    /// survive persistence; they are all queries need).
-    pub fn hierarchy(&self) -> Option<&BalancedTreeHierarchy> {
-        self.hierarchy.as_ref()
-    }
-
     /// The frozen queryable state.
     pub fn frozen(&self) -> &FrozenHc2l {
         &self.frozen
     }
 
-    /// Replaces the label arena in place, keeping the hierarchy, bitstrings,
-    /// id maps and contraction columns. This is the installation point of
-    /// the dynamic-update path (`hc2l-dynamic`): a weight-update batch keeps
-    /// the tree hierarchy fixed and patches only the distance arrays, so
-    /// everything else of the frozen state is reused verbatim. The
+    /// Replaces the label arena in place, keeping the bitstrings (the tree
+    /// hierarchy), id maps and contraction columns. This is the
+    /// installation point of the dynamic-update path (`hc2l-dynamic`),
+    /// built and loaded indexes alike: a weight-update batch keeps the tree
+    /// hierarchy fixed and patches only the distance arrays, so everything
+    /// else of the frozen state is reused verbatim. The
     /// replacement is re-validated by `FrozenHc2l::from_parts`, so an
     /// updater that produced labels for the wrong vertex count fails loudly
     /// instead of answering garbage.
@@ -294,7 +286,6 @@ impl PersistentIndex for Hc2lIndex {
         Ok(Hc2lIndex {
             config,
             frozen,
-            hierarchy: None,
             hier_stats,
         })
     }
@@ -531,7 +522,6 @@ mod tests {
         index.write_sections(&mut w);
         let c = Container::from_bytes(&w.finish()).unwrap();
         let back = Hc2lIndex::read_sections(&c).unwrap();
-        assert!(back.hierarchy().is_none());
         assert_eq!(
             back.stats().hierarchy.height,
             index.stats().hierarchy.height

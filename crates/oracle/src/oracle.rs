@@ -140,45 +140,53 @@ impl DistanceOracle for Oracle {
     /// Absorbs the batch with the backend's incremental path where it has
     /// one; the report says which strategy actually absorbed it:
     ///
-    /// * HC2L relabels over its fixed tree hierarchy, and rebuilds with the
-    ///   index's own configuration when the walk bounces the batch (loaded
-    ///   index, contracted endpoint, or a metric that needs new shortcut
-    ///   topology);
+    /// * HC2L, built or loaded, relabels over the fixed tree hierarchy its
+    ///   stored bitstrings encode, and rebuilds with the index's own
+    ///   configuration when the walk bounces the batch (contracted
+    ///   endpoint, or a metric that needs new shortcut topology);
     /// * CH re-contracts over its fixed contraction order, skipping all
     ///   ordering work; a batch that would densify the replay past its
     ///   fill-in or witness-search budget falls back to a rebuild;
     /// * H2H, HL and PHL rebuild from scratch on the re-weighted graph.
+    ///
+    /// A graph whose vertex count differs from the index's is not the one
+    /// the index answers for: every backend rebuilds on it.
     fn apply_updates(&mut self, graph: &mut Graph, updates: &[WeightUpdate]) -> UpdateReport {
         let start = Instant::now();
-        let (strategy, applied, rejected) = match self {
-            Oracle::Hc2l(index) => {
+        let same_graph = graph.num_vertices() == self.num_vertices();
+        let (incremental, applied, rejected) = match self {
+            Oracle::Hc2l(index) if same_graph => {
                 let (valid, rejected) = partition_valid(graph, updates);
                 let relabelled = update_hc2l(index, graph, &valid).is_ok();
                 let (applied, _) = apply_batch(graph, &valid);
-                let strategy = if relabelled {
-                    UpdateStrategy::Hc2lRelabel
-                } else {
-                    *index = Hc2lIndex::build(graph, *index.config());
-                    UpdateStrategy::Rebuild
-                };
-                (strategy, applied, rejected)
+                (
+                    relabelled.then_some(UpdateStrategy::Hc2lRelabel),
+                    applied,
+                    rejected,
+                )
             }
-            Oracle::Ch(ch) => {
+            Oracle::Ch(ch) if same_graph => {
                 let (applied, rejected) = apply_batch(graph, updates);
-                let strategy = if customize_ch(ch, graph) {
-                    UpdateStrategy::ChCustomize
-                } else {
-                    *ch = ContractionHierarchy::build(graph);
-                    UpdateStrategy::Rebuild
-                };
-                (strategy, applied, rejected)
+                let customized = customize_ch(ch, graph);
+                (
+                    customized.then_some(UpdateStrategy::ChCustomize),
+                    applied,
+                    rejected,
+                )
             }
-            Oracle::H2h(_) | Oracle::Hl(_) | Oracle::Phl(_) => {
+            _ => {
                 let (applied, rejected) = apply_batch(graph, updates);
-                *self = Oracle::build(graph, &OracleConfig::new(self.method()));
-                (UpdateStrategy::Rebuild, applied, rejected)
+                (None, applied, rejected)
             }
         };
+        let strategy = incremental.unwrap_or_else(|| {
+            let mut config = OracleConfig::new(self.method());
+            if let Oracle::Hc2l(index) = self {
+                config.hc2l = *index.config();
+            }
+            *self = Oracle::build(graph, &config);
+            UpdateStrategy::Rebuild
+        });
         UpdateReport {
             strategy,
             applied,
@@ -367,63 +375,112 @@ mod tests {
         }
     }
 
+    /// The weighted grid of hc2l-dynamic's relabel tests.
+    fn weighted_grid(rows: usize, cols: usize) -> Graph {
+        let mut b = hc2l_graph::GraphBuilder::new(0);
+        for (u, v, _) in hc2l_graph::toy::grid_graph(rows, cols).edges() {
+            b.add_edge(u, v, 1 + ((u * 7 + v * 13) % 9));
+        }
+        b.build()
+    }
+
+    /// `oracle` after a save → load round trip through a scratch file.
+    fn reloaded(oracle: &Oracle, tag: &str) -> Oracle {
+        let path =
+            std::env::temp_dir().join(format!("hc2l-oracle-{tag}-{}.hc2l", std::process::id()));
+        oracle.save(&path).unwrap();
+        let loaded = Oracle::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    fn assert_all_pairs_exact(oracle: &Oracle, g: &Graph, what: &str) {
+        assert_eq!(oracle.num_vertices(), g.num_vertices(), "{what}");
+        for s in 0..g.num_vertices() as Vertex {
+            let dist = hc2l_graph::dijkstra(g, s);
+            for t in 0..g.num_vertices() as Vertex {
+                assert_eq!(oracle.distance(s, t), dist[t as usize], "{what} ({s},{t})");
+            }
+        }
+    }
+
     #[test]
     fn bounced_hc2l_relabel_falls_back_to_an_exact_rebuild() {
         use hc2l_dynamic::WeightUpdate;
-        use hc2l_graph::toy::grid_graph;
-        use hc2l_graph::{dijkstra, GraphBuilder};
 
         // The 3x3 grid of hc2l-dynamic's relabel tests, where raising edge
         // (0, 3) from 4 to 26 makes `update_hc2l` bounce the batch.
-        let mut b = GraphBuilder::new(0);
-        for (u, v, _) in grid_graph(3, 3).edges() {
-            b.add_edge(u, v, 1 + ((u * 7 + v * 13) % 9));
-        }
-        let g0 = b.build();
+        let g0 = weighted_grid(3, 3);
         assert_eq!(g0.edge_weight(0, 3), Some(4));
         let mut oracle = OracleBuilder::new(Method::Hc2l).build(&g0);
         let mut g = g0.clone();
         let report = oracle.apply_updates(&mut g, &[WeightUpdate::new(0, 3, 26)]);
         assert_eq!(report.strategy, UpdateStrategy::Rebuild);
         assert_eq!((report.applied, report.rejected), (1, 0));
-        for s in 0..9u32 {
-            let dist = dijkstra(&g, s);
-            for t in 0..9u32 {
-                assert_eq!(oracle.distance(s, t), dist[t as usize], "({s},{t})");
-            }
-        }
+        assert_all_pairs_exact(&oracle, &g, "bounced batch");
     }
 
     #[test]
-    fn loaded_hc2l_rebuilds_with_its_own_config() {
+    fn loaded_hc2l_relabels() {
         use hc2l_dynamic::WeightUpdate;
-        use hc2l_graph::dijkstra;
-        use hc2l_graph::toy::grid_graph;
 
-        // A loaded index has no hierarchy to relabel over, so the batch is
-        // absorbed by a rebuild, which must keep the saved β.
-        let g0 = grid_graph(6, 6);
-        let built = OracleBuilder::new(Method::Hc2l).beta(0.3).build(&g0);
-        let path = std::env::temp_dir().join(format!(
-            "hc2l-oracle-loaded-rebuild-{}.hc2l",
-            std::process::id()
-        ));
-        built.save(&path).unwrap();
-        let mut oracle = Oracle::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        // The stored bitstrings are the whole hierarchy the walk needs, so
+        // a loaded index absorbs a batch without a rebuild.
+        let g0 = weighted_grid(6, 7);
+        let built = OracleBuilder::new(Method::Hc2l).build(&g0);
+        let mut oracle = reloaded(&built, "loaded-relabel");
         let mut g = g0.clone();
         let (u, v, w) = g0.edges().next().unwrap();
-        let report = oracle.apply_updates(&mut g, &[WeightUpdate::new(u, v, w + 5)]);
+        let report = oracle.apply_updates(&mut g, &[WeightUpdate::new(u, v, w * 10 + 3)]);
+        assert_eq!(report.strategy, UpdateStrategy::Hc2lRelabel);
+        assert_eq!((report.applied, report.rejected), (1, 0));
+        assert_all_pairs_exact(&oracle, &g, "loaded relabel");
+    }
+
+    #[test]
+    fn bounced_batch_on_a_loaded_hc2l_rebuilds_with_its_own_config() {
+        use hc2l_dynamic::WeightUpdate;
+
+        // A batch that bounces off the 3x3 grid's β = 0.3 hierarchy
+        // (raising edge (7, 8) from 1 to 26), on a loaded index: the
+        // rebuild it falls back to must keep the saved β.
+        let g0 = weighted_grid(3, 3);
+        assert_eq!(g0.edge_weight(7, 8), Some(1));
+        let built = OracleBuilder::new(Method::Hc2l).beta(0.3).build(&g0);
+        let mut oracle = reloaded(&built, "loaded-rebuild");
+        let mut g = g0.clone();
+        let report = oracle.apply_updates(&mut g, &[WeightUpdate::new(7, 8, 26)]);
         assert_eq!(report.strategy, UpdateStrategy::Rebuild);
         assert_eq!((report.applied, report.rejected), (1, 0));
         let Oracle::Hc2l(index) = &oracle else {
             panic!("HC2L update produced {}", oracle.name());
         };
         assert_eq!(index.config().beta, 0.3);
-        for s in 0..36u32 {
-            let dist = dijkstra(&g, s);
-            for t in 0..36u32 {
-                assert_eq!(oracle.distance(s, t), dist[t as usize], "({s},{t})");
+        assert_all_pairs_exact(&oracle, &g, "loaded rebuild");
+    }
+
+    #[test]
+    fn a_graph_of_another_vertex_count_is_absorbed_by_a_rebuild() {
+        use hc2l_dynamic::WeightUpdate;
+
+        // An index built for one grid fed a batch on a grid with one row
+        // more or fewer: no incremental path can patch it, so every
+        // backend, built or loaded, rebuilds on the graph it is given.
+        for (index_rows, graph_rows) in [(6, 7), (7, 6)] {
+            let g0 = weighted_grid(index_rows, 7);
+            for method in [Method::Ch, Method::Hc2l] {
+                let built = OracleBuilder::new(method).build(&g0);
+                let loaded = reloaded(&built, "mismatch");
+                for (form, mut oracle) in [("built", built), ("loaded", loaded)] {
+                    let what = format!("{method:?} {form} {index_rows}x7 on {graph_rows}x7");
+                    let mut g = weighted_grid(graph_rows, 7);
+                    let (u, v, w) = g.edges().next().unwrap();
+                    let report = oracle.apply_updates(&mut g, &[WeightUpdate::new(u, v, w + 5)]);
+                    assert_eq!(report.strategy, UpdateStrategy::Rebuild, "{what}");
+                    assert_eq!((report.applied, report.rejected), (1, 0), "{what}");
+                    assert_eq!(oracle.method(), method, "{what}");
+                    assert_all_pairs_exact(&oracle, &g, &what);
+                }
             }
         }
     }

@@ -47,8 +47,12 @@ pub trait DistanceOracle: Send + Sync {
     /// skipped; the rest of the batch still applies. Either way the oracle
     /// answers exactly for the re-weighted graph afterwards.
     ///
-    /// A rebuild reuses the index's own configuration. A loaded HC2L index
-    /// has no stored thread count, so it rebuilds with the default one.
+    /// A loaded index absorbs a batch exactly like the built one it was
+    /// saved from: the same strategy, and the same bytes afterwards. A graph
+    /// whose vertex count differs from the index's is absorbed by a
+    /// rebuild on that graph. A rebuild reuses the index's own
+    /// configuration. A loaded HC2L index has no stored thread count, so it
+    /// rebuilds with the default one.
     fn apply_updates(&mut self, graph: &mut Graph, updates: &[WeightUpdate]) -> UpdateReport;
 
     /// Exact shortest-path distance between two vertices.

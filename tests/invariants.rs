@@ -8,6 +8,7 @@
 
 mod common;
 
+use hc2l::builder::build_hierarchy_and_labels;
 use hc2l::{Hc2lConfig, Hc2lIndex};
 use hc2l_cut::{add_shortcuts, balanced_cut, CutConfig};
 use hc2l_graph::components::connected_components_masked;
@@ -96,8 +97,7 @@ fn shortcuts_restore_distance_preservation() {
 fn hierarchy_respects_definition() {
     for g in common::connected_graph_cases(12, 80, 0x3C) {
         let cfg = Hc2lConfig::default();
-        let index = Hc2lIndex::build(&g, cfg.without_contraction());
-        let h = index.hierarchy().expect("built index keeps its hierarchy");
+        let (h, _) = build_hierarchy_and_labels(&g, &cfg.without_contraction());
         assert!(h.is_complete());
         assert_eq!(h.check_balance(cfg.beta), None);
         // Height bound: generously, a few times log_{1/(1-β)}(n) plus slack
@@ -136,8 +136,7 @@ fn tail_pruning_is_lossless() {
 #[test]
 fn lca_cut_contains_a_realising_hub() {
     for g in common::connected_graph_cases(8, 40, 0x5E) {
-        let index = Hc2lIndex::build(&g, Hc2lConfig::default().without_contraction());
-        let h = index.hierarchy().expect("built index keeps its hierarchy");
+        let (h, _) = build_hierarchy_and_labels(&g, &Hc2lConfig::default().without_contraction());
         let n = g.num_vertices() as Vertex;
         for s in 0..n {
             let dist_s = dijkstra(&g, s);

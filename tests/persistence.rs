@@ -18,7 +18,9 @@
 //!   table of golden checksums pins every method's output;
 //! * the containers under `tests/fixtures/`, written before the build time
 //!   and HC2L's thread counts were retired from META, still load, answer
-//!   exactly, and re-save to a fresh build's bytes.
+//!   exactly, and re-save to a fresh build's bytes;
+//! * a built index and its save → load copy absorb the same update batches
+//!   the same way and stay byte-identical.
 
 mod common;
 
@@ -29,7 +31,7 @@ use hc2l::{Hc2lConfig, Hc2lIndex};
 use hc2l_graph::container::{method_tag, Container, ContainerWriter, DecodeError};
 use hc2l_graph::toy::{grid_graph, paper_figure1};
 use hc2l_graph::{dijkstra, Distance, Graph, GraphBuilder, PersistError, PersistentIndex, Vertex};
-use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder, SharedOracle};
+use hc2l_oracle::{DistanceOracle, Method, Oracle, OracleBuilder, SharedOracle, UpdateStrategy};
 use hc2l_roadnet::{RoadNetworkConfig, WeightMode};
 
 /// Scratch directory for this test binary's container files.
@@ -567,4 +569,40 @@ fn legacy_fixtures_load_answer_and_resave_to_fresh_bytes() {
             "{name}: re-saved fixture differs from a fresh build"
         );
     }
+}
+
+#[test]
+fn built_and_loaded_indexes_absorb_updates_identically() {
+    // The same seeded batches of 1, 8 and 100 edges, fed in sequence to a
+    // built oracle and to its save → load copy: every batch must take the
+    // same strategy and leave byte-identical containers behind.
+    let mut hc2l_relabels = 0;
+    for (gi, g0) in [seeded_city(8), gnarly_graph()].iter().enumerate() {
+        for method in Method::ALL {
+            let mut built = OracleBuilder::new(method).build(g0);
+            let name = format!("absorb-{gi}-{}", method.name());
+            let path = scratch(&format!("{name}.hc2l"));
+            built.save(&path).expect("save");
+            let mut loaded = Oracle::load(&path).expect("load");
+            std::fs::remove_file(&path).ok();
+            let (mut g_built, mut g_loaded) = (g0.clone(), g0.clone());
+            for (batch, size) in [1, 8, 100, 1, 8, 100].into_iter().enumerate() {
+                let seed = 0xAB50_0000 + 16 * gi as u64 + batch as u64;
+                let updates = hc2l_roadnet::random_weight_updates(&g_built, size, seed);
+                let from_built = built.apply_updates(&mut g_built, &updates);
+                let from_loaded = loaded.apply_updates(&mut g_loaded, &updates);
+                let what = format!("{method} on graph {gi}, batch {batch} ({size} edges)");
+                assert_eq!(from_built.strategy, from_loaded.strategy, "{what}");
+                assert!(
+                    container_bytes(&built, &format!("{name}-built.hc2l"))
+                        == container_bytes(&loaded, &format!("{name}-loaded.hc2l")),
+                    "{what}: built and loaded containers differ"
+                );
+                if from_built.strategy == UpdateStrategy::Hc2lRelabel {
+                    hc2l_relabels += 1;
+                }
+            }
+        }
+    }
+    assert!(hc2l_relabels > 0, "no batch took the HC2L relabel path");
 }
